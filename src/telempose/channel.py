@@ -1,10 +1,11 @@
 """Multipath MIMO channel synthesis and application.
 
-A channel realization is a set of propagation paths, each carrying a
-per-antenna complex gain, a delay, and a Doppler shift. The grid-facing
-operations evaluate the frequency response per OFDM symbol (block fading
-within a symbol, Doppler advancing phase between symbols) and add
-circular complex Gaussian noise at a configured Eb/N0.
+A channel realization is a channel impulse response held as per-path
+arrays: a complex gain per path and RX antenna, a delay and a Doppler
+shift per path. The grid-facing operations evaluate the frequency
+response per OFDM symbol (block fading within a symbol, Doppler advancing
+phase between symbols) and add circular complex Gaussian noise at a
+configured Eb/N0.
 
 Carrier-phase terms are folded into the stored gains at synthesis or
 import time, so the per-path gain is the only spatial/attenuation state.
@@ -13,10 +14,11 @@ import time, so the per-path gain is the only spatial/attenuation state.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._reader import Reader
 from .grid import GridConfig, ResourceGrid
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -31,49 +33,47 @@ class ChannelFileError(ValueError):
 
 
 @dataclass(frozen=True)
-class Path:
-    gain: np.ndarray  # complex, one entry per RX antenna
-    delay_s: float
-    doppler_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gain", np.atleast_1d(np.asarray(self.gain, complex)))
-        if not np.all(np.isfinite(self.gain)):
-            raise ValueError("path gain must be finite")
-        if self.delay_s < 0:
-            raise ValueError("path delay must be non-negative")
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
-    paths: tuple
-    n_rx: int
+    """One multipath realization.
+
+    ``gains`` is [L, n_rx] complex, ``delays`` (seconds) and ``dopplers``
+    (Hz) are [L]. The constructor stores its own contiguous, read-only
+    copies.
+    """
+
+    gains: np.ndarray
+    delays: np.ndarray
+    dopplers: np.ndarray
     meta: str = "synthetic"
 
     def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
-        if not self.paths:
-            raise ValueError("a channel realization needs at least one path")
-        if len(self.paths) > MAX_PATHS:
-            raise ValueError(f"path count {len(self.paths)} exceeds {MAX_PATHS}")
-        for p in self.paths:
-            if p.gain.shape != (self.n_rx,):
-                raise ValueError(
-                    f"path gain has {p.gain.shape[0]} antennas, expected {self.n_rx}"
-                )
+        gains = np.array(self.gains, dtype=complex, order="C")
+        delays = np.array(self.delays, dtype=float, order="C")
+        dopplers = np.array(self.dopplers, dtype=float, order="C")
+        if gains.ndim != 2:
+            raise ValueError(f"gains must be [paths, n_rx], got shape {gains.shape}")
+        L, n_rx = gains.shape
+        if not 1 <= L <= MAX_PATHS:
+            raise ValueError(f"path count {L} outside 1..{MAX_PATHS}")
+        if n_rx < 1:
+            raise ValueError("need at least one RX antenna")
+        if delays.shape != (L,) or dopplers.shape != (L,):
+            raise ValueError(
+                f"{L} path gains but delays {delays.shape} and dopplers {dopplers.shape}"
+            )
+        if not np.all(np.isfinite(gains)):
+            raise ValueError("path gains must be finite")
+        if not np.all(np.isfinite(delays) & (delays >= 0)):
+            raise ValueError("path delays must be finite and non-negative")
+        if not np.all(np.isfinite(dopplers)):
+            raise ValueError("path Doppler shifts must be finite")
+        for name, values in (("gains", gains), ("delays", delays), ("dopplers", dopplers)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
-    def gains(self) -> np.ndarray:
-        """Stacked per-path gains, shape [L, n_rx]."""
-        return np.stack([p.gain for p in self.paths])
-
-    @property
-    def delays(self) -> np.ndarray:
-        return np.array([p.delay_s for p in self.paths])
-
-    @property
-    def dopplers(self) -> np.ndarray:
-        return np.array([p.doppler_hz for p in self.paths])
+    def n_rx(self) -> int:
+        return self.gains.shape[1]
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,7 @@ class SynthParams:
 
 def flat_unit_channel(n_rx: int = 1) -> ChannelRealization:
     """Single path, zero delay, zero Doppler, unit gain on every antenna."""
-    return ChannelRealization(
-        paths=(Path(gain=np.ones(n_rx, complex), delay_s=0.0, doppler_hz=0.0),),
-        n_rx=n_rx,
-        meta="synthetic",
-    )
+    return ChannelRealization(np.ones((1, n_rx), complex), np.zeros(1), np.zeros(1))
 
 
 def synth_channel(rng: np.random.Generator, params: SynthParams) -> ChannelRealization:
@@ -143,11 +139,7 @@ def synth_channel(rng: np.random.Generator, params: SynthParams) -> ChannelReali
     speed = rng.uniform(*params.speed_range_mps)
     wavelength = SPEED_OF_LIGHT / params.carrier_hz
     dopplers = (speed / wavelength) * np.cos(rng.uniform(0, 2 * np.pi, size=L))
-    paths = tuple(
-        Path(gain=gains[p], delay_s=float(delays[p]), doppler_hz=float(dopplers[p]))
-        for p in range(L)
-    )
-    return ChannelRealization(paths=paths, n_rx=params.n_rx, meta="synthetic")
+    return ChannelRealization(gains, delays, dopplers, meta="synthetic")
 
 
 def _centered_freq_offsets(cfg: GridConfig) -> np.ndarray:
@@ -155,23 +147,13 @@ def _centered_freq_offsets(cfg: GridConfig) -> np.ndarray:
     return n * cfg.subcarrier_spacing_hz
 
 
-def freq_response(
-    ch: ChannelRealization, cfg: GridConfig, symbol_index: int
-) -> np.ndarray:
-    """Frequency response at one OFDM symbol, shape [n_rx, n_subcarriers].
+def freq_response_grid(ch: ChannelRealization, cfg: GridConfig) -> np.ndarray:
+    """Frequency response at every OFDM symbol, shape [n_rx, n_symbols, n_sc].
 
-    Subcarrier n runs over centered indices -N/2 .. N/2-1; symbol time is
-    symbol_index / subcarrier_spacing (no cyclic prefix is modelled).
+    Subcarrier n runs over centered indices -N/2 .. N/2-1; symbol i sits at
+    time i / subcarrier_spacing (no cyclic prefix is modelled).
     """
-    if not 0 <= symbol_index < cfg.n_symbols:
-        raise ValueError(f"symbol index {symbol_index} out of range")
-    return freq_response_grid(ch, cfg, symbols=(symbol_index,))[:, 0, :]
-
-
-def freq_response_grid(ch, cfg: GridConfig, symbols=None) -> np.ndarray:
-    """Frequency response over symbol times, shape [n_rx, n_symbols, n_sc]."""
-    idx = np.arange(cfg.n_symbols) if symbols is None else np.asarray(symbols)
-    t = idx * cfg.symbol_duration_s
+    t = np.arange(cfg.n_symbols) * cfg.symbol_duration_s
     rotation = np.exp(2j * np.pi * np.outer(ch.dopplers, t))  # [L, n_sym]
     delay_ramp = np.exp(
         -2j * np.pi * np.outer(ch.delays, _centered_freq_offsets(cfg))
@@ -205,8 +187,9 @@ def apply(
 # channel-realization files
 #
 # Little-endian layout: magic "TPCR", u32 version, u32 realization count,
-# u32 n_rx; then per realization a u32 path count followed by per-path
-# f64 delay, f64 doppler and n_rx (re, im) f64 pairs.
+# u32 n_rx; then per realization a u32 path count L followed by an [L,
+# 2 + 2 n_rx] f64 record block whose rows are delay, doppler and n_rx
+# (re, im) gain pairs.
 # ---------------------------------------------------------------------------
 
 
@@ -221,50 +204,39 @@ def export_cirs(realizations, path):
                 raise ChannelFileError(
                     f"realization {r} has n_rx={ch.n_rx}, file uses {n_rx}"
                 )
-            f.write(struct.pack("<I", len(ch.paths)))
-            for p in ch.paths:
-                f.write(struct.pack("<dd", p.delay_s, p.doppler_hz))
-                inter = np.empty(2 * ch.n_rx)
-                inter[0::2] = p.gain.real
-                inter[1::2] = p.gain.imag
-                f.write(inter.astype("<f8").tobytes())
+            records = np.empty((len(ch.delays), 2 + 2 * n_rx), dtype="<f8")
+            records[:, 0] = ch.delays
+            records[:, 1] = ch.dopplers
+            records[:, 2::2] = ch.gains.real
+            records[:, 3::2] = ch.gains.imag
+            f.write(struct.pack("<I", len(records)))
+            f.write(records.tobytes())
 
 
 def import_cirs(path):
     """Read realizations written by :func:`export_cirs`."""
     with open(path, "rb") as f:
-        blob = f.read()
-
-    def need(n_bytes, offset, what):
-        if offset + n_bytes > len(blob):
-            raise ChannelFileError(
-                f"channel file truncated at byte {len(blob)} while reading "
-                f"{what} (needed {offset + n_bytes} bytes)"
-            )
-
-    if blob[:4] != _CIR_MAGIC:
-        raise ChannelFileError(f"not a channel file: bad magic {blob[:4]!r}")
-    need(12, 4, "header")
-    version, count, n_rx = struct.unpack_from("<III", blob, 4)
+        rd = Reader(f.read(), ChannelFileError, "channel file")
+    magic = rd.take(4, "magic")
+    if magic != _CIR_MAGIC:
+        raise ChannelFileError(f"not a channel file: bad magic {bytes(magic)!r}")
+    version, count, n_rx = struct.unpack("<III", rd.take(12, "header"))
     if version != _CIR_VERSION:
         raise ChannelFileError(f"unsupported channel file version {version}")
-    off = 16
+    width = 2 + 2 * n_rx
     out = []
     for r in range(count):
-        need(4, off, f"path count of realization {r}")
-        (n_paths,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        paths = []
-        rec_bytes = 16 + 16 * n_rx
-        for p in range(n_paths):
-            need(rec_bytes, off, f"path {p} of realization {r}")
-            delay, doppler = struct.unpack_from("<dd", blob, off)
-            off += 16
-            inter = np.frombuffer(blob, dtype="<f8", count=2 * n_rx, offset=off)
-            off += 16 * n_rx
-            paths.append(
-                Path(gain=inter[0::2] + 1j * inter[1::2], delay_s=delay,
-                     doppler_hz=doppler)
-            )
-        out.append(ChannelRealization(paths=tuple(paths), n_rx=n_rx, meta="imported"))
+        (n_paths,) = struct.unpack("<I", rd.take(4, f"path count of realization {r}"))
+        block = rd.take(8 * width * n_paths, f"paths of realization {r}")
+        records = np.frombuffer(block, dtype="<f8").reshape(n_paths, width)
+        try:
+            out.append(ChannelRealization(
+                gains=records[:, 2::2] + 1j * records[:, 3::2],
+                delays=records[:, 0],
+                dopplers=records[:, 1],
+                meta="imported",
+            ))
+        except ValueError as e:
+            raise ChannelFileError(f"realization {r}: {e}") from e
+    rd.done()
     return out

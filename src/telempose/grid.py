@@ -9,11 +9,12 @@ row-major (symbol-major) order with zero-bit padding in the final grid.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._reader import Reader
 from .modem import Constellation, FramingError, map_symbols
 
 DATA = np.int8(0)
@@ -81,15 +82,6 @@ def build_mask(cfg: GridConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pilot_sequence_cached(cfg: GridConfig, seed: int) -> np.ndarray:
-    n_pilots = len(cfg.pilot_symbol_indices) * cfg.n_effective
-    rng = np.random.default_rng(seed)
-    quadrants = rng.integers(0, 4, size=n_pilots)
-    seq = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
-    seq.flags.writeable = False
-    return seq
-
-
 def pilot_sequence(cfg: GridConfig, seed: int) -> np.ndarray:
     """Deterministic unit-modulus QPSK pilot values for all PILOT elements.
 
@@ -97,7 +89,12 @@ def pilot_sequence(cfg: GridConfig, seed: int) -> np.ndarray:
     transmitter and receiver reproduce the same sequence from the seed.
     The array is cached per (config, seed) and read-only.
     """
-    return _pilot_sequence_cached(cfg, seed)
+    n_pilots = len(cfg.pilot_symbol_indices) * cfg.n_effective
+    rng = np.random.default_rng(seed)
+    quadrants = rng.integers(0, 4, size=n_pilots)
+    seq = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
+    seq.flags.writeable = False
+    return seq
 
 
 @lru_cache(maxsize=None)
@@ -115,17 +112,23 @@ def pilot_value_grid(cfg: GridConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResourceGrid:
-    """Immutable transmit grid: complex symbols plus the role mask."""
+    """Immutable transmit grid: complex symbols laid out by ``cfg``.
+
+    The role of each element is a property of the config, not of the
+    grid: ``mask`` is the cached, read-only :func:`build_mask` of ``cfg``.
+    """
 
     symbols: np.ndarray
-    mask: np.ndarray
     cfg: GridConfig
 
     def __post_init__(self):
         if self.symbols.shape != (self.cfg.n_symbols, self.cfg.n_subcarriers):
             raise ValueError(f"grid shape {self.symbols.shape} does not match config")
         self.symbols.flags.writeable = False
-        self.mask.flags.writeable = False
+
+    @property
+    def mask(self) -> np.ndarray:
+        return build_mask(self.cfg)
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,7 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
     padded with zero bits. Returns (grids, framing record).
     """
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    mask = build_mask(cfg)
-    data_pos = mask == DATA
+    data_pos = build_mask(cfg) == DATA
     capacity = int(np.count_nonzero(data_pos)) * constellation.bits_per_symbol
     n_grids = -(-bits.size // capacity) if bits.size else 0
     record = FramingRecord(
@@ -157,15 +159,13 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
     )
     padded = np.zeros(n_grids * capacity, dtype=np.uint8)
     padded[: bits.size] = bits
-    pilots = pilot_sequence(cfg, cfg.pilot_seed)
     grids = []
     for g in range(n_grids):
-        symbols = np.zeros((cfg.n_symbols, cfg.n_subcarriers), dtype=complex)
+        symbols = pilot_value_grid(cfg).copy()
         symbols[data_pos] = map_symbols(
             padded[g * capacity : (g + 1) * capacity], constellation
         )
-        symbols[mask == PILOT] = pilots
-        grids.append(ResourceGrid(symbols=symbols, mask=mask.copy(), cfg=cfg))
+        grids.append(ResourceGrid(symbols=symbols, cfg=cfg))
     return grids, record
 
 
@@ -206,24 +206,22 @@ def dump_grid(grid: ResourceGrid, path):
 
 
 def load_grid(path, cfg: GridConfig) -> ResourceGrid:
-    """Read a grid written by :func:`dump_grid`."""
+    """Read a grid written by :func:`dump_grid`; its mask must be ``cfg``'s."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _GRID_MAGIC:
-        raise FramingError(f"not a grid dump: bad magic {blob[:4]!r}")
-    version, n_sym, n_sc = struct.unpack_from("<III", blob, 4)
+        rd = Reader(f.read(), FramingError, "grid dump")
+    magic = rd.take(4, "magic")
+    if magic != _GRID_MAGIC:
+        raise FramingError(f"not a grid dump: bad magic {bytes(magic)!r}")
+    version, n_sym, n_sc = struct.unpack("<III", rd.take(12, "header"))
     if version != _GRID_VERSION:
         raise FramingError(f"unsupported grid dump version {version}")
-    off = 16
-    expected_total = off + n_sym * n_sc + n_sym * n_sc * 2 * 4
-    if len(blob) != expected_total:
+    mask = np.frombuffer(rd.take(n_sym * n_sc, "mask"), dtype=np.int8)
+    body = np.frombuffer(rd.take(n_sym * n_sc * 8, "symbols"), dtype="<f4")
+    rd.done()
+    if not np.array_equal(mask.reshape(n_sym, n_sc), build_mask(cfg)):
         raise FramingError(
-            f"grid dump truncated at byte {len(blob)}, expected {expected_total} bytes"
+            f"grid dump mask ({n_sym}x{n_sc}) does not match the config's layout"
         )
-    mask = np.frombuffer(blob, dtype=np.int8, count=n_sym * n_sc, offset=off)
-    off += n_sym * n_sc
-    body = np.frombuffer(blob, dtype="<f4", offset=off).reshape(n_sym, n_sc, 2)
+    body = body.reshape(n_sym, n_sc, 2)
     symbols = body[..., 0].astype(complex) + 1j * body[..., 1]
-    return ResourceGrid(
-        symbols=symbols, mask=mask.reshape(n_sym, n_sc).copy(), cfg=cfg
-    )
+    return ResourceGrid(symbols=symbols, cfg=cfg)

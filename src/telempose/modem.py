@@ -51,8 +51,11 @@ def _levels(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     """Clamp and map values to integer level indices.
 
     Rounding is half-away-from-zero; since the scaled argument is
-    non-negative this is floor(v + 0.5).
+    non-negative this is floor(v + 0.5). Non-finite values have no level
+    and are rejected.
     """
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cannot quantize a non-finite value")
     xc = np.clip(x, cfg.lo, cfg.hi)
     v = (xc - cfg.lo) / (cfg.hi - cfg.lo) * (cfg.n_levels - 1)
     return np.floor(v + 0.5).astype(np.int64)
@@ -78,8 +81,9 @@ def _bits_to_levels(bits: np.ndarray, q: int) -> np.ndarray:
 def quantize(x: float, cfg: QuantizerConfig) -> np.ndarray:
     """Quantize one feature value to q bits (big-endian level index).
 
-    Out-of-range inputs are clamped, never rejected; use
-    :func:`saturation_count` to track how often that happens.
+    Finite out-of-range inputs are clamped, never rejected; use
+    :func:`saturation_count` to track how often that happens. NaN and
+    infinities raise ``ValueError``.
     """
     level = _levels(np.asarray(x, dtype=float), cfg)
     return _levels_to_bits(level, cfg.q)
@@ -95,7 +99,10 @@ def dequantize(bits, cfg: QuantizerConfig) -> float:
 
 
 def quantize_frame(x, cfg: QuantizerConfig) -> np.ndarray:
-    """Quantize a 204-feature frame into a flat bit vector of length 204*q."""
+    """Quantize a 204-feature frame into a flat bit vector of length 204*q.
+
+    Clamping and non-finite rejection follow :func:`quantize`.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (FEATURES_PER_FRAME,):
         raise FramingError(

@@ -13,10 +13,13 @@ in float64.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
 from scipy.special import expit
+
+from ._reader import Reader
 
 
 class ShapeError(ValueError):
@@ -175,7 +178,10 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
         g = out.grad
         B, c_out, H, W = g.shape
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)).reshape(bias.data.shape))
+            # one axis at a time: the order fixes the float32 rounding of
+            # the bias gradient, so changing it changes trained weights
+            gb = g.sum(axis=0).sum(axis=1).sum(axis=1)
+            bias._accumulate(gb.reshape(bias.data.shape))
         if k.requires_grad:
             gm = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
             k._accumulate((gm @ cols.T).reshape(k.data.shape))
@@ -298,17 +304,17 @@ class Dense:
 class Conv2d:
     """3x3 same-padding convolution plus per-channel bias."""
 
-    def __init__(self, c_in, c_out, rng, kernel=3, dtype=np.float32, zero_init=False):
-        fan_in = c_in * kernel * kernel
+    def __init__(self, c_in, c_out, rng, dtype=np.float32, zero_init=False):
+        shape = (c_out, c_in, 3, 3)
         if zero_init:
-            k = np.zeros((c_out, c_in, kernel, kernel), dtype=dtype)
+            k = np.zeros(shape, dtype=dtype)
         else:
-            k = kaiming_uniform(rng, (c_out, c_in, kernel, kernel), fan_in, dtype)
+            k = kaiming_uniform(rng, shape, c_in * 9, dtype)
         self.k = Tensor(k, requires_grad=True)
         self.b = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(conv2d(x, self.k), self.b)
+        return conv2d(x, self.k, self.b)
 
     def params(self):
         return [self.k, self.b]
@@ -394,47 +400,46 @@ def save_checkpoint(path, named_params: dict, cfg_hash: str):
 
 
 def load_checkpoint(path, named_params: dict, cfg_hash: str):
-    """Load weights in place; reject any name/shape/config mismatch."""
+    """Load weights in place; reject any name/shape/config mismatch.
+
+    Every tensor is read and checked before any is assigned, so a file
+    that is rejected leaves the model unchanged.
+    """
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"not a checkpoint: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+        rd = Reader(f.read(), CheckpointError, "checkpoint")
+    magic = rd.take(4, "magic")
+    if magic != _CKPT_MAGIC:
+        raise CheckpointError(f"not a checkpoint: bad magic {bytes(magic)!r}")
+    (version,) = struct.unpack("<I", rd.take(4, "version"))
     if version != _CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    off = 8
-    (hlen,) = struct.unpack_from("<H", blob, off)
-    off += 2
-    stored_hash = blob[off : off + hlen].decode()
-    off += hlen
+    (hlen,) = struct.unpack("<H", rd.take(2, "config-hash length"))
+    stored_hash = bytes(rd.take(hlen, "config hash")).decode(errors="replace")
     if stored_hash != cfg_hash:
         raise CheckpointError(
             f"config hash mismatch: checkpoint {stored_hash[:12]}.., "
             f"model {cfg_hash[:12]}.."
         )
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (count,) = struct.unpack("<I", rd.take(4, "tensor count"))
     if count != len(named_params):
         raise CheckpointError(
             f"checkpoint has {count} tensors, model expects {len(named_params)}"
         )
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + nlen].decode()
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        values = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
-        off += 4 * n
-        if name not in named_params:
-            raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
+    staged = {}
+    for i in range(count):
+        (nlen,) = struct.unpack("<H", rd.take(2, f"name length of tensor {i}"))
+        name = bytes(rd.take(nlen, f"name of tensor {i}")).decode(errors="replace")
+        if name not in named_params or name in staged:
+            raise CheckpointError(f"unexpected or repeated tensor {name!r} in checkpoint")
+        (ndim,) = struct.unpack("<B", rd.take(1, f"rank of {name!r}"))
+        shape = struct.unpack(f"<{ndim}I", rd.take(4 * ndim, f"shape of {name!r}"))
         p = named_params[name]
-        if tuple(shape) != p.data.shape:
+        if shape != p.data.shape:
             raise CheckpointError(
-                f"tensor {name!r} has shape {tuple(shape)}, model expects {p.data.shape}"
+                f"tensor {name!r} has shape {shape}, model expects {p.data.shape}"
             )
-        p.data = values.reshape(shape).astype(p.data.dtype)
+        values = np.frombuffer(rd.take(4 * math.prod(shape), f"data of {name!r}"), "<f4")
+        staged[name] = values.reshape(shape).astype(p.data.dtype)
+    rd.done()
+    for name, values in staged.items():
+        named_params[name].data = values

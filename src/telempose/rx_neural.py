@@ -30,7 +30,6 @@ class NeuralRxConfig:
     n_rx: int = 2
     n_blocks: int = 4
     filters: int = 128
-    kernel: int = 3
     bits_per_symbol: int = 2
     n_symbols: int = 14
     n_subcarriers: int = 128
@@ -41,9 +40,10 @@ class NeuralRxConfig:
         return 2 * self.n_rx + 1
 
     def describe(self) -> str:
+        # every conv is 3x3; "kernel=3" stays so existing checkpoints still match
         return (
             f"neural-rx v1 rx={self.n_rx} blocks={self.n_blocks} "
-            f"filters={self.filters} kernel={self.kernel} "
+            f"filters={self.filters} kernel=3 "
             f"bits={self.bits_per_symbol} grid={self.n_symbols}x{self.n_subcarriers}"
         )
 
@@ -67,13 +67,16 @@ def build_input_planes(y: np.ndarray, noise_var) -> np.ndarray:
     """Stack [re..., im..., log noise] planes for a batch of received grids.
 
     ``y`` is [batch, n_rx, n_symbols, n_subcarriers] complex;
-    ``noise_var`` is a scalar or per-sample vector.
+    ``noise_var`` is a scalar or per-sample vector, positive and finite in
+    float32 so that its log plane is finite.
     """
     batch, n_rx, n_sym, n_sc = y.shape
+    nv = np.broadcast_to(np.asarray(noise_var, dtype=np.float32), (batch,))
+    if not np.all(np.isfinite(nv) & (nv > 0)):
+        raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
     planes = np.empty((batch, 2 * n_rx + 1, n_sym, n_sc), dtype=np.float32)
     planes[:, :n_rx] = y.real
     planes[:, n_rx : 2 * n_rx] = y.imag
-    nv = np.broadcast_to(np.asarray(noise_var, dtype=np.float32), (batch,))
     planes[:, 2 * n_rx] = np.log(nv)[:, None, None]
     return planes
 

@@ -1,35 +1,32 @@
+import struct
+
 import numpy as np
 import pytest
 
 from telempose.channel import (
+    MAX_PATHS,
     ChannelFileError,
     ChannelRealization,
     NoiseSpec,
-    Path,
     SynthParams,
     apply,
     export_cirs,
     flat_unit_channel,
-    freq_response,
     freq_response_grid,
     import_cirs,
     synth_channel,
 )
-from telempose.grid import GridConfig, pack_bits
+from telempose.grid import GridConfig, ResourceGrid, pack_bits
 
 
-def _grid_with(symbols, cfg, qpsk):
-    grids, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg, qpsk)
-    base = grids[0]
-    from telempose.grid import ResourceGrid
-
-    return ResourceGrid(symbols=np.array(symbols, complex), mask=base.mask.copy(), cfg=cfg)
+def _grid_with(symbols, cfg):
+    return ResourceGrid(symbols=np.array(symbols, complex), cfg=cfg)
 
 
 def test_flat_unit_channel_response(cfg_2p):
-    ch = flat_unit_channel(n_rx=1)
+    h_all = freq_response_grid(flat_unit_channel(n_rx=1), cfg_2p)
     for i in (0, 7, 13):
-        h = freq_response(ch, cfg_2p, i)
+        h = h_all[:, i, :]
         assert h.shape == (1, 128)
         assert np.allclose(h, 1.0)
 
@@ -38,10 +35,8 @@ def test_single_path_delay_phase_ramp(cfg_2p):
     # delay of one sample period gives exp(-2j pi n / N) across subcarriers
     N = cfg_2p.n_subcarriers
     tau = 1.0 / (N * cfg_2p.subcarrier_spacing_hz)
-    ch = ChannelRealization(
-        paths=(Path(gain=[1.0 + 0j], delay_s=tau, doppler_hz=0.0),), n_rx=1
-    )
-    h = freq_response(ch, cfg_2p, 0)[0]
+    ch = ChannelRealization(gains=[[1.0 + 0j]], delays=[tau], dopplers=[0.0])
+    h = freq_response_grid(ch, cfg_2p)[0, 0, :]
     assert np.allclose(np.abs(h), 1.0)
     centered = np.arange(N) - N // 2
     # spot values at n=0 and n=N/4
@@ -54,13 +49,9 @@ def test_two_path_comb_nulls(cfg_2p):
     # equal paths spaced 1/(4 df) apart null every fourth subcarrier
     df = cfg_2p.subcarrier_spacing_hz
     ch = ChannelRealization(
-        paths=(
-            Path(gain=[1.0 + 0j], delay_s=0.0, doppler_hz=0.0),
-            Path(gain=[1.0 + 0j], delay_s=1.0 / (4 * df), doppler_hz=0.0),
-        ),
-        n_rx=1,
+        gains=[[1.0 + 0j], [1.0 + 0j]], delays=[0.0, 1.0 / (4 * df)], dopplers=[0.0, 0.0]
     )
-    h = freq_response(ch, cfg_2p, 0)[0]
+    h = freq_response_grid(ch, cfg_2p)[0, 0, :]
     centered = np.arange(128) - 64
     nulls = (centered % 4 == 2) | (centered % 4 == -2)
     assert np.allclose(np.abs(h[nulls]), 0.0, atol=1e-12)
@@ -78,13 +69,11 @@ def test_freq_response_matches_dft_oracle():
     tap_positions = [0, 2, 5]
     tap_gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     ch = ChannelRealization(
-        paths=tuple(
-            Path(gain=[g], delay_s=m / (N * df), doppler_hz=0.0)
-            for g, m in zip(tap_gains, tap_positions)
-        ),
-        n_rx=1,
+        gains=tap_gains[:, None],
+        delays=np.array(tap_positions) / (N * df),
+        dopplers=np.zeros(3),
     )
-    h = freq_response(ch, cfg8, 0)[0]
+    h = freq_response_grid(ch, cfg8)[0, 0, :]
     centered = np.arange(N) - N // 2
     dft = np.zeros(N, complex)
     for g, m in zip(tap_gains, tap_positions):
@@ -96,7 +85,7 @@ def test_synth_determinism():
     params = SynthParams()
     a = synth_channel(np.random.default_rng(77), params)
     b = synth_channel(np.random.default_rng(77), params)
-    assert len(a.paths) == len(b.paths)
+    assert len(a.delays) == len(b.delays)
     assert np.array_equal(a.gains, b.gains)
     assert np.array_equal(a.delays, b.delays)
     assert np.array_equal(a.dopplers, b.dopplers)
@@ -106,8 +95,9 @@ def test_synth_shapes_and_limits(rng):
     params = SynthParams(l_max=8, n_rx=4)
     for _ in range(50):
         ch = synth_channel(rng, params)
-        assert 1 <= len(ch.paths) <= 8
-        assert ch.gains.shape == (len(ch.paths), 4)
+        assert 1 <= len(ch.delays) <= 8
+        assert ch.gains.shape == (len(ch.delays), 4)
+        assert ch.dopplers.shape == ch.delays.shape
         assert np.all(ch.delays >= 0) and np.all(ch.delays <= params.delay_spread_s)
 
 
@@ -134,7 +124,7 @@ def test_apply_noiseless_flat_is_identity(cfg_2p, qpsk, rng):
 
 
 def test_apply_noise_variance(cfg_2p, qpsk, rng):
-    zero = _grid_with(np.zeros((14, 128)), cfg_2p, qpsk)
+    zero = _grid_with(np.zeros((14, 128)), cfg_2p)
     spec = NoiseSpec(ebn0_db=0.0, bits_per_symbol=2)  # variance 0.5
     draws = []
     for _ in range(60):  # 60 * 14 * 128 > 1e5 complex draws per antenna
@@ -149,8 +139,8 @@ def test_apply_linearity(cfg_2p, qpsk, rng):
     ch = synth_channel(rng, params)
     a = rng.standard_normal((14, 128)) + 1j * rng.standard_normal((14, 128))
     b = rng.standard_normal((14, 128)) + 1j * rng.standard_normal((14, 128))
-    ga, gb = _grid_with(a, cfg_2p, qpsk), _grid_with(b, cfg_2p, qpsk)
-    combo = _grid_with(2.0 * a - 0.5j * b, cfg_2p, qpsk)
+    ga, gb = _grid_with(a, cfg_2p), _grid_with(b, cfg_2p)
+    combo = _grid_with(2.0 * a - 0.5j * b, cfg_2p)
     ya = apply(ch, ga, None, rng)
     yb = apply(ch, gb, None, rng)
     yc = apply(ch, combo, None, rng)
@@ -178,12 +168,7 @@ def test_received_energy_tracks_noise(cfg_2p, qpsk, rng):
 def test_time_invariance_iff_zero_doppler(cfg_2p, rng):
     params = SynthParams()
     ch = synth_channel(rng, params)
-    static = ChannelRealization(
-        paths=tuple(
-            Path(gain=p.gain, delay_s=p.delay_s, doppler_hz=0.0) for p in ch.paths
-        ),
-        n_rx=ch.n_rx,
-    )
+    static = ChannelRealization(ch.gains, ch.delays, np.zeros_like(ch.dopplers))
     h_static = freq_response_grid(static, cfg_2p)
     assert np.max(np.abs(h_static - h_static[:, :1, :])) == 0.0
     h_moving = freq_response_grid(ch, cfg_2p)
@@ -237,12 +222,73 @@ def test_cir_bad_magic(tmp_path):
 
 def test_realization_validation():
     with pytest.raises(ValueError):
-        ChannelRealization(paths=(), n_rx=1)
+        ChannelRealization(gains=np.empty((0, 1)), delays=[], dopplers=[])
     with pytest.raises(ValueError):
-        ChannelRealization(
-            paths=(Path(gain=[1.0, 1.0], delay_s=0.0, doppler_hz=0.0),), n_rx=1
-        )
+        ChannelRealization(gains=[[np.inf]], delays=[0.0], dopplers=[0.0])
     with pytest.raises(ValueError):
-        Path(gain=[np.inf], delay_s=0.0, doppler_hz=0.0)
-    with pytest.raises(ValueError):
-        Path(gain=[1.0], delay_s=-1e-9, doppler_hz=0.0)
+        ChannelRealization(gains=[[1.0]], delays=[-1e-9], dopplers=[0.0])
+
+
+@pytest.mark.parametrize(
+    "gains, delays, dopplers, match",
+    [
+        ([1.0], [0.0], [0.0], "paths, n_rx"),
+        (np.empty((0, 2)), [], [], "path count 0"),
+        (np.ones((MAX_PATHS + 1, 1)), np.zeros(MAX_PATHS + 1), np.zeros(MAX_PATHS + 1),
+         f"path count {MAX_PATHS + 1}"),
+        (np.empty((1, 0)), [0.0], [0.0], "RX antenna"),
+        ([[1.0], [1.0]], [0.0], [0.0, 0.0], "delays"),
+        ([[1.0], [1.0]], [0.0, 0.0], [0.0], "dopplers"),
+        ([[1.0, np.nan]], [0.0], [0.0], "gains must be finite"),
+        ([[1.0]], [-1e-9], [0.0], "non-negative"),
+        ([[1.0]], [np.nan], [0.0], "non-negative"),
+        ([[1.0]], [0.0], [np.inf], "Doppler"),
+    ],
+    ids=["not-2d", "no-paths", "too-many-paths", "no-antennas", "delay-count",
+         "doppler-count", "nan-gain", "negative-delay", "nan-delay", "inf-doppler"],
+)
+def test_realization_rejects_each_invalid_field(gains, delays, dopplers, match):
+    with pytest.raises(ValueError, match=match):
+        ChannelRealization(gains=gains, delays=delays, dopplers=dopplers)
+
+
+def test_realization_owns_read_only_arrays():
+    gains = np.ones((2, 3), complex)
+    delays = np.array([0.0, 1e-7])
+    ch = ChannelRealization(gains=gains, delays=delays, dopplers=[5.0, -5.0])
+    gains[0, 0] = 7.0
+    delays[1] = 9.0
+    assert ch.gains[0, 0] == 1.0 and ch.delays[1] == 1e-7
+    assert ch.n_rx == 3
+    for a in (ch.gains, ch.delays, ch.dopplers):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_cir_export_import_export_is_byte_identical(tmp_path, rng):
+    chans = [synth_channel(rng, SynthParams(n_rx=2)) for _ in range(9)]
+    first, second = tmp_path / "a.cir", tmp_path / "b.cir"
+    export_cirs(chans, first)
+    export_cirs(import_cirs(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _tpcr(n_rx, path_counts):
+    """A TPCR file body with the given header n_rx and per-realization L."""
+    out = b"TPCR" + struct.pack("<III", 1, len(path_counts), n_rx)
+    for L in path_counts:
+        out += struct.pack("<I", L) + np.zeros((L, 2 + 2 * n_rx), "<f8").tobytes()
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_rx, path_counts, match",
+    [(1, [1, 0], "realization 1: path count 0"), (0, [1], "realization 0: .*RX antenna")],
+    ids=["zero-paths", "zero-antennas"],
+)
+def test_cir_invalid_realization_is_a_file_error(tmp_path, n_rx, path_counts, match):
+    path = tmp_path / "bad.cir"
+    path.write_bytes(_tpcr(n_rx, path_counts))
+    with pytest.raises(ChannelFileError, match=match):
+        import_cirs(path)

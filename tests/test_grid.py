@@ -179,3 +179,16 @@ def test_grid_dump_truncation_detected(tmp_path, cfg_2p, qpsk):
     path.write_bytes(blob[:-7])
     with pytest.raises(FramingError, match="truncated"):
         load_grid(path, cfg_2p)
+
+
+def test_load_grid_rejects_a_mask_of_another_layout(tmp_path, cfg_2p, cfg_1p, qpsk):
+    grids, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
+    path = tmp_path / "grid.bin"
+    dump_grid(grids[0], path)
+    with pytest.raises(FramingError, match="mask"):
+        load_grid(path, cfg_1p)
+
+
+def test_grids_share_the_config_mask(cfg_2p, qpsk):
+    grids, _ = pack_bits(np.zeros(6000, dtype=np.uint8), cfg_2p, qpsk)
+    assert all(g.mask is build_mask(cfg_2p) for g in grids)

@@ -109,6 +109,17 @@ def test_saturation_counting():
     assert quantize(-3.7, cfg).tolist() == [0] * 6
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_rejected(bad):
+    cfg = QuantizerConfig(q=8)
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize(bad, cfg)
+    frame = np.zeros(204)
+    frame[17] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_frame(frame, cfg)
+
+
 def test_invalid_quantizer_configs():
     with pytest.raises(ValueError):
         QuantizerConfig(q=0)

@@ -73,6 +73,15 @@ def test_conv2d_identity_kernel(rng):
     assert np.allclose(out.data, x.data)
 
 
+def test_conv2d_layer_adds_its_bias_in_the_conv(rng):
+    layer = Conv2d(3, 4, np.random.default_rng(0), dtype=np.float64)
+    layer.b.data = rng.standard_normal(layer.b.data.shape)
+    x = Tensor(rng.standard_normal((2, 3, 5, 7)))
+    out = layer(x)
+    assert out._parents == (x, layer.k, layer.b)
+    assert np.array_equal(out.data, conv2d(x, layer.k).data + layer.b.data)
+
+
 def _conv_naive(x, k):
     B, C, H, W = x.shape
     Co, Ci, kh, kw = k.shape
@@ -323,6 +332,21 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     other = Dense(5, 3, np.random.default_rng(4))
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(path, {"w": other.w, "b": other.b}, h)
+
+
+def test_checkpoint_rejects_repeated_tensor(tmp_path):
+    layer = Dense(5, 2, np.random.default_rng(3))
+    h = nn.config_hash("cfg")
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(path, {"w": layer.w, "v": layer.b}, h)
+    blob = path.read_bytes()
+    assert blob.count(b"\x01\x00v") == 1
+    path.write_bytes(blob.replace(b"\x01\x00v", b"\x01\x00w"))
+    fresh = Dense(5, 2, np.random.default_rng(4))
+    before = fresh.w.data.copy()
+    with pytest.raises(CheckpointError, match="repeated"):
+        load_checkpoint(path, {"w": fresh.w, "v": fresh.b}, h)
+    assert np.array_equal(fresh.w.data, before)
 
 
 def test_backward_requires_scalar(rng):

@@ -3,9 +3,7 @@ import pytest
 from scipy.special import erfc
 
 from telempose.channel import (
-    ChannelRealization,
     NoiseSpec,
-    Path,
     SynthParams,
     apply,
     flat_unit_channel,
@@ -197,6 +195,15 @@ def test_perfect_csi_matches_qpsk_closed_form(cfg_2p, qpsk):
         sent += bits.size
     ber = errors / sent
     assert ber == pytest.approx(target, rel=0.10)
+
+
+def test_receive_classic_accepts_zero_noise_variance(cfg_2p, qpsk, rng):
+    bits = rng.integers(0, 2, size=2808)
+    grids, record = pack_bits(bits, cfg_2p, qpsk)
+    y = apply(flat_unit_channel(2), grids[0], None, rng)
+    llr = receive_classic(y, cfg_2p, 0.0, qpsk)
+    assert np.all(np.isfinite(llr))
+    assert np.array_equal(hard_decide(unpack_llrs([llr], record, cfg_2p)), bits)
 
 
 def test_erasure_path_yields_zero_llrs(cfg_2p, qpsk):

@@ -1,0 +1,99 @@
+import math
+
+import numpy as np
+import pytest
+
+from telempose import nn
+from telempose.channel import SynthParams, synth_channel
+from telempose.rx_neural import (
+    NeuralReceiver,
+    NeuralRxConfig,
+    TrainConfig,
+    build_input_planes,
+    train,
+)
+
+TINY = NeuralRxConfig(n_blocks=1, filters=4)
+
+
+def _received(rng, n_rx=2, batch=None):
+    shape = (n_rx, 14, 128) if batch is None else (batch, n_rx, 14, 128)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _channels(n_rx=2, n=4):
+    rng = np.random.default_rng(31)
+    return [synth_channel(rng, SynthParams(n_rx=n_rx)) for _ in range(n)]
+
+
+def _trained_log(cfg_2p, qpsk, iterations=3):
+    rx = NeuralReceiver(TINY, np.random.default_rng(2))
+    hyper = TrainConfig(iterations=iterations, batch=2, log_every=1)
+    log = train(rx, cfg_2p, qpsk, _channels(), hyper, np.random.default_rng(3))
+    return log, rx
+
+
+def test_untrained_receiver_gives_zero_llrs(rng):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    llr = rx.receive(_received(rng), 0.1)
+    assert llr.shape == (14, 128, 2)
+    assert np.all(llr == 0.0)
+
+
+def test_save_load_round_trip_gives_identical_llrs(tmp_path, rng):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    rx.out.k.data = nn.kaiming_uniform(rng, rx.out.k.data.shape, 36)
+    rx.out.b.data += 0.25
+    path = tmp_path / "rx.tpwt"
+    rx.save(path)
+    fresh = NeuralReceiver(TINY, np.random.default_rng(1))
+    fresh.load(path)
+    y = _received(rng)
+    expected = rx.receive(y, 0.3)
+    assert np.any(expected != 0.0)
+    assert np.array_equal(fresh.receive(y, 0.3), expected)
+
+
+def test_paper_config_hash_is_stable():
+    assert nn.config_hash(NeuralRxConfig().describe()) == (
+        "45c4c69e9cb921c83d9867f3634bd6d8b2e8c576521382e0829988cb302b60f0"
+    )
+
+
+def test_antenna_count_mismatch_is_rejected(cfg_2p, qpsk, rng):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    hyper = TrainConfig(iterations=1, batch=1)
+    with pytest.raises(ValueError, match="antennas"):
+        train(rx, cfg_2p, qpsk, _channels(n_rx=1), hyper, rng)
+    with pytest.raises(nn.ShapeError):
+        rx.forward_logits(_received(rng, n_rx=1, batch=1), 0.1)
+
+
+def test_first_training_loss_is_ln2(cfg_2p, qpsk):
+    log, _ = _trained_log(cfg_2p, qpsk, iterations=1)
+    assert abs(log[0].loss - math.log(2.0)) <= 1e-6
+
+
+def test_training_is_deterministic_under_a_seed(cfg_2p, qpsk):
+    log_a, rx_a = _trained_log(cfg_2p, qpsk)
+    log_b, rx_b = _trained_log(cfg_2p, qpsk)
+    assert len(log_a) == 3
+    assert log_a == log_b
+    for pa, pb in zip(rx_a.params(), rx_b.params()):
+        assert np.array_equal(pa.data, pb.data)
+
+
+@pytest.mark.parametrize(
+    "noise_var",
+    [0.0, -0.5, np.nan, np.inf, 1e-60, [0.1, 0.0]],
+    ids=["zero", "negative", "nan", "inf", "float32-underflow", "one-zero-in-batch"],
+)
+def test_input_planes_reject_invalid_noise_variance(rng, noise_var):
+    with pytest.raises(ValueError, match="noise_var"):
+        build_input_planes(_received(rng, batch=2), noise_var)
+
+
+def test_receive_rejects_zero_noise_variance(rng):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="noise_var"):
+        rx.receive(_received(rng), 0.0)
