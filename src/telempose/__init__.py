@@ -1,6 +1,5 @@
 """Link-level simulation of a quantized wearable-sensor uplink over a
 multipath MIMO-OFDM channel, with classical (LS + LMMSE) and trainable
-neural receivers, and reconstruction of 3D body-pose parameters from the
-received sensor stream."""
+neural receivers."""
 
 __version__ = "0.1.0"

@@ -32,13 +32,13 @@ class ChannelFileError(ValueError):
     """Malformed channel-realization file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One multipath realization.
 
     ``gains`` is [L, n_rx] complex, ``delays`` (seconds) and ``dopplers``
     (Hz) are [L]. The constructor stores its own contiguous, read-only
-    copies.
+    copies. Equality and hashing are by identity.
     """
 
     gains: np.ndarray

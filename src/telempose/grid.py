@@ -42,6 +42,8 @@ class GridConfig:
         for i in self.pilot_symbol_indices:
             if not 0 <= i < self.n_symbols:
                 raise ValueError(f"pilot symbol index {i} out of range")
+        if len(set(self.pilot_symbol_indices)) != len(self.pilot_symbol_indices):
+            raise ValueError(f"repeated pilot symbol index in {self.pilot_symbol_indices}")
 
     @property
     def n_effective(self) -> int:
@@ -110,12 +112,13 @@ def pilot_value_grid(cfg: GridConfig) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResourceGrid:
     """Immutable transmit grid: complex symbols laid out by ``cfg``.
 
     The role of each element is a property of the config, not of the
     grid: ``mask`` is the cached, read-only :func:`build_mask` of ``cfg``.
+    Equality and hashing are by identity.
     """
 
     symbols: np.ndarray

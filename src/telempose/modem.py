@@ -6,7 +6,8 @@ call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -131,38 +132,47 @@ def _gray_decode(codes: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
-    """Gray-labelled square QAM constellation with unit average energy.
+    """Gray-labelled constellation with unit average energy.
 
-    ``points[i]`` is the symbol whose big-endian bit label has integer
-    value ``i``; ``bit_labels[i]`` is that label as a (B,)-vector.
+    The point order is the labelling: ``points[i]`` carries the B-bit
+    big-endian label of ``i``. ``order``, ``bit_labels`` and the per-bit
+    masks are derived from it. Equality and hashing are by identity.
     """
 
-    order: int
     points: np.ndarray
-    bit_labels: np.ndarray
-    # per bit position l: boolean masks over points where bit l == 0 / == 1
-    _bit0_masks: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self):
+        points = np.array(self.points, dtype=complex)
+        n = points.size
+        if points.ndim != 1 or n < 2 or n & (n - 1):
+            raise ValueError(f"point count {n} is not a power of two >= 2")
+        if not abs(np.mean(np.abs(points) ** 2) - 1.0) <= 1e-12:  # NaN fails too
+            raise ValueError("constellation is not normalized to unit energy")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        self._check_gray()
+
+    @property
+    def order(self) -> int:
+        return self.points.size
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(np.log2(self.order))
+        return self.order.bit_length() - 1
 
-    def __post_init__(self):
-        if abs(np.mean(np.abs(self.points) ** 2) - 1.0) > 1e-12:
-            raise ValueError("constellation is not normalized to unit energy")
-        labels_as_int = self.bit_labels @ (
-            1 << np.arange(self.bits_per_symbol - 1, -1, -1)
-        )
-        if sorted(labels_as_int) != list(range(self.order)):
-            raise ValueError("bit labels are not a bijection")
-        self._check_gray()
-        object.__setattr__(
-            self, "_bit0_masks", self.bit_labels.T == 0
-        )  # shape [B, order]
-        self.points.flags.writeable = False
-        self.bit_labels.flags.writeable = False
+    @cached_property
+    def bit_labels(self) -> np.ndarray:
+        """[order, B] uint8: row i is the big-endian label of point i."""
+        labels = _levels_to_bits(np.arange(self.order), self.bits_per_symbol)
+        labels.flags.writeable = False
+        return labels
+
+    @cached_property
+    def _bit0_masks(self) -> np.ndarray:
+        """[B, order]: per bit position, the points whose bit is 0."""
+        return self.bit_labels.T == 0
 
     def _check_gray(self):
         """Nearest-neighbour points must differ in exactly one label bit."""
@@ -185,9 +195,6 @@ def qam(order: int = 4) -> Constellation:
         raise ValueError(f"order {order} is not a square QAM order (4, 16, 64, ...)")
     m = b // 2  # bits per axis
     labels_int = np.arange(order)
-    bit_labels = ((labels_int[:, None] >> np.arange(b - 1, -1, -1)) & 1).astype(
-        np.uint8
-    )
     axis_bits_i = labels_int >> m
     axis_bits_q = labels_int & ((1 << m) - 1)
     # Gray-decode each axis word, then map rank k to amplitude (2^m-1) - 2k
@@ -196,7 +203,7 @@ def qam(order: int = 4) -> Constellation:
     amp_q = (2**m - 1) - 2 * _gray_decode(axis_bits_q)
     raw = amp_i + 1j * amp_q
     points = raw / np.sqrt(np.mean(np.abs(raw) ** 2))
-    return Constellation(order=order, points=points, bit_labels=bit_labels)
+    return Constellation(points)
 
 
 def map_symbols(bits, constellation: Constellation) -> np.ndarray:

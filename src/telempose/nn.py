@@ -1,10 +1,11 @@
-"""Minimal reverse-mode differentiable tensor core.
+"""Minimal reverse-mode differentiable tensor core for the neural receiver.
 
-Just enough machinery for the two learned receivers: dense and 3x3
-same-padded convolution layers, layer normalization, ReLU, the fused
-sigmoid-BCE and MSE losses, and Adam. Tensors wrap numpy arrays; every op
-builds a closure that accumulates gradients into its parents, and
-``Tensor.backward`` replays them in reverse topological order.
+Just the ops its residual CNN uses: 3x3 same-padded convolution with a
+folded bias, layer normalization over (C, T, F), ReLU, equal-shape
+residual addition, the fused sigmoid-BCE loss, and Adam. Tensors wrap
+numpy arrays; every op builds a closure that accumulates gradients into
+its parents, and ``Tensor.backward`` replays them in reverse topological
+order.
 
 float32 is the training precision; gradient checks build the same graphs
 in float64.
@@ -77,51 +78,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
-def _unbroadcast(g, shape):
-    """Sum a gradient back down to the shape it was broadcast from."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}") from None
-    out = Tensor(data, parents=(a, b))
+    """Elementwise sum of two equal-shaped tensors (the residual adds)."""
+    if a.shape != b.shape:
+        raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
+    out = Tensor(a.data + b.data, parents=(a, b))
 
     def _bw():
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad, a.shape))
+            a._accumulate(out.grad)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad, b.shape))
+            b._accumulate(out.grad)
 
     out._backward = _bw
     return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"cannot matmul shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, parents=(a, b))
-
-    def _bw():
-        if a.requires_grad:
-            a._accumulate(out.grad @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ out.grad)
-
-    out._backward = _bw
-    return out
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x [batch, n_in] -> [batch, n_out]."""
-    return add(matmul(x, w), b)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -196,31 +166,26 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
-def layer_norm(
-    x: Tensor, gamma: Tensor, beta: Tensor, axes=(1, 2, 3), eps: float = 1e-5
-) -> Tensor:
-    """Normalize jointly over ``axes`` with a per-channel affine.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize each sample of [batch, c, h, w] over (c, h, w) jointly.
 
-    For activation maps [batch, c, h, w] the default normalizes each
-    sample over channel, time, and frequency together; gamma and beta are
-    [c]-shaped and broadcast along the channel axis.
+    eps is 1e-5. The affine is per channel: gamma and beta are [c]-shaped
+    and broadcast along axis 1.
     """
-    axes = tuple(axes)
+    axes = (1, 2, 3)
     mu = x.data.mean(axis=axes, keepdims=True)
     xhat = x.data - mu
     var = np.mean(xhat * xhat, axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv  # in place: only the normalized values are kept for backward
-    gshape = [1] * x.data.ndim
-    gshape[1] = -1
-    gb = gamma.data.reshape(gshape)
+    gb = gamma.data.reshape(1, -1, 1, 1)
     data = xhat * gb
-    data += beta.data.reshape(gshape)
+    data += beta.data.reshape(1, -1, 1, 1)
     out = Tensor(data, parents=(x, gamma, beta))
 
     def _bw():
         g = out.grad
-        reduce_axes = tuple(i for i in range(x.data.ndim) if i != 1)
+        reduce_axes = (0, 2, 3)  # all but the channel axis
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=reduce_axes))
         if gamma.requires_grad:
@@ -264,20 +229,6 @@ def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
     return out
 
 
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"pred {pred.shape} vs target {target.shape}")
-    diff = pred.data - target.data
-    out = Tensor(np.array(np.mean(diff * diff)), parents=(pred,))
-
-    def _bw():
-        if pred.requires_grad:
-            pred._accumulate(out.grad * 2.0 * diff / diff.size)
-
-    out._backward = _bw
-    return out
-
-
 # ---------------------------------------------------------------------------
 # parameters, layers, optimizer
 # ---------------------------------------------------------------------------
@@ -286,19 +237,6 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 def kaiming_uniform(rng, shape, fan_in, dtype=np.float32) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-class Dense:
-    def __init__(self, n_in, n_out, rng, dtype=np.float32):
-        self.w = Tensor(kaiming_uniform(rng, (n_in, n_out), n_in, dtype),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return dense(x, self.w, self.b)
-
-    def params(self):
-        return [self.w, self.b]
 
 
 class Conv2d:
@@ -316,21 +254,14 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.k, self.b)
 
-    def params(self):
-        return [self.k, self.b]
-
 
 class LayerNorm:
-    def __init__(self, n_channels, dtype=np.float32, axes=(1, 2, 3)):
+    def __init__(self, n_channels, dtype=np.float32):
         self.gamma = Tensor(np.ones(n_channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(n_channels, dtype=dtype), requires_grad=True)
-        self.axes = axes
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, axes=self.axes)
-
-    def params(self):
-        return [self.gamma, self.beta]
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class AdamState:

@@ -64,8 +64,8 @@ def lmmse_equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float):
     demapping. Elements with a zero-norm estimate are flagged by
     bias == 0 and must be treated as erasures.
     """
-    if noise_var < 0:
-        raise ValueError("noise_var must be non-negative")
+    if not (np.isfinite(noise_var) and noise_var >= 0):
+        raise ValueError(f"noise_var must be finite and non-negative, got {noise_var}")
     h_norm2 = np.sum(np.abs(h_est) ** 2, axis=0)
     denom = h_norm2 + noise_var
     with np.errstate(invalid="ignore", divide="ignore"):

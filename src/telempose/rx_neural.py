@@ -82,22 +82,16 @@ def build_input_planes(y: np.ndarray, noise_var) -> np.ndarray:
 
 
 class _Block:
-    def __init__(self, filters, rng, dtype):
-        self.ln1 = nn.LayerNorm(filters, dtype=dtype)
-        self.conv1 = nn.Conv2d(filters, filters, rng, dtype=dtype)
-        self.ln2 = nn.LayerNorm(filters, dtype=dtype)
-        self.conv2 = nn.Conv2d(filters, filters, rng, dtype=dtype)
+    def __init__(self, filters, rng):
+        self.ln1 = nn.LayerNorm(filters)
+        self.conv1 = nn.Conv2d(filters, filters, rng)
+        self.ln2 = nn.LayerNorm(filters)
+        self.conv2 = nn.Conv2d(filters, filters, rng)
 
     def __call__(self, h):
         t = nn.relu(self.conv1(self.ln1(h)))
         t = nn.relu(self.conv2(self.ln2(t)))
         return nn.add(h, t)
-
-    def params(self):
-        return (
-            self.ln1.params() + self.conv1.params()
-            + self.ln2.params() + self.conv2.params()
-        )
 
 
 class NeuralReceiver:
@@ -107,21 +101,14 @@ class NeuralReceiver:
     uninformative logits.
     """
 
-    def __init__(self, cfg: NeuralRxConfig, rng, dtype=np.float32):
+    def __init__(self, cfg: NeuralRxConfig, rng):
         self.cfg = cfg
-        self.stem = nn.Conv2d(cfg.input_channels, cfg.filters, rng, dtype=dtype)
-        self.blocks = [_Block(cfg.filters, rng, dtype) for _ in range(cfg.n_blocks)]
-        self.out = nn.Conv2d(
-            cfg.filters, cfg.bits_per_symbol, rng, dtype=dtype, zero_init=True
-        )
-
-    def params(self):
-        out = self.stem.params()
-        for b in self.blocks:
-            out += b.params()
-        return out + self.out.params()
+        self.stem = nn.Conv2d(cfg.input_channels, cfg.filters, rng)
+        self.blocks = [_Block(cfg.filters, rng) for _ in range(cfg.n_blocks)]
+        self.out = nn.Conv2d(cfg.filters, cfg.bits_per_symbol, rng, zero_init=True)
 
     def named_params(self) -> dict:
+        """Every trainable tensor by checkpoint name, in optimizer order."""
         named = {"stem.k": self.stem.k, "stem.b": self.stem.b}
         for i, b in enumerate(self.blocks):
             named[f"block{i}.ln1.gamma"] = b.ln1.gamma
@@ -135,6 +122,9 @@ class NeuralReceiver:
         named["out.k"] = self.out.k
         named["out.b"] = self.out.b
         return named
+
+    def params(self) -> list:
+        return list(self.named_params().values())
 
     def forward_logits(self, y_batch: np.ndarray, noise_var) -> nn.Tensor:
         """Batched raw logits, sigmoid(logit) = P(bit = 1).
@@ -153,18 +143,14 @@ class NeuralReceiver:
             h = block(h)
         return self.out(h)
 
-    def forward(self, y: np.ndarray, noise_var: float) -> np.ndarray:
+    def receive(self, y: np.ndarray, noise_var: float) -> np.ndarray:
         """Per-bit LLRs for one received grid, positive means bit 0.
 
         ``y`` is [n_rx, n_symbols, n_subcarriers]; the result is
-        [bits_per_symbol, n_symbols, n_subcarriers].
+        [n_symbols, n_subcarriers, bits_per_symbol], ready for unpacking.
         """
         logits = self.forward_logits(y[None], noise_var)
-        return -logits.data[0].astype(float)
-
-    def receive(self, y: np.ndarray, noise_var: float) -> np.ndarray:
-        """LLR grid shaped [n_symbols, n_subcarriers, B] for unpacking."""
-        return np.moveaxis(self.forward(y, noise_var), 0, -1)
+        return np.moveaxis(-logits.data[0].astype(float), 0, -1)
 
     def save(self, path):
         nn.save_checkpoint(path, self.named_params(), nn.config_hash(self.cfg.describe()))

@@ -252,6 +252,12 @@ def test_realization_rejects_each_invalid_field(gains, delays, dopplers, match):
         ChannelRealization(gains=gains, delays=delays, dopplers=dopplers)
 
 
+def test_realization_equality_is_identity():
+    a, b = flat_unit_channel(2), flat_unit_channel(2)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_realization_owns_read_only_arrays():
     gains = np.ones((2, 3), complex)
     delays = np.array([0.0, 1e-7])

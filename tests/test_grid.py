@@ -54,6 +54,15 @@ def test_config_validation():
         GridConfig(guard_left=64, guard_right=64)
     with pytest.raises(ValueError):
         GridConfig(pilot_symbol_indices=(14,))
+    with pytest.raises(ValueError, match="repeated"):
+        GridConfig(pilot_symbol_indices=(2, 2))
+
+
+def test_grid_equality_is_identity(cfg_2p, qpsk):
+    grids, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
+    again, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
+    assert grids[0] == grids[0] and grids[0] != again[0]
+    assert len({grids[0], again[0]}) == 2
 
 
 def test_pilot_sequence_deterministic(cfg_2p):

@@ -141,11 +141,43 @@ def test_qpsk_points_unit_energy(qpsk):
     assert np.allclose(np.abs(qpsk.points), 1.0)
 
 
-def test_gray_property_checked_at_construction():
-    bad_labels = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=np.uint8)
-    pts = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
+def test_gray_property_checked_at_construction(qpsk):
+    # label 00 would sit diagonally opposite 01, next to 11
     with pytest.raises(ValueError, match="Gray"):
-        Constellation(order=4, points=pts, bit_labels=bad_labels)
+        Constellation(qpsk.points[[0, 3, 1, 2]])
+
+
+def test_point_order_is_the_labelling(qpsk):
+    swapped = Constellation(qpsk.points[[0, 2, 1, 3]])
+    assert swapped.order == 4
+    assert np.array_equal(swapped.bit_labels, qpsk.bit_labels)
+    bits = np.array([0, 1, 1, 0, 0, 0, 1, 1], dtype=np.uint8)
+    symbols = map_symbols(bits, swapped)
+    assert symbols[0] == pytest.approx(qpsk.points[2])
+    llrs = llr_maxlog(symbols, 0.1, swapped)
+    assert np.array_equal(hard_decide(llrs).reshape(-1), bits)
+
+
+@pytest.mark.parametrize(
+    "points, match",
+    [
+        (np.ones(1), "power of two"),
+        (np.exp(2j * np.pi * np.arange(3) / 3), "power of two"),
+        (np.exp(2j * np.pi * np.arange(6) / 6), "power of two"),
+        (np.array([1, -1, np.nan, 1j]), "unit energy"),
+        (2 * qam(4).points, "unit energy"),
+    ],
+    ids=["one", "three", "six", "nan", "scaled"],
+)
+def test_invalid_points_are_rejected(points, match):
+    with pytest.raises(ValueError, match=match):
+        Constellation(points)
+
+
+def test_constellation_equality_is_identity(qpsk):
+    a, b = qam(4), qam(4)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_higher_order_qam_constructs():

@@ -6,18 +6,14 @@ from telempose.nn import (
     AdamState,
     CheckpointError,
     Conv2d,
-    Dense,
     LayerNorm,
     ShapeError,
     Tensor,
     adam_step,
     bce_with_logits,
     conv2d,
-    dense,
     layer_norm,
     load_checkpoint,
-    matmul,
-    mse,
     relu,
     save_checkpoint,
     zero_grads,
@@ -136,11 +132,6 @@ def test_bce_hand_value_on_toy_grid():
     assert float(out.data) == pytest.approx(expected, abs=1e-10)
 
 
-def test_mse_value():
-    out = mse(Tensor(np.array([1.0, 2.0])), Tensor(np.array([0.0, 4.0])))
-    assert float(out.data) == pytest.approx((1 + 4) / 2)
-
-
 def test_layer_norm_standardizes(rng):
     x = Tensor(rng.standard_normal((3, 4, 5, 6)) * 3 + 1.5)
     ln = LayerNorm(4, dtype=np.float64)
@@ -153,9 +144,9 @@ def test_layer_norm_standardizes(rng):
 
 def test_shape_errors_name_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
-    with pytest.raises(ShapeError):
-        mse(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+        nn.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(ShapeError, match=r"\(4, 3\).*\(3,\)"):
+        nn.add(Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))  # no broadcasting
     with pytest.raises(ShapeError):
         bce_with_logits(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError):
@@ -167,48 +158,38 @@ def test_shape_errors_name_both_shapes():
 # ---------------------------------------------------------------------------
 
 
-def test_grad_add_broadcast(rng):
+def _binary(rng, shape):
+    return Tensor((rng.uniform(size=shape) > 0.5).astype(float))
+
+
+def test_grad_add(rng):
     a = t64(rng, (4, 3))
-    b = t64(rng, (3,))
-    check_grad(lambda: mse(nn.add(a, b), Tensor(np.zeros((4, 3)))), a, b)
-
-
-def test_grad_matmul(rng):
-    a = t64(rng, (4, 3))
-    b = t64(rng, (3, 5))
-    target = Tensor(rng.standard_normal((4, 5)))
-    check_grad(lambda: mse(matmul(a, b), target), a, b)
-
-
-def test_grad_dense(rng):
-    x = t64(rng, (6, 4))
-    w = t64(rng, (4, 3))
-    b = t64(rng, (3,))
-    target = Tensor(rng.standard_normal((6, 3)))
-    check_grad(lambda: mse(dense(x, w, b), target), x, w, b)
+    b = t64(rng, (4, 3))
+    t = _binary(rng, (4, 3))
+    check_grad(lambda: bce_with_logits(nn.add(a, b), t), a, b)
 
 
 def test_grad_relu(rng):
     x_data = rng.standard_normal((5, 4))
     x_data += np.sign(x_data) * 0.2  # keep clear of the kink
     x = Tensor(x_data, requires_grad=True)
-    target = Tensor(rng.standard_normal((5, 4)))
-    check_grad(lambda: mse(relu(x), target), x)
+    t = _binary(rng, (5, 4))
+    check_grad(lambda: bce_with_logits(relu(x), t), x)
 
 
 def test_grad_conv2d(rng):
     x = t64(rng, (2, 3, 5, 7))
     k = t64(rng, (2, 3, 3, 3), scale=0.5)
-    target = Tensor(rng.standard_normal((2, 2, 5, 7)))
-    check_grad(lambda: mse(conv2d(x, k), target), x, k)
+    t = _binary(rng, (2, 2, 5, 7))
+    check_grad(lambda: bce_with_logits(conv2d(x, k), t), x, k)
 
 
 def test_grad_layer_norm(rng):
     x = t64(rng, (2, 3, 4, 5))
     gamma = Tensor(1.0 + 0.1 * rng.standard_normal(3), requires_grad=True)
     beta = Tensor(0.1 * rng.standard_normal(3), requires_grad=True)
-    target = Tensor(rng.standard_normal((2, 3, 4, 5)))
-    check_grad(lambda: mse(layer_norm(x, gamma, beta), target), x, gamma, beta)
+    t = _binary(rng, (2, 3, 4, 5))
+    check_grad(lambda: bce_with_logits(layer_norm(x, gamma, beta), t), x, gamma, beta)
 
 
 def test_grad_bce_with_logits(rng):
@@ -222,12 +203,6 @@ def test_grad_bce_with_mask(rng):
     t = Tensor((rng.uniform(size=(4, 6)) > 0.5).astype(float))
     mask = (rng.uniform(size=(4, 6)) > 0.4).astype(float)
     check_grad(lambda: bce_with_logits(z, t, mask=mask), z)
-
-
-def test_grad_mse(rng):
-    p = t64(rng, (3, 7))
-    t = Tensor(rng.standard_normal((3, 7)))
-    check_grad(lambda: mse(p, t), p)
 
 
 def test_grad_two_block_residual_network(rng):
@@ -249,8 +224,8 @@ def test_grad_two_block_residual_network(rng):
             h = nn.add(h, t)
         return bce_with_logits(out_conv(h), targets)
 
-    params = stem.params() + ln1.params() + c1.params() + ln2.params() + c2.params()
-    params += out_conv.params() + [x]
+    params = [stem.k, stem.b, ln1.gamma, ln1.beta, c1.k, c1.b]
+    params += [ln2.gamma, ln2.beta, c2.k, c2.b, out_conv.k, out_conv.b, x]
     check_grad(forward, *params)
 
 
@@ -279,18 +254,18 @@ def test_adam_converges_on_quadratic():
 
 def test_training_determinism():
     def run():
-        gen = np.random.default_rng(11)
-        layer = Dense(4, 3, gen)
-        state = AdamState(layer.params(), lr=1e-3)
+        layer = Conv2d(2, 3, np.random.default_rng(11))
+        params = [layer.k, layer.b]
+        state = AdamState(params, lr=1e-3)
         data_rng = np.random.default_rng(12)
         for _ in range(20):
-            x = Tensor(data_rng.standard_normal((8, 4)).astype(np.float32))
-            t = Tensor(data_rng.standard_normal((8, 3)).astype(np.float32))
-            zero_grads(layer.params())
-            loss = mse(layer(x), t)
+            x = Tensor(data_rng.standard_normal((4, 2, 5, 6)).astype(np.float32))
+            t = Tensor((data_rng.uniform(size=(4, 3, 5, 6)) > 0.5).astype(np.float32))
+            zero_grads(params)
+            loss = bce_with_logits(layer(x), t)
             loss.backward()
-            adam_step(layer.params(), state)
-        return [p.data.copy() for p in layer.params()]
+            adam_step(params, state)
+        return [p.data.copy() for p in params]
 
     a, b = run(), run()
     for pa, pb in zip(a, b):
@@ -303,21 +278,20 @@ def test_training_determinism():
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
-    gen = np.random.default_rng(3)
-    layer = Dense(5, 2, gen)
-    named = {"w": layer.w, "b": layer.b}
-    h = nn.config_hash("dense 5->2")
+    layer = Conv2d(5, 2, np.random.default_rng(3))
+    layer.b.data = rng.standard_normal(layer.b.data.shape).astype(np.float32)
+    h = nn.config_hash("conv 5->2")
     path = tmp_path / "weights.ckpt"
-    save_checkpoint(path, named, h)
-    fresh = Dense(5, 2, np.random.default_rng(99))
-    load_checkpoint(path, {"w": fresh.w, "b": fresh.b}, h)
-    assert np.allclose(fresh.w.data, layer.w.data, atol=1e-7)
-    assert np.allclose(fresh.b.data, layer.b.data, atol=1e-7)
+    save_checkpoint(path, {"k": layer.k, "b": layer.b}, h)
+    fresh = Conv2d(5, 2, np.random.default_rng(99))
+    load_checkpoint(path, {"k": fresh.k, "b": fresh.b}, h)
+    assert np.array_equal(fresh.k.data, layer.k.data)
+    assert np.array_equal(fresh.b.data, layer.b.data)
 
 
 def test_checkpoint_rejects_config_mismatch(tmp_path):
-    layer = Dense(5, 2, np.random.default_rng(3))
-    named = {"w": layer.w, "b": layer.b}
+    layer = Conv2d(5, 2, np.random.default_rng(3))
+    named = {"k": layer.k, "b": layer.b}
     path = tmp_path / "weights.ckpt"
     save_checkpoint(path, named, nn.config_hash("config A"))
     with pytest.raises(CheckpointError, match="hash"):
@@ -325,28 +299,28 @@ def test_checkpoint_rejects_config_mismatch(tmp_path):
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
-    layer = Dense(5, 2, np.random.default_rng(3))
+    layer = Conv2d(5, 2, np.random.default_rng(3))
     h = nn.config_hash("cfg")
     path = tmp_path / "weights.ckpt"
-    save_checkpoint(path, {"w": layer.w, "b": layer.b}, h)
-    other = Dense(5, 3, np.random.default_rng(4))
+    save_checkpoint(path, {"k": layer.k, "b": layer.b}, h)
+    other = Conv2d(5, 3, np.random.default_rng(4))
     with pytest.raises(CheckpointError, match="shape"):
-        load_checkpoint(path, {"w": other.w, "b": other.b}, h)
+        load_checkpoint(path, {"k": other.k, "b": other.b}, h)
 
 
 def test_checkpoint_rejects_repeated_tensor(tmp_path):
-    layer = Dense(5, 2, np.random.default_rng(3))
+    layer = Conv2d(5, 2, np.random.default_rng(3))
     h = nn.config_hash("cfg")
     path = tmp_path / "weights.ckpt"
-    save_checkpoint(path, {"w": layer.w, "v": layer.b}, h)
+    save_checkpoint(path, {"k": layer.k, "v": layer.b}, h)
     blob = path.read_bytes()
     assert blob.count(b"\x01\x00v") == 1
-    path.write_bytes(blob.replace(b"\x01\x00v", b"\x01\x00w"))
-    fresh = Dense(5, 2, np.random.default_rng(4))
-    before = fresh.w.data.copy()
+    path.write_bytes(blob.replace(b"\x01\x00v", b"\x01\x00k"))
+    fresh = Conv2d(5, 2, np.random.default_rng(4))
+    before = fresh.k.data.copy()
     with pytest.raises(CheckpointError, match="repeated"):
-        load_checkpoint(path, {"w": fresh.w, "v": fresh.b}, h)
-    assert np.array_equal(fresh.w.data, before)
+        load_checkpoint(path, {"k": fresh.k, "v": fresh.b}, h)
+    assert np.array_equal(fresh.k.data, before)
 
 
 def test_backward_requires_scalar(rng):

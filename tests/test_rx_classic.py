@@ -206,6 +206,16 @@ def test_receive_classic_accepts_zero_noise_variance(cfg_2p, qpsk, rng):
     assert np.array_equal(hard_decide(unpack_llrs([llr], record, cfg_2p)), bits)
 
 
+@pytest.mark.parametrize("noise_var", [np.nan, np.inf, -np.inf, -0.5])
+def test_non_finite_or_negative_noise_variance_is_rejected(cfg_2p, qpsk, rng, noise_var):
+    grids, _ = pack_bits(rng.integers(0, 2, size=2808), cfg_2p, qpsk)
+    y = apply(flat_unit_channel(2), grids[0], None, rng)
+    with pytest.raises(ValueError, match="noise_var"):
+        receive_classic(y, cfg_2p, noise_var, qpsk)
+    with pytest.raises(ValueError, match="noise_var"):
+        lmmse_equalize(y, np.ones_like(y), noise_var)
+
+
 def test_erasure_path_yields_zero_llrs(cfg_2p, qpsk):
     y = np.zeros((1, 14, 128), complex)
     llr = receive_classic(y, cfg_2p, 0.5, qpsk)

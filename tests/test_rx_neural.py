@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from telempose import nn
-from telempose.channel import SynthParams, synth_channel
+from telempose.channel import ChannelRealization, SynthParams, synth_channel
 from telempose.rx_neural import (
     NeuralReceiver,
     NeuralRxConfig,
     TrainConfig,
+    TrainingDiverged,
     build_input_planes,
     train,
 )
@@ -81,6 +82,29 @@ def test_training_is_deterministic_under_a_seed(cfg_2p, qpsk):
     assert log_a == log_b
     for pa, pb in zip(rx_a.params(), rx_b.params()):
         assert np.array_equal(pa.data, pb.data)
+
+
+def test_training_checkpoint_holds_the_trained_weights(tmp_path, cfg_2p, qpsk):
+    path = tmp_path / "rx.tpwt"
+    rx = NeuralReceiver(TINY, np.random.default_rng(2))
+    hyper = TrainConfig(iterations=3, batch=2)
+    train(rx, cfg_2p, qpsk, _channels(), hyper, np.random.default_rng(3),
+          checkpoint_path=path, checkpoint_every=2)
+    fresh = NeuralReceiver(TINY, np.random.default_rng(4))
+    fresh.load(path)
+    trained, loaded = rx.named_params(), fresh.named_params()
+    assert list(loaded) == list(trained)
+    for name, p in trained.items():
+        assert np.array_equal(loaded[name].data, p.data), name
+
+
+def test_non_finite_loss_raises_training_diverged(cfg_2p, qpsk):
+    # finite in float64, but the received planes overflow float32
+    huge = ChannelRealization(gains=[[1e200, 1e200]], delays=[0.0], dopplers=[0.0])
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    hyper = TrainConfig(iterations=2, batch=1)
+    with pytest.raises(TrainingDiverged, match="iteration 1"), np.errstate(all="ignore"):
+        train(rx, cfg_2p, qpsk, [huge], hyper, np.random.default_rng(1))
 
 
 @pytest.mark.parametrize(
