@@ -1,9 +1,9 @@
 """Bounds-checked reading of the package's binary file formats.
 
-The grid dump (TPRG), channel-realization file (TPCR) and checkpoint
-(TPWT) all read through :class:`Reader`, so a short, overlong or
-malformed file raises the format's own error class instead of a bare
-``struct.error`` or a silently short array.
+The channel-realization file (TPCR) and the checkpoint (TPWT) both read
+through :class:`Reader`, so a short, overlong or malformed file raises
+the format's own error class instead of a bare ``struct.error`` or a
+silently short array.
 """
 
 from __future__ import annotations

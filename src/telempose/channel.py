@@ -13,6 +13,7 @@ import time, so the per-path gain is the only spatial/attenuation state.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -82,6 +83,12 @@ class NoiseSpec:
 
     ebn0_db: float
     bits_per_symbol: int = 2
+
+    def __post_init__(self):
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
+        if self.bits_per_symbol < 1:
+            raise ValueError(f"bits_per_symbol must be >= 1, got {self.bits_per_symbol}")
 
     @property
     def noise_variance(self) -> float:
@@ -231,7 +238,7 @@ def import_cirs(path):
         records = np.frombuffer(block, dtype="<f8").reshape(n_paths, width)
         try:
             out.append(ChannelRealization(
-                gains=records[:, 2::2] + 1j * records[:, 3::2],
+                gains=records[:, 2:].view("<c16"),  # (re, im) pairs are complex128
                 delays=records[:, 0],
                 dopplers=records[:, 1],
                 meta="imported",

@@ -4,25 +4,24 @@ A resource grid is a (symbol x subcarrier) lattice of complex values in
 which every element is data, pilot, or guard. Pilot columns span all
 effective (non-guard) subcarriers; payload bits stream across grids in
 row-major (symbol-major) order with zero-bit padding in the final grid.
+The layout and the pilot values are functions of the config alone, so
+transmitter and receiver derive them independently and nothing but the
+symbols needs to travel.
 """
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._reader import Reader
 from .modem import Constellation, FramingError, map_symbols
 
 DATA = np.int8(0)
 PILOT = np.int8(1)
 GUARD = np.int8(2)
-
-_GRID_MAGIC = b"TPRG"
-_GRID_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,13 @@ class GridConfig:
     guard_right: int = 6
     pilot_symbol_indices: tuple = (2, 12)
     subcarrier_spacing_hz: float = 30e3
-    carrier_hz: float = 3.5e9
     pilot_seed: int = 0x5EED  # agreed between transmitter and receiver
 
     def __post_init__(self):
+        if self.n_symbols < 1:
+            raise ValueError(f"need at least one OFDM symbol, got {self.n_symbols}")
+        if min(self.guard_left, self.guard_right) < 0:
+            raise ValueError(f"negative guard in {self.guard_left}, {self.guard_right}")
         if self.guard_left + self.guard_right >= self.n_subcarriers:
             raise ValueError("guards leave no effective subcarriers")
         for i in self.pilot_symbol_indices:
@@ -44,6 +46,9 @@ class GridConfig:
                 raise ValueError(f"pilot symbol index {i} out of range")
         if len(set(self.pilot_symbol_indices)) != len(self.pilot_symbol_indices):
             raise ValueError(f"repeated pilot symbol index in {self.pilot_symbol_indices}")
+        df = self.subcarrier_spacing_hz
+        if not 0 < df < math.inf:  # NaN fails too
+            raise ValueError(f"subcarrier spacing must be finite and positive, got {df}")
 
     @property
     def n_effective(self) -> int:
@@ -84,30 +89,19 @@ def build_mask(cfg: GridConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def pilot_sequence(cfg: GridConfig, seed: int) -> np.ndarray:
-    """Deterministic unit-modulus QPSK pilot values for all PILOT elements.
-
-    Values follow row-major traversal of the pilot positions, so the
-    transmitter and receiver reproduce the same sequence from the seed.
-    The array is cached per (config, seed) and read-only.
-    """
-    n_pilots = len(cfg.pilot_symbol_indices) * cfg.n_effective
-    rng = np.random.default_rng(seed)
-    quadrants = rng.integers(0, 4, size=n_pilots)
-    seq = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
-    seq.flags.writeable = False
-    return seq
-
-
-@lru_cache(maxsize=None)
 def pilot_value_grid(cfg: GridConfig) -> np.ndarray:
     """Pilot values placed at their grid positions (zeros elsewhere).
 
-    Cached per config; the returned array is read-only.
+    The values are unit-modulus QPSK drawn from ``cfg.pilot_seed`` in
+    row-major order of the PILOT elements, so the transmitter and the
+    receiver reproduce them from the config alone. Cached per config; the
+    returned array is read-only.
     """
     mask = build_mask(cfg)
+    rng = np.random.default_rng(cfg.pilot_seed)
+    quadrants = rng.integers(0, 4, size=len(cfg.pilot_symbol_indices) * cfg.n_effective)
     out = np.zeros((cfg.n_symbols, cfg.n_subcarriers), dtype=complex)
-    out[mask == PILOT] = pilot_sequence(cfg, cfg.pilot_seed)
+    out[mask == PILOT] = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
     out.flags.writeable = False
     return out
 
@@ -140,7 +134,6 @@ class FramingRecord:
 
     payload_bits: int
     n_grids: int
-    bits_per_grid: int
 
 
 def grid_capacity_bits(cfg: GridConfig, constellation: Constellation) -> int:
@@ -157,9 +150,7 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
     data_pos = build_mask(cfg) == DATA
     capacity = int(np.count_nonzero(data_pos)) * constellation.bits_per_symbol
     n_grids = -(-bits.size // capacity) if bits.size else 0
-    record = FramingRecord(
-        payload_bits=int(bits.size), n_grids=n_grids, bits_per_grid=capacity
-    )
+    record = FramingRecord(payload_bits=int(bits.size), n_grids=n_grids)
     padded = np.zeros(n_grids * capacity, dtype=np.uint8)
     padded[: bits.size] = bits
     grids = []
@@ -188,43 +179,3 @@ def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray
     data_pos = build_mask(cfg) == DATA
     streams = [np.asarray(llrs)[data_pos].reshape(-1) for llrs in grid_llrs]
     return np.concatenate(streams)[: record.payload_bits]
-
-
-def dump_grid(grid: ResourceGrid, path):
-    """Write a grid to the debug dump format.
-
-    Layout (little-endian): magic ``TPRG``, u32 version, u32 n_symbols,
-    u32 n_subcarriers, mask as int8 row-major, then per element float32
-    (re, im) pairs in row-major order.
-    """
-    n_sym, n_sc = grid.symbols.shape
-    with open(path, "wb") as f:
-        f.write(_GRID_MAGIC)
-        f.write(struct.pack("<III", _GRID_VERSION, n_sym, n_sc))
-        f.write(grid.mask.astype(np.int8).tobytes())
-        inter = np.empty((n_sym, n_sc, 2), dtype="<f4")
-        inter[..., 0] = grid.symbols.real
-        inter[..., 1] = grid.symbols.imag
-        f.write(inter.tobytes())
-
-
-def load_grid(path, cfg: GridConfig) -> ResourceGrid:
-    """Read a grid written by :func:`dump_grid`; its mask must be ``cfg``'s."""
-    with open(path, "rb") as f:
-        rd = Reader(f.read(), FramingError, "grid dump")
-    magic = rd.take(4, "magic")
-    if magic != _GRID_MAGIC:
-        raise FramingError(f"not a grid dump: bad magic {bytes(magic)!r}")
-    version, n_sym, n_sc = struct.unpack("<III", rd.take(12, "header"))
-    if version != _GRID_VERSION:
-        raise FramingError(f"unsupported grid dump version {version}")
-    mask = np.frombuffer(rd.take(n_sym * n_sc, "mask"), dtype=np.int8)
-    body = np.frombuffer(rd.take(n_sym * n_sc * 8, "symbols"), dtype="<f4")
-    rd.done()
-    if not np.array_equal(mask.reshape(n_sym, n_sc), build_mask(cfg)):
-        raise FramingError(
-            f"grid dump mask ({n_sym}x{n_sc}) does not match the config's layout"
-        )
-    body = body.reshape(n_sym, n_sc, 2)
-    symbols = body[..., 0].astype(complex) + 1j * body[..., 1]
-    return ResourceGrid(symbols=symbols, cfg=cfg)

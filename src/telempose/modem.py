@@ -79,30 +79,13 @@ def _bits_to_levels(bits: np.ndarray, q: int) -> np.ndarray:
     return bits.astype(np.int64) @ weights
 
 
-def quantize(x: float, cfg: QuantizerConfig) -> np.ndarray:
-    """Quantize one feature value to q bits (big-endian level index).
-
-    Finite out-of-range inputs are clamped, never rejected; use
-    :func:`saturation_count` to track how often that happens. NaN and
-    infinities raise ``ValueError``.
-    """
-    level = _levels(np.asarray(x, dtype=float), cfg)
-    return _levels_to_bits(level, cfg.q)
-
-
-def dequantize(bits, cfg: QuantizerConfig) -> float:
-    """Invert :func:`quantize`; result is the center of the coded level."""
-    bits = np.asarray(bits)
-    if bits.shape != (cfg.q,):
-        raise FramingError(f"expected {cfg.q} bits, got shape {bits.shape}")
-    level = _bits_to_levels(bits, cfg.q)
-    return float(cfg.lo + level / (cfg.n_levels - 1) * (cfg.hi - cfg.lo))
-
-
 def quantize_frame(x, cfg: QuantizerConfig) -> np.ndarray:
     """Quantize a 204-feature frame into a flat bit vector of length 204*q.
 
-    Clamping and non-finite rejection follow :func:`quantize`.
+    Each feature becomes the big-endian q-bit index of its level. Finite
+    out-of-range features are clamped, never rejected; use
+    :func:`saturation_count` to track how often that happens. NaN and
+    infinities raise ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (FEATURES_PER_FRAME,):
@@ -113,7 +96,7 @@ def quantize_frame(x, cfg: QuantizerConfig) -> np.ndarray:
 
 
 def dequantize_frame(bits, cfg: QuantizerConfig) -> np.ndarray:
-    """Invert :func:`quantize_frame`."""
+    """Invert :func:`quantize_frame`; each feature is its coded level."""
     bits = np.asarray(bits)
     if bits.shape != (FEATURES_PER_FRAME * cfg.q,):
         raise FramingError(
@@ -224,13 +207,13 @@ def llr_exact(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
     """Exact per-bit log-likelihood ratios, positive means bit 0 more likely.
 
     ``y_eq`` may be a scalar or any-shaped array; ``noise_var`` must be
-    positive and broadcastable against it. Output gains a trailing axis of
+    finite, positive and broadcastable against it. Output gains a trailing axis of
     length B.
     """
     y_eq = np.asarray(y_eq, dtype=complex)
     noise_var = np.asarray(noise_var, dtype=float)
-    if np.any(noise_var <= 0):
-        raise ValueError("noise_var must be positive")
+    if not np.all(np.isfinite(noise_var) & (noise_var > 0)):
+        raise ValueError("noise_var must be finite and positive")
     metric = -_sq_distances(y_eq, constellation) / noise_var[..., None]
     llrs = np.empty(y_eq.shape + (constellation.bits_per_symbol,))
     for l, mask0 in enumerate(constellation._bit0_masks):
@@ -244,8 +227,8 @@ def llr_maxlog(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
     """Max-log approximation of :func:`llr_exact` (same sign convention)."""
     y_eq = np.asarray(y_eq, dtype=complex)
     noise_var = np.asarray(noise_var, dtype=float)
-    if np.any(noise_var <= 0):
-        raise ValueError("noise_var must be positive")
+    if not np.all(np.isfinite(noise_var) & (noise_var > 0)):
+        raise ValueError("noise_var must be finite and positive")
     d2 = _sq_distances(y_eq, constellation)
     llrs = np.empty(y_eq.shape + (constellation.bits_per_symbol,))
     for l, mask0 in enumerate(constellation._bit0_masks):

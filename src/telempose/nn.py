@@ -264,12 +264,14 @@ class LayerNorm:
         return layer_norm(x, self.gamma, self.beta)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -278,7 +280,7 @@ class AdamState:
 def adam_step(params, state: AdamState):
     """One bias-corrected Adam update from the grads stored on ``params``."""
     state.step_count += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1 - b1**state.step_count
     correction2 = 1 - b2**state.step_count
     for p, m, v in zip(params, state.m, state.v):
@@ -289,7 +291,7 @@ def adam_step(params, state: AdamState):
         v += (1 - b2) * g * g
         mhat = m / correction1
         vhat = v / correction2
-        p.data -= (state.lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
+        p.data -= (state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 def zero_grads(params):
@@ -331,7 +333,8 @@ def save_checkpoint(path, named_params: dict, cfg_hash: str):
 
 
 def load_checkpoint(path, named_params: dict, cfg_hash: str):
-    """Load weights in place; reject any name/shape/config mismatch.
+    """Load weights in place; reject any name/shape/config mismatch and
+    any NaN or infinite weight.
 
     Every tensor is read and checked before any is assigned, so a file
     that is rejected leaves the model unchanged.
@@ -370,6 +373,8 @@ def load_checkpoint(path, named_params: dict, cfg_hash: str):
                 f"tensor {name!r} has shape {shape}, model expects {p.data.shape}"
             )
         values = np.frombuffer(rd.take(4 * math.prod(shape), f"data of {name!r}"), "<f4")
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"tensor {name!r} holds a non-finite value")
         staged[name] = values.reshape(shape).astype(p.data.dtype)
     rd.done()
     for name, values in staged.items():

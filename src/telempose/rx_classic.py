@@ -75,7 +75,7 @@ def lmmse_equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float):
     return c_hat, post_var, bias
 
 
-def _demap(c_hat, post_var, bias, constellation, mask, cfg):
+def _demap(c_hat, post_var, bias, constellation, cfg):
     """Unbias the equalizer output and produce the LLR grid over DATA."""
     B = constellation.bits_per_symbol
     llr_grid = np.zeros((cfg.n_symbols, cfg.n_subcarriers, B))
@@ -88,7 +88,7 @@ def _demap(c_hat, post_var, bias, constellation, mask, cfg):
     llr_eff = llr_maxlog(c_unbiased, var_eff, constellation)
     llr_eff[~live] = 0.0  # erasures carry no information
     llr_grid[:, cfg.effective_slice, :] = llr_eff
-    llr_grid[mask != DATA] = 0.0
+    llr_grid[build_mask(cfg) != DATA] = 0.0
     return llr_grid
 
 
@@ -101,14 +101,13 @@ def receive_classic(
     result is an LLR grid [n_symbols, n_subcarriers, B], zero outside
     DATA elements.
     """
-    mask = build_mask(cfg)
     eff = cfg.effective_slice
     pilot_idx = list(cfg.pilot_symbol_indices)
     pilots = pilot_value_grid(cfg)[pilot_idx, eff]
     h_p = ls_estimate(y[:, pilot_idx, eff], pilots)
     h_full = interpolate(h_p, cfg)
     c_hat, post_var, bias = lmmse_equalize(y[:, :, eff], h_full, noise_var)
-    return _demap(c_hat, post_var, bias, constellation, mask, cfg)
+    return _demap(c_hat, post_var, bias, constellation, cfg)
 
 
 def receive_perfect_csi(
@@ -123,7 +122,6 @@ def receive_perfect_csi(
     ``h_true`` is [n_rx, n_symbols, n_subcarriers] as produced by
     ``channel.freq_response_grid``.
     """
-    mask = build_mask(cfg)
     eff = cfg.effective_slice
     c_hat, post_var, bias = lmmse_equalize(y[:, :, eff], h_true[:, :, eff], noise_var)
-    return _demap(c_hat, post_var, bias, constellation, mask, cfg)
+    return _demap(c_hat, post_var, bias, constellation, cfg)

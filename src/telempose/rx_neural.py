@@ -66,17 +66,20 @@ class LogEntry(NamedTuple):
 def build_input_planes(y: np.ndarray, noise_var) -> np.ndarray:
     """Stack [re..., im..., log noise] planes for a batch of received grids.
 
-    ``y`` is [batch, n_rx, n_symbols, n_subcarriers] complex;
-    ``noise_var`` is a scalar or per-sample vector, positive and finite in
-    float32 so that its log plane is finite.
+    ``y`` is [batch, n_rx, n_symbols, n_subcarriers] complex and must be
+    finite in float32; ``noise_var`` is a scalar or per-sample vector,
+    positive and finite in float32 so that its log plane is finite.
     """
     batch, n_rx, n_sym, n_sc = y.shape
     nv = np.broadcast_to(np.asarray(noise_var, dtype=np.float32), (batch,))
     if not np.all(np.isfinite(nv) & (nv > 0)):
         raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
     planes = np.empty((batch, 2 * n_rx + 1, n_sym, n_sc), dtype=np.float32)
-    planes[:, :n_rx] = y.real
-    planes[:, n_rx : 2 * n_rx] = y.imag
+    with np.errstate(over="ignore"):  # out-of-range values become inf, rejected below
+        planes[:, :n_rx] = y.real
+        planes[:, n_rx : 2 * n_rx] = y.imag
+    if not np.all(np.isfinite(planes[:, : 2 * n_rx])):
+        raise ValueError("received grid is not finite in float32")
     planes[:, 2 * n_rx] = np.log(nv)[:, None, None]
     return planes
 

@@ -116,6 +116,17 @@ def test_noise_spec_variance():
     assert NoiseSpec(10.0, 2).noise_variance == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("ebn0_db", [np.nan, np.inf, -np.inf])
+def test_noise_spec_rejects_a_non_finite_ebn0(ebn0_db):
+    with pytest.raises(ValueError, match="Eb/N0"):
+        NoiseSpec(ebn0_db)
+
+
+def test_noise_spec_rejects_no_bits_per_symbol():
+    with pytest.raises(ValueError, match="bits_per_symbol"):
+        NoiseSpec(10.0, 0)
+
+
 def test_apply_noiseless_flat_is_identity(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=2808)
     grids, _ = pack_bits(bits, cfg_2p, qpsk)

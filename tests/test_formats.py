@@ -12,12 +12,7 @@ from telempose.channel import (
     import_cirs,
     synth_channel,
 )
-from telempose.grid import GridConfig, dump_grid, load_grid, pack_bits
-from telempose.modem import FramingError, qam
 
-SMALL_GRID = GridConfig(
-    n_subcarriers=8, n_symbols=3, guard_left=1, guard_right=1, pilot_symbol_indices=(1,)
-)
 CKPT_HASH = nn.config_hash("format test")
 
 
@@ -26,12 +21,6 @@ def _small_model(seed):
     ln = nn.LayerNorm(2)
     ln.gamma.data += seed
     return {"conv.k": conv.k, "conv.b": conv.b, "ln.gamma": ln.gamma, "ln.beta": ln.beta}
-
-
-def _tprg(path):
-    grids, _ = pack_bits(np.ones(20, dtype=np.uint8), SMALL_GRID, qam(4))
-    dump_grid(grids[0], path)
-    return lambda: load_grid(path, SMALL_GRID), {}
 
 
 def _tpcr(path):
@@ -47,7 +36,6 @@ def _tpwt(path):
 
 
 FORMATS = {
-    "tprg": (_tprg, FramingError),
     "tpcr": (_tpcr, ChannelFileError),
     "tpwt": (_tpwt, nn.CheckpointError),
 }
@@ -78,3 +66,28 @@ def test_trailing_bytes_are_rejected(tmp_path, fmt):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(error, match="trailing"):
         load()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bit_flips_load_finite_values_or_raise_the_typed_error(tmp_path, fmt):
+    make, error = FORMATS[fmt]
+    path = tmp_path / fmt
+    load, model = make(path)
+    blob = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    rng = np.random.default_rng(20)
+    loaded = rejected = 0
+    for _ in range(300):
+        flipped = blob.copy()
+        for bit in rng.choice(8 * blob.size, size=rng.integers(1, 4), replace=False):
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(flipped.tobytes())
+        try:
+            out = load()
+        except error:
+            rejected += 1
+            continue
+        loaded += 1
+        arrays = [p.data for p in model.values()]
+        arrays += [a for ch in out or () for a in (ch.gains, ch.delays, ch.dopplers)]
+        assert all(np.all(np.isfinite(a)) for a in arrays)
+    assert loaded and rejected

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,8 @@ from telempose.grid import (
     FramingError,
     GridConfig,
     build_mask,
-    dump_grid,
     grid_capacity_bits,
-    load_grid,
     pack_bits,
-    pilot_sequence,
     pilot_value_grid,
     unpack_llrs,
 )
@@ -58,6 +57,24 @@ def test_config_validation():
         GridConfig(pilot_symbol_indices=(2, 2))
 
 
+def test_config_rejects_a_negative_guard():
+    with pytest.raises(ValueError, match="negative guard"):
+        GridConfig(guard_left=-3)
+    with pytest.raises(ValueError, match="negative guard"):
+        GridConfig(guard_right=-1)
+
+
+def test_config_rejects_no_symbols():
+    with pytest.raises(ValueError, match="OFDM symbol"):
+        GridConfig(n_symbols=0, pilot_symbol_indices=())
+
+
+@pytest.mark.parametrize("spacing", [0.0, -30e3, np.nan, np.inf])
+def test_config_rejects_a_bad_subcarrier_spacing(spacing):
+    with pytest.raises(ValueError, match="subcarrier spacing"):
+        GridConfig(subcarrier_spacing_hz=spacing)
+
+
 def test_grid_equality_is_identity(cfg_2p, qpsk):
     grids, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
     again, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
@@ -65,20 +82,26 @@ def test_grid_equality_is_identity(cfg_2p, qpsk):
     assert len({grids[0], again[0]}) == 2
 
 
+def _pilots(cfg, seed):
+    """The pilot values drawn from ``seed``, in row-major pilot order."""
+    values = pilot_value_grid(dataclasses.replace(cfg, pilot_seed=seed))
+    return values[build_mask(cfg) == PILOT]
+
+
 def test_pilot_sequence_deterministic(cfg_2p):
-    a = pilot_sequence(cfg_2p, seed=9)
-    b = pilot_sequence(cfg_2p, seed=9)
+    a = _pilots(cfg_2p, 9)
+    b = _pilots(cfg_2p, 9)
     assert np.array_equal(a, b)
     assert a.shape == (234,)
 
 
 def test_pilot_sequence_unit_modulus(cfg_2p):
-    assert np.allclose(np.abs(pilot_sequence(cfg_2p, seed=3)), 1.0)
+    assert np.allclose(np.abs(_pilots(cfg_2p, 3)), 1.0)
 
 
 def test_pilot_sequence_seed_sensitivity(cfg_2p):
-    a = pilot_sequence(cfg_2p, seed=1)
-    b = pilot_sequence(cfg_2p, seed=2)
+    a = _pilots(cfg_2p, 1)
+    b = _pilots(cfg_2p, 2)
     assert np.any(a != b)
 
 
@@ -93,7 +116,7 @@ def test_pack_exactly_one_grid(cfg_2p, qpsk, rng):
     assert len(grids) == 1
     assert record.payload_bits == 2808
     assert record.n_grids == 1
-    assert record.bits_per_grid == 2808
+    assert grid_capacity_bits(cfg_2p, qpsk) == 2808
 
 
 def test_pack_overflow_spills_to_second_grid(cfg_2p, qpsk, rng):
@@ -102,7 +125,8 @@ def test_pack_overflow_spills_to_second_grid(cfg_2p, qpsk, rng):
     assert len(grids) == 2
     assert record.payload_bits == 2809
     # 2 * 2808 - 2809 = 2807 zero padding bits live in grid 2
-    assert record.n_grids * record.bits_per_grid - record.payload_bits == 2807
+    capacity = grid_capacity_bits(cfg_2p, qpsk)
+    assert record.n_grids * capacity - record.payload_bits == 2807
 
 
 def test_pack_empty_stream(cfg_2p, qpsk):
@@ -118,9 +142,7 @@ def test_grid_contents(cfg_2p, qpsk, rng):
     g = grids[0]
     assert np.all(g.symbols[g.mask == GUARD] == 0)
     assert np.allclose(np.abs(g.symbols[g.mask == PILOT]), 1.0)
-    assert np.array_equal(
-        g.symbols[g.mask == PILOT], pilot_sequence(cfg_2p, cfg_2p.pilot_seed)
-    )
+    assert np.array_equal(g.symbols[g.mask == PILOT], _pilots(cfg_2p, cfg_2p.pilot_seed))
 
 
 def test_grids_are_immutable(cfg_2p, qpsk):
@@ -168,34 +190,6 @@ def test_unpack_grid_count_mismatch(cfg_2p, qpsk, rng):
     grids, record = pack_bits(bits, cfg_2p, qpsk)
     with pytest.raises(FramingError):
         unpack_llrs([], record, cfg_2p)
-
-
-def test_grid_dump_round_trip(tmp_path, cfg_2p, qpsk, rng):
-    bits = rng.integers(0, 2, size=500)
-    grids, _ = pack_bits(bits, cfg_2p, qpsk)
-    path = tmp_path / "grid.bin"
-    dump_grid(grids[0], path)
-    back = load_grid(path, cfg_2p)
-    assert np.array_equal(back.mask, grids[0].mask)
-    assert np.allclose(back.symbols, grids[0].symbols, atol=1e-6)
-
-
-def test_grid_dump_truncation_detected(tmp_path, cfg_2p, qpsk):
-    grids, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
-    path = tmp_path / "grid.bin"
-    dump_grid(grids[0], path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-7])
-    with pytest.raises(FramingError, match="truncated"):
-        load_grid(path, cfg_2p)
-
-
-def test_load_grid_rejects_a_mask_of_another_layout(tmp_path, cfg_2p, cfg_1p, qpsk):
-    grids, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
-    path = tmp_path / "grid.bin"
-    dump_grid(grids[0], path)
-    with pytest.raises(FramingError, match="mask"):
-        load_grid(path, cfg_1p)
 
 
 def test_grids_share_the_config_mask(cfg_2p, qpsk):

@@ -6,14 +6,12 @@ from telempose.modem import (
     Constellation,
     FramingError,
     QuantizerConfig,
-    dequantize,
     dequantize_frame,
     hard_decide,
     llr_exact,
     llr_maxlog,
     map_symbols,
     qam,
-    quantize,
     quantize_frame,
     saturation_count,
 )
@@ -26,29 +24,43 @@ S2 = 1 / np.sqrt(2)
 # ---------------------------------------------------------------------------
 
 
+def _frame(*values):
+    """A 204-feature frame that starts with ``values`` and is zero after."""
+    frame = np.zeros(204)
+    frame[: len(values)] = values
+    return frame
+
+
+def _first_words(frame, cfg, n):
+    """The q-bit words of the first ``n`` features of the quantized frame."""
+    return quantize_frame(frame, cfg).reshape(204, cfg.q)[:n].tolist()
+
+
 def test_quantize_endpoints():
     cfg = QuantizerConfig(q=8)
-    assert quantize(-1.0, cfg).tolist() == [0] * 8
-    assert quantize(+1.0, cfg).tolist() == [1] * 8
+    assert _first_words(_frame(-1.0, 1.0), cfg, 2) == [[0] * 8, [1] * 8]
 
 
 def test_quantize_midpoint_rounds_half_away_from_zero():
     # (0 - (-1))/2 * 255 = 127.5 -> level 128 -> 10000000
     cfg = QuantizerConfig(q=8)
-    assert quantize(0.0, cfg).tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert _first_words(_frame(0.0), cfg, 1) == [[1, 0, 0, 0, 0, 0, 0, 0]]
 
 
 def test_dequantize_endpoints_and_mid_level():
     cfg = QuantizerConfig(q=8)
-    assert dequantize(np.zeros(8, dtype=np.uint8), cfg) == -1.0
-    assert dequantize(np.ones(8, dtype=np.uint8), cfg) == 1.0
-    mid = dequantize(np.array([1, 0, 0, 0, 0, 0, 0, 0]), cfg)
-    assert mid == pytest.approx(2 * 128 / 255 - 1, abs=1e-12)
+    words = np.zeros((204, 8), dtype=np.uint8)
+    words[1] = 1  # 11111111
+    words[2, 0] = 1  # 10000000
+    values = dequantize_frame(words.reshape(-1), cfg)
+    assert values[0] == -1.0
+    assert values[1] == 1.0
+    assert values[2] == pytest.approx(2 * 128 / 255 - 1, abs=1e-12)
 
 
 def test_dequantize_length_mismatch():
     with pytest.raises(FramingError):
-        dequantize(np.zeros(7, dtype=np.uint8), QuantizerConfig(q=8))
+        dequantize_frame(np.zeros(204 * 8 - 1, dtype=np.uint8), QuantizerConfig(q=8))
 
 
 def test_quantize_frame_all_zero_features():
@@ -105,19 +117,17 @@ def test_saturation_counting():
     assert saturation_count([0.0, 1.0, -1.0], cfg) == 0
     assert saturation_count([1.5, -2.0, 0.1], cfg) == 2
     # clamped values map to the endpoint codes
-    assert quantize(3.7, cfg).tolist() == [1] * 6
-    assert quantize(-3.7, cfg).tolist() == [0] * 6
+    assert _first_words(_frame(3.7, -3.7), cfg, 2) == [[1] * 6, [0] * 6]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_features_are_rejected(bad):
     cfg = QuantizerConfig(q=8)
-    with pytest.raises(ValueError, match="non-finite"):
-        quantize(bad, cfg)
-    frame = np.zeros(204)
-    frame[17] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        quantize_frame(frame, cfg)
+    for position in (0, 17, 203):
+        frame = np.zeros(204)
+        frame[position] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_frame(frame, cfg)
 
 
 def test_invalid_quantizer_configs():
@@ -326,10 +336,11 @@ def test_maxlog_converges_to_exact_as_noise_vanishes():
 
 
 def test_llr_rejects_bad_noise_var(qpsk):
-    with pytest.raises(ValueError):
-        llr_exact(0j, 0.0, qpsk)
-    with pytest.raises(ValueError):
-        llr_maxlog(0j, -1.0, qpsk)
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf, [0.5, np.nan]):
+        with pytest.raises(ValueError, match="noise_var"):
+            llr_exact([1 + 1j, 0j], bad, qpsk)
+        with pytest.raises(ValueError, match="noise_var"):
+            llr_maxlog([1 + 1j, 0j], bad, qpsk)
 
 
 def test_hard_decide_rules():

@@ -323,6 +323,20 @@ def test_checkpoint_rejects_repeated_tensor(tmp_path):
     assert np.array_equal(fresh.k.data, before)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_a_non_finite_weight(tmp_path, bad):
+    layer = Conv2d(5, 2, np.random.default_rng(3))
+    layer.b.data[0, 1, 0, 0] = bad
+    h = nn.config_hash("cfg")
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(path, {"k": layer.k, "b": layer.b}, h)
+    fresh = Conv2d(5, 2, np.random.default_rng(4))
+    before = fresh.k.data.copy()
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(path, {"k": fresh.k, "b": fresh.b}, h)
+    assert np.array_equal(fresh.k.data, before)
+
+
 def test_backward_requires_scalar(rng):
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     with pytest.raises(ShapeError):

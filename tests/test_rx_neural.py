@@ -99,8 +99,8 @@ def test_training_checkpoint_holds_the_trained_weights(tmp_path, cfg_2p, qpsk):
 
 
 def test_non_finite_loss_raises_training_diverged(cfg_2p, qpsk):
-    # finite in float64, but the received planes overflow float32
-    huge = ChannelRealization(gains=[[1e200, 1e200]], delays=[0.0], dopplers=[0.0])
+    # the received planes are finite in float32, but the stem conv's sums overflow
+    huge = ChannelRealization(gains=[[1e37, 1e37]], delays=[0.0], dopplers=[0.0])
     rx = NeuralReceiver(TINY, np.random.default_rng(0))
     hyper = TrainConfig(iterations=2, batch=1)
     with pytest.raises(TrainingDiverged, match="iteration 1"), np.errstate(all="ignore"):
@@ -121,3 +121,15 @@ def test_receive_rejects_zero_noise_variance(rng):
     rx = NeuralReceiver(TINY, np.random.default_rng(0))
     with pytest.raises(ValueError, match="noise_var"):
         rx.receive(_received(rng), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "beyond-float32"])
+def test_receive_rejects_a_non_finite_grid(rng, bad):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    y = _received(rng)
+    y[1, 3, 40] = bad
+    with pytest.raises(ValueError, match="received grid"):
+        rx.receive(y, 0.1)
+    y[1, 3, 40] = 1j * bad
+    with pytest.raises(ValueError, match="received grid"):
+        rx.receive(y, 0.1)
