@@ -85,10 +85,16 @@ class NoiseSpec:
     bits_per_symbol: int = 2
 
     def __post_init__(self):
-        if not math.isfinite(self.ebn0_db):
-            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
         if self.bits_per_symbol < 1:
             raise ValueError(f"bits_per_symbol must be >= 1, got {self.bits_per_symbol}")
+        try:
+            nv = self.noise_variance
+        except (OverflowError, ZeroDivisionError):
+            nv = 0.0
+        if not 0 < nv < math.inf:  # NaN fails too
+            raise ValueError(
+                f"Eb/N0 of {self.ebn0_db} dB gives no finite positive noise variance"
+            )
 
     @property
     def noise_variance(self) -> float:

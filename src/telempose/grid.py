@@ -167,8 +167,9 @@ def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray
     """Invert :func:`pack_bits` on per-element LLRs.
 
     ``grid_llrs`` is a sequence of arrays shaped
-    [n_symbols, n_subcarriers, bits_per_symbol]; padding positions are
-    dropped so the result has exactly ``record.payload_bits`` entries.
+    [n_symbols, n_subcarriers, bits_per_symbol], with one bits_per_symbol
+    for all grids; padding positions are dropped so the result has
+    exactly ``record.payload_bits`` entries.
     """
     if len(grid_llrs) != record.n_grids:
         raise FramingError(
@@ -176,6 +177,17 @@ def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray
         )
     if record.n_grids == 0:
         return np.empty(0)
+    grid_llrs = [np.asarray(llrs) for llrs in grid_llrs]
+    shape = (cfg.n_symbols, cfg.n_subcarriers) + grid_llrs[0].shape[2:]
+    if len(shape) != 3 or any(llrs.shape != shape for llrs in grid_llrs):
+        raise FramingError(
+            f"grid LLRs need one [{cfg.n_symbols}, {cfg.n_subcarriers}, "
+            f"bits_per_symbol] shape, got {sorted({llrs.shape for llrs in grid_llrs})}"
+        )
     data_pos = build_mask(cfg) == DATA
-    streams = [np.asarray(llrs)[data_pos].reshape(-1) for llrs in grid_llrs]
-    return np.concatenate(streams)[: record.payload_bits]
+    stream = np.concatenate([llrs[data_pos].reshape(-1) for llrs in grid_llrs])
+    if stream.size < record.payload_bits:
+        raise FramingError(
+            f"grids carry {stream.size} LLRs, framing record expects {record.payload_bits}"
+        )
+    return stream[: record.payload_bits]

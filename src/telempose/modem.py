@@ -6,11 +6,11 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 #: Features per sensor frame (17 sensors x 12 features each).
 FEATURES_PER_FRAME = 204
@@ -35,7 +35,8 @@ class QuantizerConfig:
     def __post_init__(self):
         if not 1 <= self.q <= 16:
             raise ValueError(f"bit width q={self.q} outside 1..16")
-        if not self.lo < self.hi:
+        # an infinite or NaN endpoint, or an overflowing width, leaves no finite step
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise ValueError(f"invalid clamp interval [{self.lo}, {self.hi}]")
 
     @property
@@ -217,9 +218,9 @@ def llr_exact(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
     metric = -_sq_distances(y_eq, constellation) / noise_var[..., None]
     llrs = np.empty(y_eq.shape + (constellation.bits_per_symbol,))
     for l, mask0 in enumerate(constellation._bit0_masks):
-        llrs[..., l] = logsumexp(metric[..., mask0], axis=-1) - logsumexp(
-            metric[..., ~mask0], axis=-1
-        )
+        llrs[..., l] = np.logaddexp.reduce(
+            metric[..., mask0], axis=-1
+        ) - np.logaddexp.reduce(metric[..., ~mask0], axis=-1)
     return llrs
 
 

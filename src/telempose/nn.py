@@ -18,7 +18,6 @@ import math
 import struct
 
 import numpy as np
-from scipy.special import expit
 
 from ._reader import Reader
 
@@ -213,7 +212,8 @@ def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
     z, t = logits.data, targets.data
     if z.shape != t.shape:
         raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
-    elem = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    e = np.exp(-np.abs(z))
+    elem = np.maximum(z, 0) - z * t + np.log1p(e)
     if mask is None:
         weight = np.ones_like(z) / z.size
     else:
@@ -223,7 +223,8 @@ def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
 
     def _bw():
         if logits.requires_grad:
-            logits._accumulate(out.grad * (expit(z) - t) * weight)
+            sigmoid = np.where(z >= 0, 1, e) / (1 + e)  # exp(-|z|) never overflows
+            logits._accumulate(out.grad * (sigmoid - t) * weight)
 
     out._backward = _bw
     return out

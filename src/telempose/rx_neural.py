@@ -10,6 +10,7 @@ LLR means bit 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +56,16 @@ class TrainConfig:
     lr: float = 1e-3
     ebn0_range_db: tuple = (-5.0, 16.0)
     log_every: int = 100
+
+    def __post_init__(self):
+        for name in ("iterations", "batch", "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:  # NaN fails too
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
+        r = self.ebn0_range_db
+        if not (len(r) == 2 and all(map(math.isfinite, r)) and r[0] <= r[1]):
+            raise ValueError(f"Eb/N0 range must be two finite values lo <= hi, got {r}")
 
 
 class LogEntry(NamedTuple):
@@ -187,6 +198,8 @@ def train(
     range; the masked binary cross entropy over data elements is followed
     by one Adam step. Returns the training log.
     """
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     channels = list(channels)
     if not channels:
         raise ValueError("empty channel training set")

@@ -122,6 +122,12 @@ def test_noise_spec_rejects_a_non_finite_ebn0(ebn0_db):
         NoiseSpec(ebn0_db)
 
 
+@pytest.mark.parametrize("ebn0_db", [4000.0, -4000.0])
+def test_noise_spec_rejects_an_ebn0_beyond_float_range(ebn0_db):
+    with pytest.raises(ValueError, match="Eb/N0"):
+        NoiseSpec(ebn0_db)
+
+
 def test_noise_spec_rejects_no_bits_per_symbol():
     with pytest.raises(ValueError, match="bits_per_symbol"):
         NoiseSpec(10.0, 0)

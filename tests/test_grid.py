@@ -192,6 +192,24 @@ def test_unpack_grid_count_mismatch(cfg_2p, qpsk, rng):
         unpack_llrs([], record, cfg_2p)
 
 
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda llrs: [l[..., 0] for l in llrs],
+        lambda llrs: [l[..., :1] for l in llrs],
+        lambda llrs: [llrs[0], np.concatenate([llrs[1], llrs[1]], axis=-1)],
+        lambda llrs: [l[:, :-1] for l in llrs],
+        lambda llrs: [l[..., None] for l in llrs],
+    ],
+    ids=["no-bit-axis", "one-bit-per-symbol", "bits-differ-between-grids",
+         "subcarrier-short", "extra-axis"],
+)
+def test_unpack_rejects_misshaped_llrs(cfg_2p, qpsk, rng, reshape):
+    grids, record = pack_bits(rng.integers(0, 2, size=2809), cfg_2p, qpsk)
+    with pytest.raises(FramingError):
+        unpack_llrs(reshape(_identity_llrs(grids, qpsk)), record, cfg_2p)
+
+
 def test_grids_share_the_config_mask(cfg_2p, qpsk):
     grids, _ = pack_bits(np.zeros(6000, dtype=np.uint8), cfg_2p, qpsk)
     assert all(g.mask is build_mask(cfg_2p) for g in grids)

@@ -139,6 +139,16 @@ def test_invalid_quantizer_configs():
         QuantizerConfig(q=4, lo=1.0, hi=-1.0)
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)],
+    ids=["-inf-lo", "inf-hi", "nan-lo", "width-overflows"],
+)
+def test_quantizer_rejects_an_interval_without_a_finite_width(lo, hi):
+    with pytest.raises(ValueError, match="clamp interval"):
+        QuantizerConfig(q=4, lo=lo, hi=hi)
+
+
 # ---------------------------------------------------------------------------
 # constellation and mapping
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,17 @@ def test_bce_with_logits_stable_at_large_logits():
     )
     assert np.isfinite(out.data)
     assert float(out.data) == pytest.approx(1000.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bce_gradient_is_finite_and_silent_at_extreme_logits(dtype):
+    z = Tensor(np.array([1e4, 1e4, -1e4, -1e4], dtype=dtype), requires_grad=True)
+    t = Tensor(np.array([1.0, 0.0, 1.0, 0.0], dtype=dtype))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bce_with_logits(z, t).backward()
+    assert z.grad.dtype == dtype
+    assert z.grad.tolist() == [0.0, 0.25, -0.25, 0.0]
 
 
 def test_bce_hand_value_on_toy_grid():

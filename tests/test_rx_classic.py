@@ -1,6 +1,7 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 from telempose.channel import (
     NoiseSpec,
@@ -22,7 +23,7 @@ from telempose.rx_classic import (
 
 
 def qfunc(x):
-    return 0.5 * erfc(x / np.sqrt(2))
+    return 0.5 * math.erfc(x / math.sqrt(2))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,33 @@ def test_antenna_count_mismatch_is_rejected(cfg_2p, qpsk, rng):
         rx.forward_logits(_received(rng, n_rx=1, batch=1), 0.1)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"iterations": 0}, {"batch": 0}, {"log_every": 0}, {"lr": 0.0}, {"lr": -1e-3},
+        {"lr": np.nan}, {"lr": np.inf}, {"ebn0_range_db": (5.0, -5.0)},
+        {"ebn0_range_db": (-5.0, np.inf)}, {"ebn0_range_db": (np.nan, 5.0)},
+        {"ebn0_range_db": (1.0, 2.0, 3.0)}, {"checkpoint_every": 0},
+        {"checkpoint_every": -1},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_invalid_training_settings_change_nothing(tmp_path, cfg_2p, qpsk, bad):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    before = {name: p.data.copy() for name, p in rx.named_params().items()}
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    settings = {"iterations": 1, "batch": 1, **bad}
+    every = settings.pop("checkpoint_every", 1)
+    with pytest.raises(ValueError):
+        train(rx, cfg_2p, qpsk, _channels(), TrainConfig(**settings), rng,
+              checkpoint_path=tmp_path / "rx.tpwt", checkpoint_every=every)
+    assert rng.bit_generator.state == state
+    for name, p in rx.named_params().items():
+        assert np.array_equal(p.data, before[name]), name
+    assert not (tmp_path / "rx.tpwt").exists()
+
+
 def test_first_training_loss_is_ln2(cfg_2p, qpsk):
     log, _ = _trained_log(cfg_2p, qpsk, iterations=1)
     assert abs(log[0].loss - math.log(2.0)) <= 1e-6
