@@ -87,6 +87,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.bits_per_symbol < 1:
             raise ValueError(f"bits_per_symbol must be >= 1, got {self.bits_per_symbol}")
+        # a Python float overflows with an exception; a numpy scalar would warn first
+        object.__setattr__(self, "ebn0_db", float(self.ebn0_db))
         try:
             nv = self.noise_variance
         except (OverflowError, ZeroDivisionError):

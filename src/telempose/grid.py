@@ -134,6 +134,7 @@ class FramingRecord:
 
     payload_bits: int
     n_grids: int
+    bits_per_symbol: int
 
 
 def grid_capacity_bits(cfg: GridConfig, constellation: Constellation) -> int:
@@ -150,7 +151,11 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
     data_pos = build_mask(cfg) == DATA
     capacity = int(np.count_nonzero(data_pos)) * constellation.bits_per_symbol
     n_grids = -(-bits.size // capacity) if bits.size else 0
-    record = FramingRecord(payload_bits=int(bits.size), n_grids=n_grids)
+    record = FramingRecord(
+        payload_bits=int(bits.size),
+        n_grids=n_grids,
+        bits_per_symbol=constellation.bits_per_symbol,
+    )
     padded = np.zeros(n_grids * capacity, dtype=np.uint8)
     padded[: bits.size] = bits
     grids = []
@@ -167,9 +172,8 @@ def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray
     """Invert :func:`pack_bits` on per-element LLRs.
 
     ``grid_llrs`` is a sequence of arrays shaped
-    [n_symbols, n_subcarriers, bits_per_symbol], with one bits_per_symbol
-    for all grids; padding positions are dropped so the result has
-    exactly ``record.payload_bits`` entries.
+    [n_symbols, n_subcarriers, record.bits_per_symbol]; padding positions
+    are dropped so the result has exactly ``record.payload_bits`` entries.
     """
     if len(grid_llrs) != record.n_grids:
         raise FramingError(
@@ -178,11 +182,11 @@ def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray
     if record.n_grids == 0:
         return np.empty(0)
     grid_llrs = [np.asarray(llrs) for llrs in grid_llrs]
-    shape = (cfg.n_symbols, cfg.n_subcarriers) + grid_llrs[0].shape[2:]
-    if len(shape) != 3 or any(llrs.shape != shape for llrs in grid_llrs):
+    shape = (cfg.n_symbols, cfg.n_subcarriers, record.bits_per_symbol)
+    if any(llrs.shape != shape for llrs in grid_llrs):
         raise FramingError(
-            f"grid LLRs need one [{cfg.n_symbols}, {cfg.n_subcarriers}, "
-            f"bits_per_symbol] shape, got {sorted({llrs.shape for llrs in grid_llrs})}"
+            f"grid LLRs need shape {list(shape)}, "
+            f"got {sorted({llrs.shape for llrs in grid_llrs})}"
         )
     data_pos = build_mask(cfg) == DATA
     stream = np.concatenate([llrs[data_pos].reshape(-1) for llrs in grid_llrs])

@@ -3,9 +3,18 @@
 Just the ops its residual CNN uses: 3x3 same-padded convolution with a
 folded bias, layer normalization over (C, T, F), ReLU, equal-shape
 residual addition, the fused sigmoid-BCE loss, and Adam. Tensors wrap
-numpy arrays; every op builds a closure that accumulates gradients into
-its parents, and ``Tensor.backward`` replays them in reverse topological
-order.
+numpy arrays; an op whose output needs a gradient records its parents
+and a closure that accumulates gradients into them, and
+``Tensor.backward`` replays the closures in reverse topological order.
+
+Graphs are freed by reference counting alone. A closure receives its
+output's gradient as an argument (``node._backward(node.grad)``) and
+never refers to its own output Tensor, so no graph is a reference cycle
+and it dies with its last user. ``backward`` drops each non-leaf node's
+``grad`` as soon as that node's closure has run; leaf grads (parameters,
+inputs) stay. Inside ``with no_grad():`` ops in that thread record
+nothing, so each intermediate array is freed once the next op has read
+it.
 
 float32 is the training precision; gradient checks build the same graphs
 in float64.
@@ -13,9 +22,11 @@ in float64.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import struct
+import threading
 
 import numpy as np
 
@@ -30,15 +41,34 @@ class CheckpointError(ValueError):
     """Weight file does not match the requesting model."""
 
 
+class _Recording(threading.local):
+    on = True  # per thread, so one thread's no_grad leaves another's training alone
+
+
+_recording = _Recording()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops in this thread without recording a graph."""
+    previous, _recording.on = _recording.on, False
+    try:
+        yield
+    finally:
+        _recording.on = previous
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad=False, parents=()):
         self.data = np.asarray(data)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            _recording.on and any(p.requires_grad for p in parents)
+        )
         self._backward = None
-        self._parents = parents
+        self._parents = parents if self.requires_grad else ()
 
     @property
     def shape(self):
@@ -52,9 +82,14 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Populate ``grad`` on every upstream tensor that requires it."""
+        """Populate ``grad`` on every upstream leaf tensor that requires it.
+
+        Each non-leaf node's ``grad`` is dropped once its closure has run.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise RuntimeError("backward needs a recorded graph; none was built under no_grad")
         topo, visited, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -71,37 +106,43 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
+
+
+def _result(data, parents, backward) -> Tensor:
+    """Wrap an op's output, recording ``backward`` only if a gradient flows."""
+    out = Tensor(data, parents=parents)
+    if out.requires_grad:
+        out._backward = backward
+    return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two equal-shaped tensors (the residual adds)."""
     if a.shape != b.shape:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data, parents=(a, b))
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad)
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(out.grad)
+            b._accumulate(g)
 
-    out._backward = _bw
-    return out
+    return _result(a.data + b.data, (a, b), _bw)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0), parents=(x,))
+    data = np.maximum(x.data, 0)
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x._accumulate(out.grad * (out.data > 0))
+            x._accumulate(g * (data > 0))
 
-    out._backward = _bw
-    return out
+    return _result(data, (x,), _bw)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -141,10 +182,8 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"cannot convolve input {x.shape} with kernel {k.shape}")
     parents = (x, k) if bias is None else (x, k, bias)
     data, cols = _conv_raw(x.data, k.data, None if bias is None else bias.data)
-    out = Tensor(data, parents=parents)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         B, c_out, H, W = g.shape
         if bias is not None and bias.requires_grad:
             # one axis at a time: the order fixes the float32 rounding of
@@ -161,8 +200,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
             )
             x._accumulate(_conv_raw(g, kf)[0])
 
-    out._backward = _bw
-    return out
+    return _result(data, parents, _bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -180,10 +218,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     gb = gamma.data.reshape(1, -1, 1, 1)
     data = xhat * gb
     data += beta.data.reshape(1, -1, 1, 1)
-    out = Tensor(data, parents=(x, gamma, beta))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         reduce_axes = (0, 2, 3)  # all but the channel axis
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=reduce_axes))
@@ -198,8 +234,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             dxhat *= inv
             x._accumulate(dxhat)
 
-    out._backward = _bw
-    return out
+    return _result(data, (x, gamma, beta), _bw)
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
@@ -219,15 +254,13 @@ def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
     else:
         mask = np.asarray(mask)
         weight = mask / mask.sum()
-    out = Tensor(np.array((elem * weight).sum()), parents=(logits,))
 
-    def _bw():
+    def _bw(g):
         if logits.requires_grad:
             sigmoid = np.where(z >= 0, 1, e) / (1 + e)  # exp(-|z|) never overflows
-            logits._accumulate(out.grad * (sigmoid - t) * weight)
+            logits._accumulate(g * (sigmoid - t) * weight)
 
-    out._backward = _bw
-    return out
+    return _result(np.array((elem * weight).sum()), (logits,), _bw)
 
 
 # ---------------------------------------------------------------------------

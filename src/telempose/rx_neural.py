@@ -162,8 +162,10 @@ class NeuralReceiver:
 
         ``y`` is [n_rx, n_symbols, n_subcarriers]; the result is
         [n_symbols, n_subcarriers, bits_per_symbol], ready for unpacking.
+        No graph is recorded, so each activation is freed once read.
         """
-        logits = self.forward_logits(y[None], noise_var)
+        with nn.no_grad():
+            logits = self.forward_logits(y[None], noise_var)
         return np.moveaxis(-logits.data[0].astype(float), 0, -1)
 
     def save(self, path):
@@ -244,9 +246,10 @@ def train(
         nn.zero_grads(params)
         loss.backward()
         nn.adam_step(params, state)
+        hard = logits.data > 0
+        del logits, loss  # free this step's graph before the next one is built
 
         live = mask > 0
-        hard = logits.data > 0
         ber = float(np.mean(hard[live] != (targets[live] > 0.5)))
         loss_acc += loss_value
         ber_acc += ber

@@ -122,7 +122,11 @@ def test_noise_spec_rejects_a_non_finite_ebn0(ebn0_db):
         NoiseSpec(ebn0_db)
 
 
-@pytest.mark.parametrize("ebn0_db", [4000.0, -4000.0])
+@pytest.mark.parametrize(
+    "ebn0_db",
+    [4000.0, -4000.0]
+    + [pytest.param(np.float64(e), id=f"np.float64({e})") for e in (4000.0, -4000.0)],
+)
 def test_noise_spec_rejects_an_ebn0_beyond_float_range(ebn0_db):
     with pytest.raises(ValueError, match="Eb/N0"):
         NoiseSpec(ebn0_db)

@@ -200,12 +200,14 @@ def test_unpack_grid_count_mismatch(cfg_2p, qpsk, rng):
         lambda llrs: [llrs[0], np.concatenate([llrs[1], llrs[1]], axis=-1)],
         lambda llrs: [l[:, :-1] for l in llrs],
         lambda llrs: [l[..., None] for l in llrs],
+        lambda llrs: [np.concatenate([l, l], axis=-1) for l in llrs],
     ],
     ids=["no-bit-axis", "one-bit-per-symbol", "bits-differ-between-grids",
-         "subcarrier-short", "extra-axis"],
+         "subcarrier-short", "extra-axis", "four-bits-per-symbol"],
 )
 def test_unpack_rejects_misshaped_llrs(cfg_2p, qpsk, rng, reshape):
     grids, record = pack_bits(rng.integers(0, 2, size=2809), cfg_2p, qpsk)
+    assert record.bits_per_symbol == 2
     with pytest.raises(FramingError):
         unpack_llrs(reshape(_identity_llrs(grids, qpsk)), record, cfg_2p)
 

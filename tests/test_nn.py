@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -348,6 +349,41 @@ def test_checkpoint_rejects_a_non_finite_weight(tmp_path, bad):
     with pytest.raises(CheckpointError, match="non-finite"):
         load_checkpoint(path, {"k": fresh.k, "b": fresh.b}, h)
     assert np.array_equal(fresh.k.data, before)
+
+
+def test_backward_keeps_leaf_grads_and_drops_the_others(rng):
+    x = t64(rng, (2, 3, 4, 5))
+    k = t64(rng, (3, 3, 3, 3), scale=0.5)
+    h = relu(conv2d(x, k))
+    loss = bce_with_logits(h, _binary(rng, (2, 3, 4, 5)))
+    loss.backward()
+    assert x.grad is not None and k.grad is not None
+    assert h.grad is None and loss.grad is None
+
+
+def test_no_grad_records_nothing_and_computes_the_same(rng):
+    x = t64(rng, (2, 3, 4, 5))
+    k = t64(rng, (3, 3, 3, 3), scale=0.5)
+    recorded = relu(conv2d(x, k))
+    with nn.no_grad():
+        out = relu(conv2d(x, k))
+        with nn.no_grad():
+            pass
+        inner = nn.add(out, out)
+    assert np.array_equal(out.data, recorded.data)
+    for t in (out, inner):
+        assert not t.requires_grad and t._parents == () and t._backward is None
+    assert recorded.requires_grad and relu(x).requires_grad
+
+
+def test_no_grad_leaves_other_threads_recording(rng):
+    x = t64(rng, (3, 3))
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(relu(x).requires_grad))
+    with nn.no_grad():
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and seen == [True]
 
 
 def test_backward_requires_scalar(rng):

@@ -1,10 +1,17 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from telempose import nn
-from telempose.channel import ChannelRealization, SynthParams, synth_channel
+from telempose.channel import (
+    ChannelRealization,
+    SynthParams,
+    flat_unit_channel,
+    synth_channel,
+)
 from telempose.rx_neural import (
     NeuralReceiver,
     NeuralRxConfig,
@@ -102,6 +109,15 @@ def test_first_training_loss_is_ln2(cfg_2p, qpsk):
     assert abs(log[0].loss - math.log(2.0)) <= 1e-6
 
 
+def test_training_lowers_the_loss_on_a_flat_channel(cfg_2p, qpsk):
+    rx = NeuralReceiver(NeuralRxConfig(filters=8, n_blocks=1), np.random.default_rng(2))
+    hyper = TrainConfig(iterations=30, batch=2, lr=1e-2, ebn0_range_db=(10.0, 10.0),
+                        log_every=10)
+    log = train(rx, cfg_2p, qpsk, [flat_unit_channel(2)], hyper, np.random.default_rng(3))
+    assert [e.iteration for e in log] == [10, 20, 30]
+    assert log[-1].loss < 0.2  # ln 2 ~ 0.693 before training
+
+
 def test_training_is_deterministic_under_a_seed(cfg_2p, qpsk):
     log_a, rx_a = _trained_log(cfg_2p, qpsk)
     log_b, rx_b = _trained_log(cfg_2p, qpsk)
@@ -160,3 +176,86 @@ def test_receive_rejects_a_non_finite_grid(rng, bad):
     y[1, 3, 40] = 1j * bad
     with pytest.raises(ValueError, match="received grid"):
         rx.receive(y, 0.1)
+
+
+def _live_tensors():
+    return sum(isinstance(o, nn.Tensor) for o in gc.get_objects())
+
+
+def test_train_and_receive_free_their_graphs_without_the_collector(cfg_2p, qpsk, rng):
+    rx = NeuralReceiver(TINY, np.random.default_rng(2))
+    channels, y = _channels(), _received(rng)
+    hyper = TrainConfig(iterations=1, batch=2)
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_tensors()
+        train(rx, cfg_2p, qpsk, channels, hyper, np.random.default_rng(3))
+        after_train = _live_tensors()
+        rx.receive(y, 0.1)
+        after_receive = _live_tensors()
+    finally:
+        gc.enable()
+    assert after_train == before
+    assert after_receive == before
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_receive_peak_memory_does_not_grow_with_depth(rng):
+    # each activation is freed once the next layer has read it, so the
+    # peak is a few layers' arrays however many blocks there are
+    y = _received(rng)
+    peaks = [
+        _peak_bytes(lambda: NeuralReceiver(NeuralRxConfig(n_blocks=n, filters=4),
+                                           np.random.default_rng(0)).receive(y, 0.1))
+        for n in (1, 3)
+    ]
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_training_peak_memory_does_not_grow_after_the_first_step(cfg_2p, qpsk):
+    # each step's graph is freed before the next forward builds one
+    def run(iterations):
+        rx = NeuralReceiver(TINY, np.random.default_rng(2))
+        hyper = TrainConfig(iterations=iterations, batch=2)
+        train(rx, cfg_2p, qpsk, [flat_unit_channel(2)], hyper, np.random.default_rng(3))
+
+    one, three = _peak_bytes(lambda: run(1)), _peak_bytes(lambda: run(3))
+    assert three < 1.1 * one, (one, three)
+
+
+def test_receive_equals_the_recorded_forward(rng):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    rx.out.k.data = nn.kaiming_uniform(rng, rx.out.k.data.shape, 36)
+    y = _received(rng)
+    logits = rx.forward_logits(y[None], 0.3)
+    expected = np.moveaxis(-logits.data[0].astype(float), 0, -1)
+    assert np.any(expected != 0.0)
+    assert np.array_equal(rx.receive(y, 0.3), expected)
+
+
+def test_training_under_no_grad_raises_instead_of_not_learning(cfg_2p, qpsk):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    before = {name: p.data.copy() for name, p in rx.named_params().items()}
+    with pytest.raises(RuntimeError, match="no_grad"), nn.no_grad():
+        train(rx, cfg_2p, qpsk, _channels(), TrainConfig(iterations=1, batch=1),
+              np.random.default_rng(1))
+    for name, p in rx.named_params().items():
+        assert np.array_equal(p.data, before[name]), name
+
+
+def test_failed_receive_leaves_recording_on(cfg_2p, qpsk, rng):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="noise_var"):
+        rx.receive(_received(rng), 0.0)
+    train(rx, cfg_2p, qpsk, _channels(), TrainConfig(iterations=1, batch=1), rng)
+    for name, p in rx.named_params().items():
+        assert p.grad is not None and p.grad.shape == p.data.shape, name
