@@ -89,6 +89,14 @@ def build_mask(cfg: GridConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _data_index(cfg: GridConfig) -> np.ndarray:
+    """Row-major flat index of the DATA elements, cached per config, read-only."""
+    index = np.flatnonzero(build_mask(cfg) == DATA)
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=None)
 def pilot_value_grid(cfg: GridConfig) -> np.ndarray:
     """Pilot values placed at their grid positions (zeros elsewhere).
 
@@ -188,8 +196,8 @@ def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray
             f"grid LLRs need shape {list(shape)}, "
             f"got {sorted({llrs.shape for llrs in grid_llrs})}"
         )
-    data_pos = build_mask(cfg) == DATA
-    stream = np.concatenate([llrs[data_pos].reshape(-1) for llrs in grid_llrs])
+    stacked = np.stack(grid_llrs).reshape(record.n_grids, -1, record.bits_per_symbol)
+    stream = stacked.take(_data_index(cfg), axis=1).reshape(-1)
     if stream.size < record.payload_bits:
         raise FramingError(
             f"grids carry {stream.size} LLRs, framing record expects {record.payload_bits}"

@@ -207,6 +207,8 @@ def _demap_inputs(y_eq, noise_var):
     noise_var = np.asarray(noise_var, dtype=float)
     if not np.all(np.isfinite(noise_var) & (noise_var > 0)):
         raise ValueError("noise_var must be finite and positive")
+    if not np.all(np.isfinite(y_eq)):
+        raise ValueError("y_eq must be finite")
     return np.broadcast_to(y_eq, np.broadcast_shapes(y_eq.shape, noise_var.shape)), noise_var
 
 

@@ -16,6 +16,10 @@ inputs) stay. Inside ``with no_grad():`` ops in that thread record
 nothing, so each intermediate array is freed once the next op has read
 it.
 
+The 3x3-only convolution runs as three batched GEMMs over row taps of
+its input (see ``conv2d``); backward rebuilds the taps from the input,
+which the graph holds anyway, so a recorded conv keeps only its output.
+
 float32 is the training precision; gradient checks build the same graphs
 in float64.
 """
@@ -145,43 +149,63 @@ def relu(x: Tensor) -> Tensor:
     return _result(data, (x,), _bw)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """[B,C,H,W] -> [C*kh*kw, B*H*W] patch matrix with zero same-padding."""
+def _tap_rows(x: np.ndarray) -> list:
+    """Copy [B,C,H,W] into column taps; return one [B, 3C, H*W] span per kernel row.
+
+    Tap j holds the input shifted so that column w reads column w+j-1,
+    with one zero row above and below. Flattened to [B, 3C, (H+2)*W], the
+    span of kernel row i for output row h starts at row h+i, so each
+    kernel row reads one contiguous range of every tap.
+    """
     B, C, H, W = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    s = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(C, kh, kw, B, H, W),
-        strides=(s[1], s[2], s[3], s[0], s[2], s[3]),
-    )
-    return win.reshape(C * kh * kw, B * H * W)
+    taps = np.empty((B, 3, C, H + 2, W), dtype=x.dtype)
+    taps[:, :, :, 0] = 0
+    taps[:, :, :, -1] = 0
+    taps[:, 0, :, 1:-1, 0] = 0
+    taps[:, 2, :, 1:-1, -1] = 0
+    taps[:, 0, :, 1:-1, 1:] = x[..., :-1]
+    taps[:, 1, :, 1:-1] = x
+    taps[:, 2, :, 1:-1, :-1] = x[..., 1:]
+    flat = taps.reshape(B, 3 * C, (H + 2) * W)
+    return [flat[:, :, i * W : (i + H) * W] for i in range(3)]
 
 
-def _conv_raw(x: np.ndarray, k: np.ndarray, bias=None):
-    c_out, c_in, kh, kw = k.shape
+def _conv_raw(x: np.ndarray, k: np.ndarray, bias=None) -> np.ndarray:
+    """3x3 same convolution as three batched [Co, 3C] @ [3C, H*W] GEMMs."""
     B, C, H, W = x.shape
-    cols = _im2col(np.ascontiguousarray(x), kh, kw)
-    flat = k.reshape(c_out, -1) @ cols
+    c_out = k.shape[0]
+    spans = _tap_rows(x)
+    rows = k.transpose(2, 0, 3, 1).reshape(3, c_out, 3 * C)  # [i, co, (j, c)]
+    out = np.matmul(rows[0], spans[0])
+    part = np.empty_like(out)
+    for i in (1, 2):
+        out += np.matmul(rows[i], spans[i], out=part)
     if bias is not None:
-        flat += bias.reshape(c_out, 1)
-    out = flat.reshape(c_out, B, H, W)
-    # materialize batch-major so downstream ops see a contiguous array
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
+        out += bias.reshape(1, c_out, 1)
+    return out.reshape(B, c_out, H, W)
 
 
 def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Stride-1 zero-padded convolution preserving the spatial size.
+    """Stride-1 zero-padded 3x3 convolution preserving the spatial size.
 
-    ``x`` is [batch, c_in, h, w], ``k`` is [c_out, c_in, kh, kw] with odd
-    kernel dims; the optional per-output-channel ``bias`` is folded into
-    the same pass. The patch matrix from the forward pass is kept on the
-    node for gradient reuse.
+    ``x`` is [batch, c_in, h, w], ``k`` is [c_out, c_in, 3, 3]; any other
+    kernel size raises ``ShapeError``. The optional per-output-channel
+    ``bias`` is added after the three kernel-row sums. The input is copied
+    into three column taps (w-1, w, w+1) zero-padded by one row, so each
+    kernel row is one batched GEMM over a contiguous span of the taps and
+    the output is batch-major without a transpose. The taps (3x the
+    input) are dropped after the forward pass; backward rebuilds them
+    from ``x`` instead of keeping them.
     """
-    if x.data.ndim != 4 or k.data.ndim != 4 or x.data.shape[1] != k.data.shape[1]:
-        raise ShapeError(f"cannot convolve input {x.shape} with kernel {k.shape}")
+    if (
+        x.data.ndim != 4
+        or k.data.ndim != 4
+        or x.data.shape[1] != k.data.shape[1]
+        or k.data.shape[2:] != (3, 3)
+    ):
+        raise ShapeError(f"cannot convolve input {x.shape} with 3x3 kernel {k.shape}")
     parents = (x, k) if bias is None else (x, k, bias)
-    data, cols = _conv_raw(x.data, k.data, None if bias is None else bias.data)
+    data = _conv_raw(x.data, k.data, None if bias is None else bias.data)
 
     def _bw(g):
         B, c_out, H, W = g.shape
@@ -191,14 +215,15 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
             gb = g.sum(axis=0).sum(axis=1).sum(axis=1)
             bias._accumulate(gb.reshape(bias.data.shape))
         if k.requires_grad:
-            gm = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
-            k._accumulate((gm @ cols.T).reshape(k.data.shape))
+            gm = g.reshape(B, c_out, H * W)
+            rows = np.stack(  # [i, co, (j, c)]; the taps die before gx builds its own
+                [(gm @ span.transpose(0, 2, 1)).sum(axis=0) for span in _tap_rows(x.data)]
+            )
+            k._accumulate(rows.reshape(3, c_out, 3, -1).transpose(1, 3, 0, 2))
         if x.requires_grad:
             # full correlation with the flipped, in/out-swapped kernel
-            kf = np.ascontiguousarray(
-                k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            )
-            x._accumulate(_conv_raw(g, kf)[0])
+            kf = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            x._accumulate(_conv_raw(g, kf))
 
     return _result(data, parents, _bw)
 

@@ -15,6 +15,7 @@ from telempose.grid import (
     pilot_value_grid,
     unpack_llrs,
 )
+from telempose.modem import qam
 
 
 def test_mask_counts_2p(cfg_2p):
@@ -211,6 +212,19 @@ def test_unpack_rejects_misshaped_llrs(cfg_2p, qpsk, rng, reshape):
     assert record.bits_per_symbol == 2
     with pytest.raises(FramingError):
         unpack_llrs(reshape(_identity_llrs(grids, qpsk)), record, cfg_2p)
+
+
+@pytest.mark.parametrize("order", [4, 16])
+@pytest.mark.parametrize("pilots", ["1p", "2p"])
+def test_unpack_matches_a_per_grid_mask_gather(cfg_1p, cfg_2p, rng, pilots, order):
+    cfg = cfg_1p if pilots == "1p" else cfg_2p
+    const = qam(order)
+    grids, record = pack_bits(rng.integers(0, 2, size=9000), cfg, const)
+    assert record.n_grids > 1
+    llrs = [rng.standard_normal(g.symbols.shape + (const.bits_per_symbol,)) for g in grids]
+    data_pos = build_mask(cfg) == DATA
+    expected = np.concatenate([l[data_pos].reshape(-1) for l in llrs])[: record.payload_bits]
+    assert np.array_equal(unpack_llrs(llrs, record, cfg), expected)
 
 
 def test_grids_share_the_config_mask(cfg_2p, qpsk):

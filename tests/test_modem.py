@@ -392,6 +392,14 @@ def test_llr_rejects_bad_noise_var(qpsk):
             llr_maxlog([1 + 1j, 0j], bad, qpsk)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("demap", [llr_exact, llr_maxlog])
+def test_llr_rejects_a_non_finite_symbol(qpsk, demap, bad):
+    for y in ([complex(bad, 0.0), 1 + 1j], [1 + 1j, complex(0.0, bad)]):
+        with pytest.raises(ValueError, match="y_eq"):
+            demap(y, 1.0, qpsk)
+
+
 def test_hard_decide_rules():
     assert hard_decide([3.2]).tolist() == [0]
     assert hard_decide([-0.1]).tolist() == [1]

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -107,6 +108,37 @@ def test_conv2d_matches_naive_reference(rng):
     assert np.max(np.abs(out.data - _conv_naive(x, k))) < 1e-10
 
 
+@pytest.mark.parametrize("H", [1, 2, 5])
+@pytest.mark.parametrize("W", [1, 2, 7])
+def test_conv2d_matches_naive_reference_at_edge_sizes(rng, H, W):
+    x = rng.standard_normal((3, 2, H, W))
+    k = rng.standard_normal((5, 2, 3, 3))
+    out = conv2d(Tensor(x), Tensor(k))
+    assert out.data.flags.c_contiguous
+    assert np.max(np.abs(out.data - _conv_naive(x, k))) < 1e-10
+
+
+@pytest.mark.parametrize("size", [1, 5])
+def test_conv2d_accepts_only_3x3_kernels(size):
+    with pytest.raises(ShapeError, match="3x3"):
+        conv2d(Tensor(np.zeros((1, 2, 6, 6))), Tensor(np.zeros((3, 2, size, size))))
+
+
+def test_recorded_conv2d_keeps_about_its_output_alive(rng):
+    # backward rebuilds the row taps from x, so the node holds no patch buffer
+    x = Tensor(rng.standard_normal((2, 16, 14, 32)).astype(np.float32), requires_grad=True)
+    layer = Conv2d(16, 16, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = layer(x)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept <= 1.1 * out.data.nbytes, kept / out.data.nbytes
+
+
 def test_bce_with_logits_at_chance():
     out = bce_with_logits(Tensor(np.zeros((3, 4))), Tensor(np.ones((3, 4))))
     assert float(out.data) == pytest.approx(np.log(2.0), rel=1e-12)
@@ -196,6 +228,16 @@ def test_grad_conv2d(rng):
     k = t64(rng, (2, 3, 3, 3), scale=0.5)
     t = _binary(rng, (2, 2, 5, 7))
     check_grad(lambda: bce_with_logits(conv2d(x, k), t), x, k)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1, 6), (2, 3, 5, 1), (3, 2, 4, 6)])
+def test_grad_conv2d_with_bias(rng, shape):
+    B, c_in, H, W = shape
+    x = t64(rng, shape)
+    k = t64(rng, (4, c_in, 3, 3), scale=0.5)
+    b = t64(rng, (1, 4, 1, 1))
+    t = _binary(rng, (B, 4, H, W))
+    check_grad(lambda: bce_with_logits(conv2d(x, k, b), t), x, k, b)
 
 
 def test_grad_layer_norm(rng):
