@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._reader import Reader
-from .grid import GridConfig, ResourceGrid
+from .grid import GridConfig, ResourceGrid, _check_int
 
 SPEED_OF_LIGHT = 299_792_458.0
 MAX_PATHS = 75
@@ -72,6 +73,11 @@ class ChannelRealization:
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the validating constructor, which
+        # stores read-only copies; the response memo relies on that immutability
+        return type(self), (self.gains, self.delays, self.dopplers, self.meta)
+
     @property
     def n_rx(self) -> int:
         return self.gains.shape[1]
@@ -114,15 +120,22 @@ class SynthParams:
     carrier_hz: float = 3.5e9
 
     def __post_init__(self):
+        _check_int("l_max", self.l_max)
+        _check_int("n_rx", self.n_rx)
         if not 1 <= self.l_max <= MAX_PATHS:
             raise ValueError(f"l_max must be in 1..{MAX_PATHS}")
-        if self.delay_spread_s <= 0:
-            raise ValueError("delay spread must be positive")
+        # chained comparisons are False for NaN and raise no warning
+        if not 0 < self.delay_spread_s < math.inf:
+            raise ValueError(
+                f"delay spread must be finite and positive, got {self.delay_spread_s}"
+            )
         lo, hi = self.speed_range_mps
-        if lo < 0 or hi < lo:
-            raise ValueError("invalid speed range")
+        if not 0 <= lo <= hi < math.inf:
+            raise ValueError(f"invalid speed range {self.speed_range_mps}")
         if self.n_rx < 1:
             raise ValueError("need at least one RX antenna")
+        if not 0 < self.carrier_hz < math.inf:
+            raise ValueError(f"carrier must be finite and positive, got {self.carrier_hz}")
 
 
 def flat_unit_channel(n_rx: int = 1) -> ChannelRealization:
@@ -157,26 +170,38 @@ def synth_channel(rng: np.random.Generator, params: SynthParams) -> ChannelReali
     return ChannelRealization(gains, delays, dopplers, meta="synthetic")
 
 
-def _centered_freq_offsets(cfg: GridConfig) -> np.ndarray:
-    n = np.arange(cfg.n_subcarriers) - cfg.n_subcarriers // 2
-    return n * cfg.subcarrier_spacing_hz
-
-
 def freq_response_grid(ch: ChannelRealization, cfg: GridConfig) -> np.ndarray:
     """Frequency response at every OFDM symbol, shape [n_rx, n_symbols, n_sc].
 
     Subcarrier n runs over centered indices -N/2 .. N/2-1; symbol i sits at
     time i / subcarrier_spacing (no cyclic prefix is modelled). The sum
     over paths is one [n_rx * n_symbols, L] @ [L, n_sc] product.
+
+    The response depends on ``cfg`` only through its time-frequency lattice,
+    so the last one computed is memoized by realization identity and
+    lattice: every grid of a link, and a perfect-CSI receiver on the same
+    channel, share one evaluation. The returned array is read-only.
     """
-    t = np.arange(cfg.n_symbols) * cfg.symbol_duration_s
+    return _memo_response(ch, cfg.n_symbols, cfg.n_subcarriers, cfg.subcarrier_spacing_hz)
+
+
+# One entry: a link walks one channel at a time, and a larger memo would keep
+# a 56 KiB response alive for every realization of a training set.
+@lru_cache(maxsize=1)
+def _memo_response(ch, n_symbols, n_subcarriers, subcarrier_spacing_hz) -> np.ndarray:
+    h = _evaluate_response(ch, n_symbols, n_subcarriers, subcarrier_spacing_hz)
+    h.flags.writeable = False
+    return h
+
+
+def _evaluate_response(ch, n_symbols, n_subcarriers, subcarrier_spacing_hz) -> np.ndarray:
+    t = np.arange(n_symbols) * (1.0 / subcarrier_spacing_hz)
+    offsets = (np.arange(n_subcarriers) - n_subcarriers // 2) * subcarrier_spacing_hz
     rotation = np.exp(2j * np.pi * np.outer(t, ch.dopplers))  # [n_sym, L]
-    delay_ramp = np.exp(
-        -2j * np.pi * np.outer(ch.delays, _centered_freq_offsets(cfg))
-    )  # [L, n_sc]
+    delay_ramp = np.exp(-2j * np.pi * np.outer(ch.delays, offsets))  # [L, n_sc]
     weights = ch.gains.T[:, None, :] * rotation  # [n_rx, n_sym, L]
     h = weights.reshape(-1, len(ch.delays)) @ delay_ramp
-    return h.reshape(ch.n_rx, cfg.n_symbols, cfg.n_subcarriers)
+    return h.reshape(ch.n_rx, n_symbols, n_subcarriers)
 
 
 def apply(
@@ -187,13 +212,14 @@ def apply(
 ) -> np.ndarray:
     """Pass a grid through the channel, adding complex AWGN.
 
-    Returns the received array [n_rx, n_symbols, n_subcarriers]. The total
-    complex noise variance per element is ``noise.noise_variance``; guard
-    elements come out as noise only. ``noise=None`` means noiseless. The
-    generator draws every real part of the noise, then every imaginary part.
+    Returns a fresh, writeable received array [n_rx, n_symbols,
+    n_subcarriers]; the channel response comes from the memo of
+    :func:`freq_response_grid` and is not modified. The total complex noise
+    variance per element is ``noise.noise_variance``; guard elements come
+    out as noise only. ``noise=None`` means noiseless. The generator draws
+    every real part of the noise, then every imaginary part.
     """
-    y = freq_response_grid(ch, grid.cfg)
-    y *= grid.symbols
+    y = freq_response_grid(ch, grid.cfg) * grid.symbols
     if noise is not None:
         n = rng.standard_normal((2,) + y.shape)
         n *= math.sqrt(noise.noise_variance / 2.0)

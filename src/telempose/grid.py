@@ -12,6 +12,7 @@ symbols needs to travel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,13 @@ class GridConfig:
     pilot_seed: int = 0x5EED  # agreed between transmitter and receiver
 
     def __post_init__(self):
+        for name in ("n_subcarriers", "n_symbols", "guard_left", "guard_right",
+                     "pilot_seed"):
+            _check_int(name, getattr(self, name))
+        # a tuple keeps the config hashable, so it can key the per-config caches
+        object.__setattr__(self, "pilot_symbol_indices", tuple(self.pilot_symbol_indices))
+        for i in self.pilot_symbol_indices:
+            _check_int("pilot symbol index", i)
         if self.n_symbols < 1:
             raise ValueError(f"need at least one OFDM symbol, got {self.n_symbols}")
         if min(self.guard_left, self.guard_right) < 0:
@@ -58,9 +66,12 @@ class GridConfig:
     def effective_slice(self) -> slice:
         return slice(self.guard_left, self.n_subcarriers - self.guard_right)
 
-    @property
-    def symbol_duration_s(self) -> float:
-        return 1.0 / self.subcarrier_spacing_hz
+
+def _check_int(name: str, value):
+    """Raise ``ValueError`` unless ``value`` is an integer (bool excluded)."""
+    # bool is an Integral, but True as a size, an index or a seed is a mistake
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def two_pilot_config(**kwargs) -> GridConfig:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,11 +56,15 @@ def _levels(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     non-negative this is floor(v + 0.5). Non-finite values have no level
     and are rejected.
     """
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("cannot quantize a non-finite value")
-    xc = np.clip(x, cfg.lo, cfg.hi)
-    v = (xc - cfg.lo) / (cfg.hi - cfg.lo) * (cfg.n_levels - 1)
-    return np.floor(v + 0.5).astype(np.int64)
+    v = np.maximum(x, cfg.lo)  # clamp into [lo, hi], then scale in place
+    np.minimum(v, cfg.hi, out=v)
+    v -= cfg.lo
+    v /= cfg.hi - cfg.lo
+    v *= cfg.n_levels - 1
+    v += 0.5
+    return np.floor(v, out=v).astype(np.int64)
 
 
 def saturation_count(x, cfg: QuantizerConfig) -> int:
@@ -69,15 +73,21 @@ def saturation_count(x, cfg: QuantizerConfig) -> int:
     return int(np.count_nonzero((x < cfg.lo) | (x > cfg.hi)))
 
 
+@lru_cache(maxsize=None)
+def _place_values(q: int) -> np.ndarray:
+    """Big-endian bit weights [2**(q-1), ..., 2, 1], int64, cached per width, read-only."""
+    weights = 1 << np.arange(q - 1, -1, -1, dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
 def _levels_to_bits(levels: np.ndarray, q: int) -> np.ndarray:
     """Big-endian q-bit expansion, shape (..., q)."""
-    shifts = np.arange(q - 1, -1, -1)
-    return ((levels[..., None] >> shifts) & 1).astype(np.uint8)
+    return ((levels[..., None] & _place_values(q)) != 0).astype(np.uint8)
 
 
 def _bits_to_levels(bits: np.ndarray, q: int) -> np.ndarray:
-    weights = 1 << np.arange(q - 1, -1, -1, dtype=np.int64)
-    return bits.astype(np.int64) @ weights
+    return bits.astype(np.int64) @ _place_values(q)
 
 
 def quantize_frame(x, cfg: QuantizerConfig) -> np.ndarray:
@@ -104,7 +114,10 @@ def dequantize_frame(bits, cfg: QuantizerConfig) -> np.ndarray:
             f"expected {FEATURES_PER_FRAME * cfg.q} bits, got shape {bits.shape}"
         )
     levels = _bits_to_levels(bits.reshape(FEATURES_PER_FRAME, cfg.q), cfg.q)
-    return cfg.lo + levels / (cfg.n_levels - 1) * (cfg.hi - cfg.lo)
+    values = levels / (cfg.n_levels - 1)
+    values *= cfg.hi - cfg.lo
+    values += cfg.lo
+    return values
 
 
 def _gray_decode(codes: np.ndarray) -> np.ndarray:
@@ -205,11 +218,15 @@ def _demap_inputs(y_eq, noise_var):
     """Validate, and broadcast ``y_eq`` to the shape of the output LLRs."""
     y_eq = np.asarray(y_eq, dtype=complex)
     noise_var = np.asarray(noise_var, dtype=float)
-    if not np.all(np.isfinite(noise_var) & (noise_var > 0)):
-        raise ValueError("noise_var must be finite and positive")
-    if not np.all(np.isfinite(y_eq)):
-        raise ValueError("y_eq must be finite")
+    _check_demap_inputs(y_eq, noise_var)
     return np.broadcast_to(y_eq, np.broadcast_shapes(y_eq.shape, noise_var.shape)), noise_var
+
+
+def _check_demap_inputs(y_eq: np.ndarray, noise_var: np.ndarray):
+    if not (np.isfinite(noise_var) & (noise_var > 0)).all():
+        raise ValueError("noise_var must be finite and positive")
+    if not np.isfinite(y_eq).all():
+        raise ValueError("y_eq must be finite")
 
 
 def _distance_metric(y_eq: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -259,7 +276,15 @@ def llr_exact(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
 
 def llr_maxlog(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
     """Max-log approximation of :func:`llr_exact` (same sign convention)."""
-    y_eq, noise_var = _demap_inputs(y_eq, noise_var)
+    return _llr_maxlog_core(*_demap_inputs(y_eq, noise_var), constellation)
+
+
+def _llr_maxlog_core(y_eq: np.ndarray, noise_var: np.ndarray, constellation: Constellation):
+    """:func:`llr_maxlog` on arrays that passed :func:`_check_demap_inputs`.
+
+    ``y_eq`` is complex with the output's leading shape; ``noise_var`` is a
+    float array that broadcasts against it.
+    """
     d = _distance_metric(y_eq, constellation)
     B = constellation.bits_per_symbol
     llrs = np.empty(y_eq.shape + (B,))

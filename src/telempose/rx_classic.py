@@ -11,8 +11,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DATA, GridConfig, build_mask, pilot_value_grid
-from .modem import Constellation, llr_maxlog
+from .grid import GridConfig, pilot_value_grid
+from .modem import Constellation, _check_demap_inputs, _llr_maxlog_core
+
+_TINY = np.finfo(float).tiny
+
+
+def _check_unit_power(pilot_values: np.ndarray):
+    if not np.all(np.abs(np.abs(pilot_values) - 1.0) <= 1e-9):  # NaN fails too
+        raise ValueError("pilot values must have unit power")
 
 
 def ls_estimate(y_pilots: np.ndarray, pilot_values: np.ndarray) -> np.ndarray:
@@ -23,9 +30,22 @@ def ls_estimate(y_pilots: np.ndarray, pilot_values: np.ndarray) -> np.ndarray:
     magnitude within 1e-9 of one.
     """
     pilot_values = np.asarray(pilot_values)
-    if not np.all(np.abs(np.abs(pilot_values) - 1.0) <= 1e-9):  # NaN fails too
-        raise ValueError("pilot values must have unit power")
+    _check_unit_power(pilot_values)
     return y_pilots * np.conj(pilot_values)
+
+
+@lru_cache(maxsize=None)
+def _pilot_conj(cfg: GridConfig) -> np.ndarray:
+    """Conjugate pilot values [n_pilot_columns, n_effective], cached per config, read-only.
+
+    Rows follow ``cfg.pilot_symbol_indices``; multiplying the received pilot
+    columns by it is :func:`ls_estimate`, with the unit-power check made once.
+    """
+    pilots = pilot_value_grid(cfg)[list(cfg.pilot_symbol_indices), cfg.effective_slice]
+    _check_unit_power(pilots)
+    conj = np.conj(pilots)
+    conj.flags.writeable = False
+    return conj
 
 
 @lru_cache(maxsize=None)
@@ -87,39 +107,46 @@ def lmmse_equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float):
     """
     if not (np.isfinite(noise_var) and noise_var >= 0):
         raise ValueError(f"noise_var must be finite and non-negative, got {noise_var}")
-    h_norm2 = np.sum(h_est.real**2 + h_est.imag**2, axis=0)
+    sq = np.square(h_est.real)
+    sq += np.square(h_est.imag)
+    h_norm2 = sq.sum(axis=0)
     # a zero norm without noise leaves h^H y = 0 as well, so c_hat comes out 0
-    denom = np.maximum(h_norm2 + noise_var, np.finfo(float).tiny)
-    c_hat = np.sum(np.conj(h_est) * y, axis=0) / denom
-    return c_hat, noise_var * h_norm2 / denom**2, h_norm2 / denom
-
-
-@lru_cache(maxsize=None)
-def _non_data(cfg: GridConfig) -> tuple:
-    """Index of the grid elements that are not DATA, cached per config, read-only."""
-    index = np.nonzero(build_mask(cfg) != DATA)
-    for axis in index:
-        axis.flags.writeable = False
-    return index
+    denom = h_norm2 + noise_var
+    np.maximum(denom, _TINY, out=denom)
+    c_hat = (np.conj(h_est) * y).sum(axis=0)
+    c_hat /= denom
+    post_var = noise_var * h_norm2
+    post_var /= np.square(denom)
+    return c_hat, post_var, h_norm2 / denom
 
 
 def _demap(c_hat, post_var, bias, constellation, cfg):
     """Unbias the equalizer output and produce the LLR grid over DATA."""
     live = bias > 0
-    c_unbiased = np.divide(c_hat, bias, out=np.zeros_like(c_hat), where=live)
-    var_eff = np.divide(post_var, bias**2, out=np.ones_like(post_var), where=live)
+    all_live = live.all()
+    if all_live:  # the usual case: masked divides and the erasure scatter are no-ops
+        c_unbiased = c_hat / bias
+        var_eff = post_var / np.square(bias)
+    else:
+        c_unbiased = np.divide(c_hat, bias, out=np.zeros_like(c_hat), where=live)
+        var_eff = np.divide(
+            post_var, np.square(bias), out=np.ones_like(post_var), where=live
+        )
     # floor keeps the demapper finite when called on noiseless input
     np.maximum(var_eff, 1e-30, out=var_eff)
-    llr_eff = llr_maxlog(c_unbiased, var_eff, constellation)
-    llr_eff[~live] = 0.0  # erasures carry no information
+    _check_demap_inputs(c_unbiased, var_eff)
+    llr_eff = _llr_maxlog_core(c_unbiased, var_eff, constellation)
+    if not all_live:
+        llr_eff[~live] = 0.0  # erasures carry no information
     llr_grid = np.zeros((cfg.n_symbols, cfg.n_subcarriers, constellation.bits_per_symbol))
     llr_grid[:, cfg.effective_slice] = llr_eff
-    llr_grid[_non_data(cfg)] = 0.0
+    # guard elements are still zero; the pilot rows are PILOT over the effective band
+    llr_grid[list(cfg.pilot_symbol_indices)] = 0.0
     return llr_grid
 
 
 def _check_finite(name: str, a: np.ndarray):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} holds a non-finite value")
 
 
@@ -134,9 +161,7 @@ def receive_classic(
     """
     _check_finite("received grid", y)
     eff = cfg.effective_slice
-    pilot_idx = list(cfg.pilot_symbol_indices)
-    pilots = pilot_value_grid(cfg)[pilot_idx, eff]
-    h_p = ls_estimate(y[:, pilot_idx, eff], pilots)
+    h_p = y[:, list(cfg.pilot_symbol_indices), eff] * _pilot_conj(cfg)
     h_full = interpolate(h_p, cfg)
     c_hat, post_var, bias = lmmse_equalize(y[:, :, eff], h_full, noise_var)
     return _demap(c_hat, post_var, bias, constellation, cfg)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .channel import NoiseSpec, apply
-from .grid import DATA, GridConfig, build_mask, grid_capacity_bits, pack_bits
+from .grid import DATA, GridConfig, _check_int, build_mask, grid_capacity_bits, pack_bits
 from .modem import Constellation
 
 
@@ -34,6 +34,15 @@ class NeuralRxConfig:
     bits_per_symbol: int = 2
     n_symbols: int = 14
     n_subcarriers: int = 128
+
+    def __post_init__(self):
+        _check_int("n_blocks", self.n_blocks)
+        if self.n_blocks < 0:
+            raise ValueError(f"n_blocks must be >= 0, got {self.n_blocks}")
+        for name in ("n_rx", "filters", "bits_per_symbol", "n_symbols", "n_subcarriers"):
+            _check_int(name, getattr(self, name))
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def input_channels(self) -> int:

@@ -1,9 +1,12 @@
 import copy
+import math
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
+from telempose import channel
 from telempose.channel import (
     MAX_PATHS,
     ChannelFileError,
@@ -18,6 +21,7 @@ from telempose.channel import (
     synth_channel,
 )
 from telempose.grid import GridConfig, ResourceGrid, pack_bits
+from telempose.rx_classic import receive_perfect_csi
 
 
 def _grid_with(symbols, cfg):
@@ -128,6 +132,35 @@ def test_synth_power_normalization(rng):
         ch = synth_channel(rng, params)
         totals[i] = np.mean(np.sum(np.abs(ch.gains) ** 2, axis=0))
     assert 0.95 <= totals.mean() <= 1.05
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"carrier_hz": 0.0},
+        {"carrier_hz": -3.5e9},
+        {"carrier_hz": math.nan},
+        {"carrier_hz": math.inf},
+        {"delay_spread_s": np.float64(np.nan)},
+        {"delay_spread_s": math.inf},
+        {"delay_spread_s": 0.0},
+        {"speed_range_mps": (math.nan, 10.0)},
+        {"speed_range_mps": (1.0, math.nan)},
+        {"speed_range_mps": (1.0, math.inf)},
+        {"speed_range_mps": (-1.0, 10.0)},
+        {"speed_range_mps": (10.0, 1.0)},
+        {"n_rx": 1.5},
+        {"n_rx": True},
+        {"l_max": 2.5},
+    ],
+    ids=["zero-carrier", "negative-carrier", "nan-carrier", "inf-carrier",
+         "nan-delay-spread", "inf-delay-spread", "zero-delay-spread", "nan-speed-lo",
+         "nan-speed-hi", "inf-speed", "negative-speed", "reversed-speeds",
+         "float-antennas", "bool-antennas", "float-path-count"],
+)
+def test_synth_params_reject_each_invalid_field(field):
+    with pytest.raises(ValueError):
+        SynthParams(**field)
 
 
 def test_noise_spec_variance():
@@ -352,3 +385,93 @@ def test_cir_invalid_realization_is_a_file_error(tmp_path, n_rx, path_counts, ma
     path.write_bytes(_tpcr(n_rx, path_counts))
     with pytest.raises(ChannelFileError, match=match):
         import_cirs(path)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.deepcopy, lambda ch: pickle.loads(pickle.dumps(ch))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copied_realization_is_read_only_and_equal(clone, rng):
+    ch = synth_channel(rng, SynthParams(n_rx=2))
+    twin = clone(ch)
+    assert twin is not ch and twin.meta == ch.meta
+    for name in ("gains", "delays", "dopplers"):
+        a, b = getattr(ch, name), getattr(twin, name)
+        assert np.array_equal(a, b)
+        assert b.flags.c_contiguous and not b.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# response memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Arguments of every response evaluation the memo misses on."""
+    calls = []
+    evaluate = channel._evaluate_response
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(channel, "_evaluate_response", counted)
+    return calls
+
+
+def test_response_is_read_only(cfg_2p, rng):
+    h = freq_response_grid(synth_channel(rng, SynthParams()), cfg_2p)
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0, 0, 0] = 0
+
+
+def test_response_memo_is_shared_by_configs_on_one_lattice(
+    cfg_2p, cfg_1p, rng, evaluations
+):
+    ch = synth_channel(rng, SynthParams())
+    h = freq_response_grid(ch, cfg_2p)
+    assert freq_response_grid(ch, cfg_1p) is h
+    assert freq_response_grid(ch, GridConfig(guard_left=0, pilot_seed=3)) is h
+    assert len(evaluations) == 1
+
+
+def test_response_memo_misses_on_another_realization_or_lattice(cfg_2p, rng, evaluations):
+    ch = synth_channel(rng, SynthParams())
+    h = freq_response_grid(ch, cfg_2p)
+    twin = ChannelRealization(ch.gains, ch.delays, ch.dopplers)
+    assert np.array_equal(freq_response_grid(twin, cfg_2p), h)
+    for lattice in ({"n_symbols": 7, "pilot_symbol_indices": (2,)},
+                    {"n_subcarriers": 64},
+                    {"subcarrier_spacing_hz": 15e3}):
+        cfg = GridConfig(**lattice)
+        other = freq_response_grid(twin, cfg)
+        assert other.shape[1:] == (cfg.n_symbols, cfg.n_subcarriers)
+    assert freq_response_grid(ch, cfg_2p) is not h
+    assert len(evaluations) == 6
+    assert np.array_equal(freq_response_grid(ch, cfg_2p), h)
+
+
+def test_apply_returns_a_fresh_writeable_array(cfg_2p, qpsk, rng):
+    ch = synth_channel(rng, SynthParams())
+    grid = pack_bits(rng.integers(0, 2, size=2808), cfg_2p, qpsk)[0][0]
+    h = freq_response_grid(ch, cfg_2p)
+    before = h.copy()
+    y = apply(ch, grid, NoiseSpec(3.0), rng)
+    assert y.flags.writeable and not np.shares_memory(y, h)
+    y[...] = 0
+    assert freq_response_grid(ch, cfg_2p) is h
+    assert np.array_equal(h, before)
+
+
+def test_link_evaluates_each_response_once(cfg_2p, qpsk, rng, evaluations):
+    ch = synth_channel(rng, SynthParams())
+    grids, _ = pack_bits(rng.integers(0, 2, size=3 * 2808), cfg_2p, qpsk)
+    spec = NoiseSpec(5.0)
+    h = freq_response_grid(ch, cfg_2p)
+    for g in grids:
+        y = apply(ch, g, spec, rng)
+        receive_perfect_csi(y, cfg_2p, spec.noise_variance, qpsk, h)
+    assert len(grids) == 3 and len(evaluations) == 1

@@ -70,6 +70,37 @@ def test_config_rejects_no_symbols():
         GridConfig(n_symbols=0, pilot_symbol_indices=())
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"pilot_symbol_indices": (2.5,)},
+        {"pilot_symbol_indices": (True,)},
+        {"pilot_symbol_indices": (np.bool_(True),)},
+        {"n_symbols": 14.5},
+        {"n_subcarriers": np.float64(128)},
+        {"guard_left": 1.5},
+        {"guard_right": True},
+        {"pilot_seed": 1.5},
+    ],
+    ids=["float-pilot", "bool-pilot", "numpy-bool-pilot", "float-symbols",
+         "float-subcarriers", "float-guard", "bool-guard", "float-seed"],
+)
+def test_config_rejects_a_non_integer_size_guard_or_pilot_index(field):
+    with pytest.raises(ValueError, match="must be an integer"):
+        GridConfig(**field)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = GridConfig(n_symbols=np.int64(14), pilot_symbol_indices=(np.int32(2),))
+    assert build_mask(cfg).shape == (14, 128)
+
+
+def test_config_stores_pilot_indices_as_a_tuple(cfg_2p):
+    cfg = GridConfig(pilot_symbol_indices=[2, 12])
+    assert cfg.pilot_symbol_indices == (2, 12) and cfg == cfg_2p
+    assert build_mask(cfg) is build_mask(cfg_2p)
+
+
 @pytest.mark.parametrize("spacing", [0.0, -30e3, np.nan, np.inf])
 def test_config_rejects_a_bad_subcarrier_spacing(spacing):
     with pytest.raises(ValueError, match="subcarrier spacing"):

@@ -11,8 +11,8 @@ from telempose.channel import (
     freq_response_grid,
     synth_channel,
 )
-from telempose.grid import DATA, build_mask, pack_bits, unpack_llrs
-from telempose.modem import hard_decide, qam
+from telempose.grid import DATA, build_mask, pack_bits, pilot_value_grid, unpack_llrs
+from telempose.modem import hard_decide, llr_maxlog, qam
 from telempose.rx_classic import (
     interpolate,
     lmmse_equalize,
@@ -350,3 +350,82 @@ def test_2p_beats_1p_under_doppler(cfg_2p, cfg_1p, qpsk):
                 total += bits.size
             errors[len(cfg.pilot_symbol_indices)] = err / total
         assert errors[2] <= errors[1]
+
+
+# ---------------------------------------------------------------------------
+# the receivers against their public stages
+# ---------------------------------------------------------------------------
+
+
+def _composed(y, cfg, noise_var, const, h_true=None):
+    """A receiver composed from the public stages, with its unbias/demap glue.
+
+    LS -> interpolate (or the true response) -> LMMSE -> unbias -> max-log,
+    as the traced benchmark run composes ``receive_classic``.
+    """
+    eff = cfg.effective_slice
+    if h_true is None:
+        idx = list(cfg.pilot_symbol_indices)
+        h_p = ls_estimate(y[:, idx, eff], pilot_value_grid(cfg)[idx, eff])
+        h_full = interpolate(h_p, cfg)
+    else:
+        h_full = h_true[:, :, eff]
+    c_hat, post_var, bias = lmmse_equalize(y[:, :, eff], h_full, noise_var)
+    live = bias > 0
+    c_unbiased = np.zeros_like(c_hat)
+    var_eff = np.ones_like(post_var)
+    c_unbiased[live] = c_hat[live] / bias[live]
+    var_eff[live] = np.maximum(post_var[live] / bias[live] ** 2, 1e-30)
+    llr_eff = llr_maxlog(c_unbiased, var_eff, const)
+    llr_eff[~live] = 0.0
+    llr = np.zeros((cfg.n_symbols, cfg.n_subcarriers, const.bits_per_symbol))
+    llr[:, eff] = llr_eff
+    llr[build_mask(cfg) != DATA] = 0.0
+    return llr, int(np.count_nonzero(~live))
+
+
+@pytest.mark.parametrize("erased", [False, True], ids=["live", "erased"])
+@pytest.mark.parametrize("order", [4, 16])
+@pytest.mark.parametrize("layout", ["cfg_1p", "cfg_2p"])
+def test_receivers_equal_their_public_stages_bit_for_bit(layout, order, erased, request):
+    cfg = request.getfixturevalue(layout)
+    const = qam(order)
+    rng = np.random.default_rng([order, len(cfg.pilot_symbol_indices)])
+    ch = synth_channel(rng, SynthParams(n_rx=2))
+    grids, _ = pack_bits(rng.integers(0, 2, size=6000), cfg, const)
+    spec = NoiseSpec(6.0, const.bits_per_symbol)
+    y = apply(ch, grids[0], spec, rng)
+    h = np.array(freq_response_grid(ch, cfg))
+    if erased:
+        # pilots lost on a band of subcarriers, a dead response on another
+        y[:, list(cfg.pilot_symbol_indices), 10:30] = 0.0
+        h[:, 3:6, 40:50] = 0.0
+    nv = spec.noise_variance
+    ref, n_erased = _composed(y, cfg, nv, const)
+    assert (n_erased > 0) == erased
+    assert np.array_equal(receive_classic(y, cfg, nv, const), ref)
+    ref, n_erased = _composed(y, cfg, nv, const, h)
+    assert (n_erased > 0) == erased
+    assert np.array_equal(receive_perfect_csi(y, cfg, nv, const, h), ref)
+
+
+def test_overflowing_equalizer_output_is_rejected(cfg_1p, qpsk):
+    # finite inputs whose unbiased estimate h^H y / ||h||^2 overflows: the
+    # demapper's finiteness check still runs (one pilot column keeps |h| fixed)
+    y = np.full((2, 14, 128), 1e250 + 0j)
+    h = np.full((2, 14, 128), 1e-70 + 0j)
+    y[:, list(cfg_1p.pilot_symbol_indices)] = 1e-70
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="y_eq must be finite"):
+            receive_perfect_csi(y, cfg_1p, 1.0, qpsk, h)
+        with pytest.raises(ValueError, match="y_eq must be finite"):
+            receive_classic(y, cfg_1p, 1.0, qpsk)
+
+
+def test_overflowing_effective_noise_variance_is_rejected(cfg_2p, qpsk):
+    # bias ** 2 underflows to zero on a live element, so var_eff is infinite
+    y = np.ones((2, 14, 128), complex)
+    h = np.full((2, 14, 128), 1e-100 + 0j)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="noise_var must be finite and positive"):
+            receive_perfect_csi(y, cfg_2p, 1.0, qpsk, h)

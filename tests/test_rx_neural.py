@@ -68,6 +68,22 @@ def test_paper_config_hash_is_stable():
     )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_blocks", -1), ("n_rx", 0), ("filters", 0), ("bits_per_symbol", 0),
+     ("n_symbols", 0), ("n_subcarriers", 0), ("filters", 4.5), ("n_blocks", 2.5),
+     ("n_rx", True)],
+)
+def test_config_rejects_an_empty_or_fractional_network(field, value):
+    with pytest.raises(ValueError, match=field):
+        NeuralRxConfig(**{field: value})
+
+
+def test_config_allows_no_residual_blocks():
+    rx = NeuralReceiver(NeuralRxConfig(n_blocks=0, filters=4), np.random.default_rng(0))
+    assert rx.receive(_received(np.random.default_rng(1)), 0.1).shape == (14, 128, 2)
+
+
 def test_antenna_count_mismatch_is_rejected(cfg_2p, qpsk, rng):
     rx = NeuralReceiver(TINY, np.random.default_rng(0))
     hyper = TrainConfig(iterations=1, batch=1)
