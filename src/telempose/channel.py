@@ -91,6 +91,7 @@ class NoiseSpec:
     bits_per_symbol: int = 2
 
     def __post_init__(self):
+        _check_int("bits_per_symbol", self.bits_per_symbol)
         if self.bits_per_symbol < 1:
             raise ValueError(f"bits_per_symbol must be >= 1, got {self.bits_per_symbol}")
         # a Python float overflows with an exception; a numpy scalar would warn first

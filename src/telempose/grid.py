@@ -157,7 +157,7 @@ class FramingRecord:
 
 
 def grid_capacity_bits(cfg: GridConfig, constellation: Constellation) -> int:
-    return int(np.count_nonzero(build_mask(cfg) == DATA)) * constellation.bits_per_symbol
+    return _data_index(cfg).size * constellation.bits_per_symbol
 
 
 def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
@@ -167,8 +167,8 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
     padded with zero bits. Returns (grids, framing record).
     """
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    data_pos = build_mask(cfg) == DATA
-    capacity = int(np.count_nonzero(data_pos)) * constellation.bits_per_symbol
+    data_index = _data_index(cfg)
+    capacity = grid_capacity_bits(cfg, constellation)
     n_grids = -(-bits.size // capacity) if bits.size else 0
     record = FramingRecord(
         payload_bits=int(bits.size),
@@ -180,7 +180,7 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
     grids = []
     for g in range(n_grids):
         symbols = pilot_value_grid(cfg).copy()
-        symbols[data_pos] = map_symbols(
+        symbols.reshape(-1)[data_index] = map_symbols(
             padded[g * capacity : (g + 1) * capacity], constellation
         )
         grids.append(ResourceGrid(symbols=symbols, cfg=cfg))

@@ -167,6 +167,11 @@ class Constellation:
         return labels
 
     @cached_property
+    def _label_weights(self) -> np.ndarray:
+        """Big-endian bit weights [2**(B-1), ..., 2, 1] as float64: label = bits @ weights."""
+        return _place_values(self.bits_per_symbol).astype(np.float64)
+
+    @cached_property
     def _metric_terms(self):
         """The metric's factors: ``-2 [Re p, Im p]`` [order, 2] and ``|p|^2`` [order, 1]."""
         p = self.points
@@ -210,7 +215,9 @@ def map_symbols(bits, constellation: Constellation) -> np.ndarray:
     B = constellation.bits_per_symbol
     if bits.size % B != 0:
         raise FramingError(f"bit count {bits.size} not divisible by {B}")
-    idx = _bits_to_levels(bits.reshape(-1, B), B)
+    # a float product runs on BLAS; the int64 one does not. It is exact:
+    # each index is a sum of at most B powers of two.
+    idx = (bits.reshape(-1, B) @ constellation._label_weights).astype(np.int64)
     return constellation.points[idx]
 
 

@@ -8,17 +8,23 @@ and a closure that accumulates gradients into them, and
 ``Tensor.backward`` replays the closures in reverse topological order.
 
 Graphs are freed by reference counting alone. A closure receives its
-output's gradient as an argument (``node._backward(node.grad)``) and
-never refers to its own output Tensor, so no graph is a reference cycle
-and it dies with its last user. ``backward`` drops each non-leaf node's
-``grad`` as soon as that node's closure has run; leaf grads (parameters,
-inputs) stay. Inside ``with no_grad():`` ops in that thread record
-nothing, so each intermediate array is freed once the next op has read
-it.
+output's gradient as an argument and never refers to its own output
+Tensor, so no graph is a reference cycle and it dies with its last user.
+Inside ``with no_grad():`` ops in that thread record nothing, so each
+intermediate array is freed once the next op has read it.
+
+Gradients are handed over, not copied. ``backward`` takes each non-leaf
+node's ``grad`` off the node before running its closure, so the closure
+owns that array: it may write it in place (ReLU and LayerNorm do) and may
+hand it, or any array it made itself, to at most one parent as
+``_accumulate(g, owned=True)``, which keeps the array instead of copying
+it. Every other parent gets a copy. Leaf grads (parameters, inputs) stay
+on their tensors after ``backward``.
 
 The 3x3-only convolution runs as three batched GEMMs over row taps of
-its input (see ``conv2d``); backward rebuilds the taps from the input,
-which the graph holds anyway, so a recorded conv keeps only its output.
+its input (see ``conv2d``). Backward builds the row taps of the output
+gradient once and reads them for both the input and the kernel
+gradient, so a recorded conv keeps only its output.
 
 float32 is the training precision; gradient checks build the same graphs
 in float64.
@@ -78,17 +84,25 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
+        """Add ``g`` into ``grad``; keep ``g`` itself if ``owned`` and no grad is set yet.
+
+        ``owned`` means no one else holds ``g`` or will write it again.
+        Otherwise the first gradient is copied, because the caller may
+        still use ``g``.
+        """
         if self.grad is None:
-            # copy: closures may hand us views of arrays they still own
-            self.grad = np.array(g, dtype=self.data.dtype)
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
     def backward(self):
         """Populate ``grad`` on every upstream leaf tensor that requires it.
 
-        Each non-leaf node's ``grad`` is dropped once its closure has run.
+        Each non-leaf node's ``grad`` is handed to its closure and not kept.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.shape}")
@@ -110,8 +124,8 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
-                node.grad = None
+                g, node.grad = node.grad, None
+                node._backward(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -131,10 +145,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
 
     def _bw(g):
+        # g goes to a; b gets a copy, unless a takes no gradient. When a is
+        # b, the second call adds g to itself: 2g.
         if a.requires_grad:
-            a._accumulate(g)
+            a._accumulate(g, owned=True)
         if b.requires_grad:
-            b._accumulate(g)
+            b._accumulate(g, owned=not a.requires_grad)
 
     return _result(a.data + b.data, (a, b), _bw)
 
@@ -144,7 +160,8 @@ def relu(x: Tensor) -> Tensor:
 
     def _bw(g):
         if x.requires_grad:
-            x._accumulate(g * (data > 0))
+            g *= data > 0
+            x._accumulate(g, owned=True)
 
     return _result(data, (x,), _bw)
 
@@ -170,19 +187,19 @@ def _tap_rows(x: np.ndarray) -> list:
     return [flat[:, :, i * W : (i + H) * W] for i in range(3)]
 
 
-def _conv_raw(x: np.ndarray, k: np.ndarray, bias=None) -> np.ndarray:
-    """3x3 same convolution as three batched [Co, 3C] @ [3C, H*W] GEMMs."""
-    B, C, H, W = x.shape
+def _conv_taps(spans: list, k: np.ndarray, out=None) -> np.ndarray:
+    """3x3 same convolution over row-tap spans: three batched [Co, 3C] @ [3C, H*W] GEMMs.
+
+    Returns the [B, Co, H*W] sum of the kernel-row products, written into
+    ``out`` if one is given.
+    """
     c_out = k.shape[0]
-    spans = _tap_rows(x)
-    rows = k.transpose(2, 0, 3, 1).reshape(3, c_out, 3 * C)  # [i, co, (j, c)]
-    out = np.matmul(rows[0], spans[0])
+    rows = k.transpose(2, 0, 3, 1).reshape(3, c_out, -1)  # [i, co, (j, c)]
+    out = np.matmul(rows[0], spans[0], out=out)
     part = np.empty_like(out)
     for i in (1, 2):
         out += np.matmul(rows[i], spans[i], out=part)
-    if bias is not None:
-        out += bias.reshape(1, c_out, 1)
-    return out.reshape(B, c_out, H, W)
+    return out
 
 
 def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -194,8 +211,10 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     into three column taps (w-1, w, w+1) zero-padded by one row, so each
     kernel row is one batched GEMM over a contiguous span of the taps and
     the output is batch-major without a transpose. The taps (3x the
-    input) are dropped after the forward pass; backward rebuilds them
-    from ``x`` instead of keeping them.
+    input) are dropped after the forward pass. Backward builds the taps
+    of the output gradient once: the input gradient convolves them with
+    the flipped, in/out-swapped kernel, and the kernel gradient multiplies
+    them by the input.
     """
     if (
         x.data.ndim != 4
@@ -204,26 +223,34 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
         or k.data.shape[2:] != (3, 3)
     ):
         raise ShapeError(f"cannot convolve input {x.shape} with 3x3 kernel {k.shape}")
+    B, c_in, H, W = x.data.shape
+    c_out = k.data.shape[0]
     parents = (x, k) if bias is None else (x, k, bias)
-    data = _conv_raw(x.data, k.data, None if bias is None else bias.data)
+    data = _conv_taps(_tap_rows(x.data), k.data)
+    if bias is not None:
+        data += bias.data.reshape(1, c_out, 1)
+    data = data.reshape(B, c_out, H, W)
 
     def _bw(g):
-        B, c_out, H, W = g.shape
         if bias is not None and bias.requires_grad:
             # one axis at a time: the order fixes the float32 rounding of
             # the bias gradient, so changing it changes trained weights
             gb = g.sum(axis=0).sum(axis=1).sum(axis=1)
-            bias._accumulate(gb.reshape(bias.data.shape))
+            bias._accumulate(gb.reshape(bias.data.shape), owned=True)
+        spans = _tap_rows(g)
         if k.requires_grad:
-            gm = g.reshape(B, c_out, H * W)
-            rows = np.stack(  # [i, co, (j, c)]; the taps die before gx builds its own
-                [(gm @ span.transpose(0, 2, 1)).sum(axis=0) for span in _tap_rows(x.data)]
-            )
-            k._accumulate(rows.reshape(3, c_out, 3, -1).transpose(1, 3, 0, 2))
+            # dk[co, c, i, j] = sum over b, h, w of g[b, co, h+1-i, w+1-j] x[b, c, h, w]:
+            # span 2-i, tap 2-j of g times x transposed
+            xt = x.data.reshape(B, c_in, H * W).transpose(0, 2, 1)
+            rows = np.stack([(spans[2 - i] @ xt).sum(axis=0) for i in range(3)])
+            dk = rows.reshape(3, 3, c_out, c_in)[:, ::-1].transpose(2, 3, 0, 1)
+            k._accumulate(np.ascontiguousarray(dk), owned=True)
         if x.requires_grad:
-            # full correlation with the flipped, in/out-swapped kernel
+            # full correlation with the flipped, in/out-swapped kernel; the
+            # taps are a copy of g, so the result can take g's memory
             kf = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            x._accumulate(_conv_raw(g, kf))
+            out = g.reshape(B, c_out, H * W) if c_in == c_out else None
+            x._accumulate(_conv_taps(spans, kf, out).reshape(x.data.shape), owned=True)
 
     return _result(data, parents, _bw)
 
@@ -235,9 +262,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     and broadcast along axis 1.
     """
     axes = (1, 2, 3)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    xhat = x.data - mu
-    var = np.mean(xhat * xhat, axis=axes, keepdims=True)
+    B, C = x.data.shape[:2]
+    xhat = x.data - x.data.mean(axis=axes, keepdims=True)
+    flat = xhat.reshape(B, 1, -1)
+    var = (flat @ flat.transpose(0, 2, 1)).reshape(B, 1, 1, 1) / flat.shape[2]
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv  # in place: only the normalized values are kept for backward
     gb = gamma.data.reshape(1, -1, 1, 1)
@@ -245,19 +273,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     data += beta.data.reshape(1, -1, 1, 1)
 
     def _bw(g):
-        reduce_axes = (0, 2, 3)  # all but the channel axis
+        # per-sample, per-channel sums of g and of g * xhat, as batched dots
+        gs, xs = g.reshape(B, C, -1), xhat.reshape(B, C, -1)
+        s1 = gs.sum(axis=2)
+        s2 = np.einsum("bcn,bcn->bc", gs, xs)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=reduce_axes))
+            beta._accumulate(s1.sum(axis=0), owned=True)
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=reduce_axes))
+            gamma._accumulate(s2.sum(axis=0), owned=True)
         if x.requires_grad:
-            dxhat = g * gb
-            m1 = dxhat.mean(axis=axes, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
-            dxhat -= m1
-            dxhat -= xhat * m2
-            dxhat *= inv
-            x._accumulate(dxhat)
+            # dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat)), dxhat = gamma g
+            n = gs[0].size
+            m1 = (s1 @ gb.reshape(C) / n).reshape(B, 1, 1, 1)
+            m2 = (s2 @ gb.reshape(C) / n).reshape(B, 1, 1, 1)
+            g *= gb
+            g -= m1
+            g -= xhat * m2
+            g *= inv
+            x._accumulate(g, owned=True)
 
     return _result(data, (x, gamma, beta), _bw)
 
@@ -344,13 +377,23 @@ def adam_step(params, state: AdamState):
     correction2 = 1 - b2**state.step_count
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        # m += (1-b1) g; v += (1-b2) g g; p -= lr (m/c1) / (sqrt(v/c2) + eps),
+        # computed in place in two scratch arrays, operation for operation,
+        # so the result equals these expressions bit for bit
+        step = np.multiply(g, 1 - b1)
         m *= b1
-        m += (1 - b1) * g
+        m += step
+        np.multiply(g, 1 - b2, out=step)
+        step *= g
         v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / correction1
-        vhat = v / correction2
-        p.data -= (state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
+        v += step
+        denom = np.divide(v, correction2)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, correction1, out=step)
+        step *= state.lr
+        step /= denom
+        p.data -= step
 
 
 def zero_grads(params):

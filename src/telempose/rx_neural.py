@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .channel import NoiseSpec, apply
-from .grid import DATA, GridConfig, _check_int, build_mask, grid_capacity_bits, pack_bits
+from .grid import GridConfig, _check_int, _data_index, grid_capacity_bits, pack_bits
 from .modem import Constellation
 
 
@@ -68,6 +68,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("iterations", "batch", "log_every"):
+            _check_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.lr < math.inf:  # NaN fails too
@@ -186,9 +187,8 @@ class NeuralReceiver:
 
 def bits_to_target_grid(bits: np.ndarray, cfg: GridConfig, B: int) -> np.ndarray:
     """Scatter payload bits to their [B, n_symbols, n_subcarriers] positions."""
-    data_pos = build_mask(cfg) == DATA
     target = np.zeros((B, cfg.n_symbols, cfg.n_subcarriers), dtype=np.float32)
-    target[:, data_pos] = bits.reshape(-1, B).T
+    target.reshape(B, -1)[:, _data_index(cfg)] = bits.reshape(-1, B).T
     return target
 
 
@@ -221,10 +221,9 @@ def train(
             )
     B = constellation.bits_per_symbol
     capacity = grid_capacity_bits(grid_cfg, constellation)
-    data_mask = (build_mask(grid_cfg) == DATA).astype(np.float32)
-    mask = np.broadcast_to(
-        data_mask, (hyper.batch, B) + data_mask.shape
-    )
+    data_mask = np.zeros((grid_cfg.n_symbols, grid_cfg.n_subcarriers), dtype=np.float32)
+    data_mask.reshape(-1)[_data_index(grid_cfg)] = 1
+    mask = np.broadcast_to(data_mask, (hyper.batch, B) + data_mask.shape)
     params = receiver.params()
     state = nn.AdamState(params, lr=hyper.lr)
     log: list[LogEntry] = []

@@ -189,6 +189,12 @@ def test_noise_spec_rejects_no_bits_per_symbol():
         NoiseSpec(10.0, 0)
 
 
+@pytest.mark.parametrize("bits_per_symbol", [2.5, 2.0, True])
+def test_noise_spec_rejects_a_non_integer_bits_per_symbol(bits_per_symbol):
+    with pytest.raises(ValueError, match="bits_per_symbol"):
+        NoiseSpec(10.0, bits_per_symbol)
+
+
 def test_apply_noiseless_flat_is_identity(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=2808)
     grids, _ = pack_bits(bits, cfg_2p, qpsk)

@@ -258,6 +258,28 @@ def test_unpack_matches_a_per_grid_mask_gather(cfg_1p, cfg_2p, rng, pilots, orde
     assert np.array_equal(unpack_llrs(llrs, record, cfg), expected)
 
 
+@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize("pilots", ["1p", "2p"])
+def test_pack_matches_integer_labels_scattered_through_the_mask(
+    cfg_1p, cfg_2p, rng, pilots, order
+):
+    cfg = cfg_1p if pilots == "1p" else cfg_2p
+    const = qam(order)
+    B = const.bits_per_symbol
+    capacity = grid_capacity_bits(cfg, const)
+    bits = rng.integers(0, 2, size=2 * capacity - 5, dtype=np.uint8)
+    grids, _ = pack_bits(bits, cfg, const)
+    padded = np.zeros(2 * capacity, dtype=np.uint8)
+    padded[: bits.size] = bits
+    weights = 1 << np.arange(B - 1, -1, -1, dtype=np.int64)
+    data_pos = build_mask(cfg) == DATA
+    assert len(grids) == 2
+    for g, chunk in zip(grids, padded.reshape(2, capacity)):
+        expected = pilot_value_grid(cfg).copy()
+        expected[data_pos] = const.points[chunk.reshape(-1, B).astype(np.int64) @ weights]
+        assert np.array_equal(g.symbols, expected)
+
+
 def test_grids_share_the_config_mask(cfg_2p, qpsk):
     grids, _ = pack_bits(np.zeros(6000, dtype=np.uint8), cfg_2p, qpsk)
     assert all(g.mask is build_mask(cfg_2p) for g in grids)

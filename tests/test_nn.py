@@ -428,6 +428,63 @@ def test_no_grad_leaves_other_threads_recording(rng):
     assert not worker.is_alive() and seen == [True]
 
 
+# ---------------------------------------------------------------------------
+# gradient ownership: closures hand arrays over instead of copying them
+# ---------------------------------------------------------------------------
+
+
+def test_add_of_a_tensor_to_itself_gives_twice_the_gradient(rng):
+    x = t64(rng, (3, 4))
+    t = _binary(rng, (3, 4))
+    bce_with_logits(nn.add(x, x), t).backward()
+    z = Tensor(x.data + x.data, requires_grad=True)
+    bce_with_logits(z, t).backward()
+    assert np.array_equal(x.grad, 2 * z.grad)
+
+
+def test_add_gives_two_leaves_separate_gradients(rng):
+    a, b = t64(rng, (3, 4)), t64(rng, (3, 4))
+    bce_with_logits(nn.add(a, b), _binary(rng, (3, 4))).backward()
+    assert a.grad is not b.grad
+    assert not np.shares_memory(a.grad, b.grad)
+    assert np.array_equal(a.grad, b.grad)
+
+
+def test_a_tensor_read_by_two_ops_sums_both_gradients(rng):
+    # h feeds relu and layer_norm, whose closures both write their g in place
+    x = t64(rng, (2, 3, 4, 5))
+    k = t64(rng, (3, 3, 3, 3), scale=0.5)
+    gamma = Tensor(1.0 + 0.1 * rng.standard_normal(3), requires_grad=True)
+    beta = Tensor(0.1 * rng.standard_normal(3), requires_grad=True)
+    t = _binary(rng, (2, 3, 4, 5))
+
+    def forward():
+        h = conv2d(x, k)
+        return bce_with_logits(nn.add(relu(h), layer_norm(h, gamma, beta)), t)
+
+    check_grad(forward, x, k, gamma, beta)
+
+
+def test_a_later_backward_leaves_earlier_leaf_grads_alone(rng):
+    x = t64(rng, (2, 3, 4, 5))
+    layer = Conv2d(3, 3, np.random.default_rng(0), dtype=np.float64)
+    ln = LayerNorm(3, dtype=np.float64)
+    leaves = [x, layer.k, layer.b, ln.gamma, ln.beta]
+
+    def loss():
+        h = relu(layer(ln(x)))
+        return bce_with_logits(nn.add(h, x), _binary(rng, (2, 3, 4, 5)))
+
+    loss().backward()
+    first = [p.grad for p in leaves]
+    saved = [g.copy() for g in first]
+    zero_grads(leaves)
+    loss().backward()
+    for p, g, kept in zip(leaves, first, saved):
+        assert p.grad is not g
+        assert np.array_equal(g, kept)
+
+
 def test_backward_requires_scalar(rng):
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     with pytest.raises(ShapeError):

@@ -100,7 +100,8 @@ def test_antenna_count_mismatch_is_rejected(cfg_2p, qpsk, rng):
         {"lr": np.nan}, {"lr": np.inf}, {"ebn0_range_db": (5.0, -5.0)},
         {"ebn0_range_db": (-5.0, np.inf)}, {"ebn0_range_db": (np.nan, 5.0)},
         {"ebn0_range_db": (1.0, 2.0, 3.0)}, {"checkpoint_every": 0},
-        {"checkpoint_every": -1},
+        {"checkpoint_every": -1}, {"batch": 2.5}, {"iterations": 1.5},
+        {"log_every": True},
     ],
     ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
 )
@@ -123,6 +124,17 @@ def test_invalid_training_settings_change_nothing(tmp_path, cfg_2p, qpsk, bad):
 def test_first_training_loss_is_ln2(cfg_2p, qpsk):
     log, _ = _trained_log(cfg_2p, qpsk, iterations=1)
     assert abs(log[0].loss - math.log(2.0)) <= 1e-6
+
+
+def test_five_tiny_training_steps_give_the_pinned_losses(cfg_2p, qpsk):
+    # Losses of the tape engine that copied every gradient. Reductions may
+    # sum in another order, which moves float32 results in the last bits
+    # (measured: none of the five moved); rtol is about 100 float32 eps.
+    log, _ = _trained_log(cfg_2p, qpsk, iterations=5)
+    expected = [0.6931471824645996, 0.6930056214332581, 0.6938062906265259,
+                0.6913648843765259, 0.6909058094024658]
+    assert [e.iteration for e in log] == [1, 2, 3, 4, 5]
+    np.testing.assert_allclose([e.loss for e in log], expected, rtol=1e-5, atol=0)
 
 
 def test_training_lowers_the_loss_on_a_flat_channel(cfg_2p, qpsk):
