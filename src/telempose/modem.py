@@ -87,7 +87,12 @@ def _levels_to_bits(levels: np.ndarray, q: int) -> np.ndarray:
 
 
 def _bits_to_levels(bits: np.ndarray, q: int) -> np.ndarray:
-    return bits.astype(np.int64) @ _place_values(q)
+    """Big-endian q-bit words (..., q) to int64 levels.
+
+    A float product runs on BLAS; the int64 one does not. It is exact:
+    each level is a sum of at most q powers of two.
+    """
+    return (bits @ _place_values(q).astype(np.float64)).astype(np.int64)
 
 
 def quantize_frame(x, cfg: QuantizerConfig) -> np.ndarray:
@@ -167,11 +172,6 @@ class Constellation:
         return labels
 
     @cached_property
-    def _label_weights(self) -> np.ndarray:
-        """Big-endian bit weights [2**(B-1), ..., 2, 1] as float64: label = bits @ weights."""
-        return _place_values(self.bits_per_symbol).astype(np.float64)
-
-    @cached_property
     def _metric_terms(self):
         """The metric's factors: ``-2 [Re p, Im p]`` [order, 2] and ``|p|^2`` [order, 1]."""
         p = self.points
@@ -215,10 +215,7 @@ def map_symbols(bits, constellation: Constellation) -> np.ndarray:
     B = constellation.bits_per_symbol
     if bits.size % B != 0:
         raise FramingError(f"bit count {bits.size} not divisible by {B}")
-    # a float product runs on BLAS; the int64 one does not. It is exact:
-    # each index is a sum of at most B powers of two.
-    idx = (bits.reshape(-1, B) @ constellation._label_weights).astype(np.int64)
-    return constellation.points[idx]
+    return constellation.points[_bits_to_levels(bits.reshape(-1, B), B)]
 
 
 def _demap_inputs(y_eq, noise_var):

@@ -15,11 +15,10 @@ intermediate array is freed once the next op has read it.
 
 Gradients are handed over, not copied. ``backward`` takes each non-leaf
 node's ``grad`` off the node before running its closure, so the closure
-owns that array: it may write it in place (ReLU and LayerNorm do) and may
-hand it, or any array it made itself, to at most one parent as
-``_accumulate(g, owned=True)``, which keeps the array instead of copying
-it. Every other parent gets a copy. Leaf grads (parameters, inputs) stay
-on their tensors after ``backward``.
+owns that array: it may write it in place (ReLU and LayerNorm do) and
+hands it, or an array it made itself, to at most one parent. Every array
+passed to ``_accumulate`` is the parent's to keep. Leaf grads
+(parameters, inputs) stay on their tensors after ``backward``.
 
 The 3x3-only convolution runs as three batched GEMMs over row taps of
 its input (see ``conv2d``). Backward builds the row taps of the output
@@ -84,18 +83,13 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g, owned=False):
-        """Add ``g`` into ``grad``; keep ``g`` itself if ``owned`` and no grad is set yet.
+    def _accumulate(self, g):
+        """Add ``g`` into ``grad``; the first ``g`` is kept, not copied.
 
-        ``owned`` means no one else holds ``g`` or will write it again.
-        Otherwise the first gradient is copied, because the caller may
-        still use ``g``.
+        The caller hands ``g`` over: no one else holds it or writes it again.
         """
         if self.grad is None:
-            if owned and g.dtype == self.data.dtype:
-                self.grad = g
-            else:
-                self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = g.astype(self.data.dtype, copy=False)
         else:
             self.grad += g
 
@@ -145,12 +139,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
 
     def _bw(g):
-        # g goes to a; b gets a copy, unless a takes no gradient. When a is
-        # b, the second call adds g to itself: 2g.
+        # g goes to a; b gets a copy, unless a takes no gradient
         if a.requires_grad:
-            a._accumulate(g, owned=True)
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(g, owned=not a.requires_grad)
+            b._accumulate(g.copy() if a.requires_grad else g)
 
     return _result(a.data + b.data, (a, b), _bw)
 
@@ -161,7 +154,7 @@ def relu(x: Tensor) -> Tensor:
     def _bw(g):
         if x.requires_grad:
             g *= data > 0
-            x._accumulate(g, owned=True)
+            x._accumulate(g)
 
     return _result(data, (x,), _bw)
 
@@ -236,7 +229,7 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
             # one axis at a time: the order fixes the float32 rounding of
             # the bias gradient, so changing it changes trained weights
             gb = g.sum(axis=0).sum(axis=1).sum(axis=1)
-            bias._accumulate(gb.reshape(bias.data.shape), owned=True)
+            bias._accumulate(gb.reshape(bias.data.shape))
         spans = _tap_rows(g)
         if k.requires_grad:
             # dk[co, c, i, j] = sum over b, h, w of g[b, co, h+1-i, w+1-j] x[b, c, h, w]:
@@ -244,13 +237,13 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
             xt = x.data.reshape(B, c_in, H * W).transpose(0, 2, 1)
             rows = np.stack([(spans[2 - i] @ xt).sum(axis=0) for i in range(3)])
             dk = rows.reshape(3, 3, c_out, c_in)[:, ::-1].transpose(2, 3, 0, 1)
-            k._accumulate(np.ascontiguousarray(dk), owned=True)
+            k._accumulate(np.ascontiguousarray(dk))
         if x.requires_grad:
             # full correlation with the flipped, in/out-swapped kernel; the
             # taps are a copy of g, so the result can take g's memory
             kf = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             out = g.reshape(B, c_out, H * W) if c_in == c_out else None
-            x._accumulate(_conv_taps(spans, kf, out).reshape(x.data.shape), owned=True)
+            x._accumulate(_conv_taps(spans, kf, out).reshape(x.data.shape))
 
     return _result(data, parents, _bw)
 
@@ -278,9 +271,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         s1 = gs.sum(axis=2)
         s2 = np.einsum("bcn,bcn->bc", gs, xs)
         if beta.requires_grad:
-            beta._accumulate(s1.sum(axis=0), owned=True)
+            beta._accumulate(s1.sum(axis=0))
         if gamma.requires_grad:
-            gamma._accumulate(s2.sum(axis=0), owned=True)
+            gamma._accumulate(s2.sum(axis=0))
         if x.requires_grad:
             # dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat)), dxhat = gamma g
             n = gs[0].size
@@ -290,7 +283,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             g -= m1
             g -= xhat * m2
             g *= inv
-            x._accumulate(g, owned=True)
+            x._accumulate(g)
 
     return _result(data, (x, gamma, beta), _bw)
 
@@ -375,6 +368,7 @@ def adam_step(params, state: AdamState):
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1 - b1**state.step_count
     correction2 = 1 - b2**state.step_count
+    lr = float(state.lr)  # a numpy scalar would promote the update to float64
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         # m += (1-b1) g; v += (1-b2) g g; p -= lr (m/c1) / (sqrt(v/c2) + eps),
@@ -391,7 +385,7 @@ def adam_step(params, state: AdamState):
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         np.divide(m, correction1, out=step)
-        step *= state.lr
+        step *= lr
         step /= denom
         p.data -= step
 

@@ -308,6 +308,21 @@ def test_adam_converges_on_quadratic():
     assert p.data[0] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_adam_update_does_not_depend_on_the_lr_type(rng):
+    # a numpy lr must give the float32 update of the equal Python float
+    g = rng.standard_normal(1000).astype(np.float32)
+    start = rng.standard_normal(1000).astype(np.float32)
+    out = []
+    for lr in (1e-3, np.float64(1e-3)):
+        p = Tensor(start.copy(), requires_grad=True)
+        state = AdamState([p], lr=lr)
+        for _ in range(3):
+            p.grad = g.copy()
+            adam_step([p], state)
+        out.append(p.data)
+    np.testing.assert_array_equal(out[0], out[1])
+
+
 def test_training_determinism():
     def run():
         layer = Conv2d(2, 3, np.random.default_rng(11))
