@@ -2,10 +2,11 @@
 
 A channel realization is a channel impulse response held as per-path
 arrays: a complex gain per path and RX antenna, a delay and a Doppler
-shift per path. The grid-facing operations evaluate the frequency
-response per OFDM symbol (block fading within a symbol, Doppler advancing
-phase between symbols) and add circular complex Gaussian noise at a
-configured Eb/N0.
+shift per path. A transmit grid is a complex array [n_symbols,
+n_subcarriers]; its lattice is its shape at ``grid.SUBCARRIER_SPACING_HZ``.
+The grid-facing operations evaluate the frequency response on it (block
+fading within a symbol, Doppler advancing phase between symbols) and add
+circular complex Gaussian noise at a configured Eb/N0.
 
 Carrier-phase terms are folded into the stored gains at synthesis or
 import time, so the per-path gain is the only spatial/attenuation state.
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._reader import Reader
-from .grid import GridConfig, ResourceGrid, _check_int
+from .grid import SUBCARRIER_SPACING_HZ, GridConfig, _check_int
 
 SPEED_OF_LIGHT = 299_792_458.0
 MAX_PATHS = 75
@@ -46,7 +47,6 @@ class ChannelRealization:
     gains: np.ndarray
     delays: np.ndarray
     dopplers: np.ndarray
-    meta: str = "synthetic"
 
     def __post_init__(self):
         gains = np.array(self.gains, dtype=complex, order="C")
@@ -76,7 +76,7 @@ class ChannelRealization:
     def __reduce__(self):
         # pickle and deepcopy rebuild through the validating constructor, which
         # stores read-only copies; the response memo relies on that immutability
-        return type(self), (self.gains, self.delays, self.dopplers, self.meta)
+        return type(self), (self.gains, self.delays, self.dopplers)
 
     @property
     def n_rx(self) -> int:
@@ -168,59 +168,59 @@ def synth_channel(rng: np.random.Generator, params: SynthParams) -> ChannelReali
     speed = rng.uniform(*params.speed_range_mps)
     wavelength = SPEED_OF_LIGHT / params.carrier_hz
     dopplers = (speed / wavelength) * np.cos(rng.uniform(0, 2 * np.pi, size=L))
-    return ChannelRealization(gains, delays, dopplers, meta="synthetic")
+    return ChannelRealization(gains, delays, dopplers)
 
 
 def freq_response_grid(ch: ChannelRealization, cfg: GridConfig) -> np.ndarray:
     """Frequency response at every OFDM symbol, shape [n_rx, n_symbols, n_sc].
 
     Subcarrier n runs over centered indices -N/2 .. N/2-1; symbol i sits at
-    time i / subcarrier_spacing (no cyclic prefix is modelled). The sum
+    time i / SUBCARRIER_SPACING_HZ (no cyclic prefix is modelled). The sum
     over paths is one [n_rx * n_symbols, L] @ [L, n_sc] product.
 
-    The response depends on ``cfg`` only through its time-frequency lattice,
-    so the last one computed is memoized by realization identity and
-    lattice: every grid of a link, and a perfect-CSI receiver on the same
-    channel, share one evaluation. The returned array is read-only.
+    The response depends on ``cfg`` only through the grid shape, so the
+    last one computed is memoized by realization identity and shape: every
+    grid of a link, and a perfect-CSI receiver on the same channel, share
+    one evaluation. The returned array is read-only.
     """
-    return _memo_response(ch, cfg.n_symbols, cfg.n_subcarriers, cfg.subcarrier_spacing_hz)
+    return _memo_response(ch, cfg.n_symbols, cfg.n_subcarriers)
 
 
 # One entry: a link walks one channel at a time, and a larger memo would keep
 # a 56 KiB response alive for every realization of a training set.
 @lru_cache(maxsize=1)
-def _memo_response(ch, n_symbols, n_subcarriers, subcarrier_spacing_hz) -> np.ndarray:
-    h = _evaluate_response(ch, n_symbols, n_subcarriers, subcarrier_spacing_hz)
-    h.flags.writeable = False
-    return h
-
-
-def _evaluate_response(ch, n_symbols, n_subcarriers, subcarrier_spacing_hz) -> np.ndarray:
-    t = np.arange(n_symbols) * (1.0 / subcarrier_spacing_hz)
-    offsets = (np.arange(n_subcarriers) - n_subcarriers // 2) * subcarrier_spacing_hz
+def _memo_response(ch, n_symbols, n_subcarriers) -> np.ndarray:
+    t = np.arange(n_symbols) * (1.0 / SUBCARRIER_SPACING_HZ)
+    offsets = (np.arange(n_subcarriers) - n_subcarriers // 2) * SUBCARRIER_SPACING_HZ
     rotation = np.exp(2j * np.pi * np.outer(t, ch.dopplers))  # [n_sym, L]
     delay_ramp = np.exp(-2j * np.pi * np.outer(ch.delays, offsets))  # [L, n_sc]
     weights = ch.gains.T[:, None, :] * rotation  # [n_rx, n_sym, L]
     h = weights.reshape(-1, len(ch.delays)) @ delay_ramp
-    return h.reshape(ch.n_rx, n_symbols, n_subcarriers)
+    h = h.reshape(ch.n_rx, n_symbols, n_subcarriers)
+    h.flags.writeable = False
+    return h
 
 
 def apply(
     ch: ChannelRealization,
-    grid: ResourceGrid,
+    symbols: np.ndarray,
     noise: NoiseSpec | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Pass a grid through the channel, adding complex AWGN.
+    """Pass one transmit grid through the channel, adding complex AWGN.
 
-    Returns a fresh, writeable received array [n_rx, n_symbols,
-    n_subcarriers]; the channel response comes from the memo of
-    :func:`freq_response_grid` and is not modified. The total complex noise
-    variance per element is ``noise.noise_variance``; guard elements come
-    out as noise only. ``noise=None`` means noiseless. The generator draws
-    every real part of the noise, then every imaginary part.
+    ``symbols`` is one grid [n_symbols, n_subcarriers]: a stack of grids
+    would broadcast against the antenna axis. Returns a fresh, writeable
+    received array [n_rx, n_symbols, n_subcarriers]; the channel response
+    comes from the memo of :func:`freq_response_grid` and is not modified.
+    The total complex noise variance per element is
+    ``noise.noise_variance``; guard elements come out as noise only.
+    ``noise=None`` means noiseless. The generator draws every real part of
+    the noise, then every imaginary part.
     """
-    y = freq_response_grid(ch, grid.cfg) * grid.symbols
+    if symbols.ndim != 2:
+        raise ValueError(f"need one grid [n_symbols, n_subcarriers], got {symbols.shape}")
+    y = _memo_response(ch, *symbols.shape) * symbols
     if noise is not None:
         n = rng.standard_normal((2,) + y.shape)
         n *= math.sqrt(noise.noise_variance / 2.0)
@@ -280,7 +280,6 @@ def import_cirs(path):
                 gains=records[:, 2:].view("<c16"),  # (re, im) pairs are complex128
                 delays=records[:, 0],
                 dopplers=records[:, 1],
-                meta="imported",
             ))
         except ValueError as e:
             raise ChannelFileError(f"realization {r}: {e}") from e

@@ -1,17 +1,17 @@
 """OFDM resource-grid framing.
 
-A resource grid is a (symbol x subcarrier) lattice of complex values in
-which every element is data, pilot, or guard. Pilot columns span all
-effective (non-guard) subcarriers; payload bits stream across grids in
-row-major (symbol-major) order with zero-bit padding in the final grid.
-The layout and the pilot values are functions of the config alone, so
-transmitter and receiver derive them independently and nothing but the
-symbols needs to travel.
+A transmit grid is a complex array [n_symbols, n_subcarriers]; its
+time-frequency lattice is its shape at the fixed
+:data:`SUBCARRIER_SPACING_HZ`. Every element is data, pilot, or guard.
+Pilot columns span all effective (non-guard) subcarriers; payload bits
+stream across grids in row-major (symbol-major) order with zero-bit
+padding in the final grid. The layout and the pilot values are functions
+of the config alone, so transmitter and receiver derive them
+independently and nothing but the symbols needs to travel.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,6 +19,10 @@ from functools import lru_cache
 import numpy as np
 
 from .modem import Constellation, FramingError, map_symbols
+
+#: Subcarrier spacing of every grid (30 kHz numerology); OFDM symbol i
+#: starts at i / SUBCARRIER_SPACING_HZ.
+SUBCARRIER_SPACING_HZ = 30e3
 
 DATA = np.int8(0)
 PILOT = np.int8(1)
@@ -32,7 +36,6 @@ class GridConfig:
     guard_left: int = 5
     guard_right: int = 6
     pilot_symbol_indices: tuple = (2, 12)
-    subcarrier_spacing_hz: float = 30e3
     pilot_seed: int = 0x5EED  # agreed between transmitter and receiver
 
     def __post_init__(self):
@@ -54,9 +57,6 @@ class GridConfig:
                 raise ValueError(f"pilot symbol index {i} out of range")
         if len(set(self.pilot_symbol_indices)) != len(self.pilot_symbol_indices):
             raise ValueError(f"repeated pilot symbol index in {self.pilot_symbol_indices}")
-        df = self.subcarrier_spacing_hz
-        if not 0 < df < math.inf:  # NaN fails too
-            raise ValueError(f"subcarrier spacing must be finite and positive, got {df}")
 
     @property
     def n_effective(self) -> int:
@@ -125,28 +125,6 @@ def pilot_value_grid(cfg: GridConfig) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ResourceGrid:
-    """Immutable transmit grid: complex symbols laid out by ``cfg``.
-
-    The role of each element is a property of the config, not of the
-    grid: ``mask`` is the cached, read-only :func:`build_mask` of ``cfg``.
-    Equality and hashing are by identity.
-    """
-
-    symbols: np.ndarray
-    cfg: GridConfig
-
-    def __post_init__(self):
-        if self.symbols.shape != (self.cfg.n_symbols, self.cfg.n_subcarriers):
-            raise ValueError(f"grid shape {self.symbols.shape} does not match config")
-        self.symbols.flags.writeable = False
-
-    @property
-    def mask(self) -> np.ndarray:
-        return build_mask(self.cfg)
-
-
 @dataclass(frozen=True)
 class FramingRecord:
     """Bookkeeping needed to invert stream packing."""
@@ -161,12 +139,13 @@ def grid_capacity_bits(cfg: GridConfig, constellation: Constellation) -> int:
 
 
 def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
-    """Pack a bit stream into resource grids.
+    """Pack a bit stream into transmit grids.
 
-    Data elements fill grid by grid in row-major order; the last grid is
-    padded with zero bits. Returns (grids, framing record).
+    ``bits`` holds 0s and 1s. Data elements fill grid by grid in row-major
+    order; the last grid is padded with zero bits. Returns (symbols
+    [n_grids, n_symbols, n_subcarriers] complex, framing record).
     """
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    bits = np.asarray(bits).reshape(-1)
     data_index = _data_index(cfg)
     capacity = grid_capacity_bits(cfg, constellation)
     n_grids = -(-bits.size // capacity) if bits.size else 0
@@ -175,16 +154,13 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
         n_grids=n_grids,
         bits_per_symbol=constellation.bits_per_symbol,
     )
-    padded = np.zeros(n_grids * capacity, dtype=np.uint8)
+    # in the caller's dtype: map_symbols must see a non-bit before a cast wraps it
+    padded = np.zeros(n_grids * capacity, dtype=bits.dtype)
     padded[: bits.size] = bits
-    grids = []
-    for g in range(n_grids):
-        symbols = pilot_value_grid(cfg).copy()
-        symbols.reshape(-1)[data_index] = map_symbols(
-            padded[g * capacity : (g + 1) * capacity], constellation
-        )
-        grids.append(ResourceGrid(symbols=symbols, cfg=cfg))
-    return grids, record
+    symbols = np.empty((n_grids, cfg.n_symbols * cfg.n_subcarriers), dtype=complex)
+    symbols[:] = pilot_value_grid(cfg).reshape(-1)
+    symbols[:, data_index] = map_symbols(padded, constellation).reshape(-1, data_index.size)
+    return symbols.reshape(n_grids, cfg.n_symbols, cfg.n_subcarriers), record
 
 
 def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray:

@@ -87,11 +87,20 @@ def _levels_to_bits(levels: np.ndarray, q: int) -> np.ndarray:
 
 
 def _bits_to_levels(bits: np.ndarray, q: int) -> np.ndarray:
-    """Big-endian q-bit words (..., q) to int64 levels.
+    """Big-endian q-bit words (..., q) of 0s and 1s to int64 levels.
 
+    Any other value would code a wrong level, so it raises ``ValueError``.
     A float product runs on BLAS; the int64 one does not. It is exact:
     each level is a sum of at most q powers of two.
     """
+    # bool and unsigned values are never negative, so the maximum decides,
+    # in about a third of the time of the two comparisons
+    if bits.dtype.kind in "bu":
+        ok = bits.max(initial=0) <= 1
+    else:
+        ok = ((bits == 0) | (bits == 1)).all()
+    if not ok:
+        raise ValueError("bits must be 0 or 1")
     return (bits @ _place_values(q).astype(np.float64)).astype(np.int64)
 
 
@@ -112,7 +121,7 @@ def quantize_frame(x, cfg: QuantizerConfig) -> np.ndarray:
 
 
 def dequantize_frame(bits, cfg: QuantizerConfig) -> np.ndarray:
-    """Invert :func:`quantize_frame`; each feature is its coded level."""
+    """Invert :func:`quantize_frame` on 0/1 bits; each feature is its coded level."""
     bits = np.asarray(bits)
     if bits.shape != (FEATURES_PER_FRAME * cfg.q,):
         raise FramingError(
@@ -210,7 +219,7 @@ def qam(order: int = 4) -> Constellation:
 
 
 def map_symbols(bits, constellation: Constellation) -> np.ndarray:
-    """Map a bit vector onto constellation symbols, B bits per symbol."""
+    """Map a vector of 0/1 bits onto constellation symbols, B bits per symbol."""
     bits = np.asarray(bits)
     B = constellation.bits_per_symbol
     if bits.size % B != 0:

@@ -96,8 +96,8 @@ def interpolate(pilot_estimates: np.ndarray, cfg: GridConfig) -> np.ndarray:
 def lmmse_equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float):
     """Per-element LMMSE symbol estimate.
 
-    ``y`` and ``h_est`` are [n_rx, ...]. Returns ``(c_hat, post_noise_var,
-    bias)`` where ``c_hat = h^H y / (||h||^2 + noise_var)`` carries the
+    ``y`` and ``h_est`` are [n_rx, ...], of one shape. Returns ``(c_hat,
+    post_noise_var, bias)`` where ``c_hat = h^H y / (||h||^2 + noise_var)`` carries the
     LMMSE bias ``||h||^2 / (||h||^2 + noise_var)`` and ``post_noise_var``
     is the variance of its noise part, ``noise_var * ||h||^2 /
     (||h||^2 + noise_var)^2``. Dividing ``c_hat`` by the bias and
@@ -105,6 +105,9 @@ def lmmse_equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float):
     demapping. Elements with a zero-norm estimate are flagged by
     bias == 0 and must be treated as erasures.
     """
+    if h_est.shape != y.shape:
+        # a broadcast would equalize against the wrong antennas or elements
+        raise ValueError(f"channel estimate {h_est.shape} does not match received {y.shape}")
     if not (np.isfinite(noise_var) and noise_var >= 0):
         raise ValueError(f"noise_var must be finite and non-negative, got {noise_var}")
     sq = np.square(h_est.real)
@@ -150,6 +153,16 @@ def _check_finite(name: str, a: np.ndarray):
         raise ValueError(f"{name} holds a non-finite value")
 
 
+def _check_received(y: np.ndarray, cfg: GridConfig):
+    """Raise ``ValueError`` unless ``y`` is a finite [n_rx, n_symbols, n_sc] grid."""
+    if y.shape[1:] != (cfg.n_symbols, cfg.n_subcarriers):
+        raise ValueError(
+            f"received grid {y.shape} does not match the "
+            f"{cfg.n_symbols}x{cfg.n_subcarriers} config"
+        )
+    _check_finite("received grid", y)
+
+
 def receive_classic(
     y: np.ndarray, cfg: GridConfig, noise_var: float, constellation: Constellation
 ) -> np.ndarray:
@@ -159,7 +172,7 @@ def receive_classic(
     the result is an LLR grid [n_symbols, n_subcarriers, B], zero outside
     DATA elements.
     """
-    _check_finite("received grid", y)
+    _check_received(y, cfg)
     eff = cfg.effective_slice
     h_p = y[:, list(cfg.pilot_symbol_indices), eff] * _pilot_conj(cfg)
     h_full = interpolate(h_p, cfg)
@@ -179,7 +192,7 @@ def receive_perfect_csi(
     ``h_true`` is [n_rx, n_symbols, n_subcarriers] as produced by
     ``channel.freq_response_grid``; it and ``y`` must be finite.
     """
-    _check_finite("received grid", y)
+    _check_received(y, cfg)
     _check_finite("channel response", h_true)
     eff = cfg.effective_slice
     c_hat, post_var, bias = lmmse_equalize(y[:, :, eff], h_true[:, :, eff], noise_var)

@@ -238,11 +238,11 @@ def train(
         noise_vars = np.empty(hyper.batch)
         for s in range(hyper.batch):
             bits = rng.integers(0, 2, size=capacity, dtype=np.uint8)
-            grids, _ = pack_bits(bits, grid_cfg, constellation)
+            symbols, _ = pack_bits(bits, grid_cfg, constellation)
             ch = channels[rng.integers(len(channels))]
             ebn0 = rng.uniform(*hyper.ebn0_range_db)
             spec = NoiseSpec(ebn0, B)
-            y_batch[s] = apply(ch, grids[0], spec, rng)
+            y_batch[s] = apply(ch, symbols[0], spec, rng)
             targets[s] = bits_to_target_grid(bits, grid_cfg, B)
             noise_vars[s] = spec.noise_variance
 

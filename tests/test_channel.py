@@ -20,12 +20,8 @@ from telempose.channel import (
     import_cirs,
     synth_channel,
 )
-from telempose.grid import GridConfig, ResourceGrid, pack_bits
+from telempose.grid import SUBCARRIER_SPACING_HZ, GridConfig, build_mask, pack_bits
 from telempose.rx_classic import receive_perfect_csi
-
-
-def _grid_with(symbols, cfg):
-    return ResourceGrid(symbols=np.array(symbols, complex), cfg=cfg)
 
 
 def test_flat_unit_channel_response(cfg_2p):
@@ -39,7 +35,7 @@ def test_flat_unit_channel_response(cfg_2p):
 def test_single_path_delay_phase_ramp(cfg_2p):
     # delay of one sample period gives exp(-2j pi n / N) across subcarriers
     N = cfg_2p.n_subcarriers
-    tau = 1.0 / (N * cfg_2p.subcarrier_spacing_hz)
+    tau = 1.0 / (N * SUBCARRIER_SPACING_HZ)
     ch = ChannelRealization(gains=[[1.0 + 0j]], delays=[tau], dopplers=[0.0])
     h = freq_response_grid(ch, cfg_2p)[0, 0, :]
     assert np.allclose(np.abs(h), 1.0)
@@ -52,7 +48,7 @@ def test_single_path_delay_phase_ramp(cfg_2p):
 
 def test_two_path_comb_nulls(cfg_2p):
     # equal paths spaced 1/(4 df) apart null every fourth subcarrier
-    df = cfg_2p.subcarrier_spacing_hz
+    df = SUBCARRIER_SPACING_HZ
     ch = ChannelRealization(
         gains=[[1.0 + 0j], [1.0 + 0j]], delays=[0.0, 1.0 / (4 * df)], dopplers=[0.0, 0.0]
     )
@@ -69,7 +65,7 @@ def test_freq_response_matches_dft_oracle():
         n_subcarriers=8, n_symbols=2, guard_left=0, guard_right=0,
         pilot_symbol_indices=(0,),
     )
-    N, df = 8, cfg8.subcarrier_spacing_hz
+    N, df = 8, SUBCARRIER_SPACING_HZ
     rng = np.random.default_rng(5)
     tap_positions = [0, 2, 5]
     tap_gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -90,8 +86,8 @@ def test_freq_response_matches_per_path_loop(cfg_2p):
     rng = np.random.default_rng(11)
     for n_rx, l_max in ((1, 1), (2, 8), (3, 75)):
         ch = synth_channel(rng, SynthParams(n_rx=n_rx, l_max=l_max))
-        t = np.arange(cfg_2p.n_symbols) / cfg_2p.subcarrier_spacing_hz
-        f = (np.arange(cfg_2p.n_subcarriers) - 64) * cfg_2p.subcarrier_spacing_hz
+        t = np.arange(cfg_2p.n_symbols) / SUBCARRIER_SPACING_HZ
+        f = (np.arange(cfg_2p.n_subcarriers) - 64) * SUBCARRIER_SPACING_HZ
         ref = np.zeros((n_rx, cfg_2p.n_symbols, cfg_2p.n_subcarriers), complex)
         for g, tau, nu in zip(ch.gains, ch.delays, ch.dopplers):
             ref += (
@@ -199,7 +195,7 @@ def test_apply_noiseless_flat_is_identity(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=2808)
     grids, _ = pack_bits(bits, cfg_2p, qpsk)
     y = apply(flat_unit_channel(1), grids[0], noise=None, rng=rng)
-    assert np.array_equal(y[0], grids[0].symbols)
+    assert np.array_equal(y[0], grids[0])
 
 
 def test_apply_adds_noise_from_the_generator_in_order(cfg_2p, qpsk, rng):
@@ -212,12 +208,12 @@ def test_apply_adds_noise_from_the_generator_in_order(cfg_2p, qpsk, rng):
     h = freq_response_grid(ch, cfg_2p)
     sigma = np.sqrt(spec.noise_variance / 2.0)
     n_re, n_im = clone.standard_normal(h.shape), clone.standard_normal(h.shape)
-    assert np.array_equal(y, h * grid.symbols + sigma * (n_re + 1j * n_im))
+    assert np.array_equal(y, h * grid + sigma * (n_re + 1j * n_im))
     assert rng.bit_generator.state == clone.bit_generator.state
 
 
 def test_apply_noise_variance(cfg_2p, qpsk, rng):
-    zero = _grid_with(np.zeros((14, 128)), cfg_2p)
+    zero = np.zeros((14, 128), complex)
     spec = NoiseSpec(ebn0_db=0.0, bits_per_symbol=2)  # variance 0.5
     draws = []
     for _ in range(60):  # 60 * 14 * 128 > 1e5 complex draws per antenna
@@ -232,12 +228,20 @@ def test_apply_linearity(cfg_2p, qpsk, rng):
     ch = synth_channel(rng, params)
     a = rng.standard_normal((14, 128)) + 1j * rng.standard_normal((14, 128))
     b = rng.standard_normal((14, 128)) + 1j * rng.standard_normal((14, 128))
-    ga, gb = _grid_with(a, cfg_2p), _grid_with(b, cfg_2p)
-    combo = _grid_with(2.0 * a - 0.5j * b, cfg_2p)
-    ya = apply(ch, ga, None, rng)
-    yb = apply(ch, gb, None, rng)
-    yc = apply(ch, combo, None, rng)
+    ya = apply(ch, a, None, rng)
+    yb = apply(ch, b, None, rng)
+    yc = apply(ch, 2.0 * a - 0.5j * b, None, rng)
     assert np.allclose(yc, 2.0 * ya - 0.5j * yb, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 14, 128), (1, 14, 128), (14 * 128,), (1, 1, 14, 128)],
+    ids=["stack-of-n_rx-grids", "stack-of-one", "flat", "4-d"],
+)
+def test_apply_rejects_anything_but_one_grid(rng, shape):
+    # a [G, S, N] stack with G == n_rx would otherwise broadcast silently
+    with pytest.raises(ValueError, match="one grid"):
+        apply(flat_unit_channel(2), np.ones(shape, complex), None, rng)
 
 
 def test_received_energy_tracks_noise(cfg_2p, qpsk, rng):
@@ -246,7 +250,7 @@ def test_received_energy_tracks_noise(cfg_2p, qpsk, rng):
     params = SynthParams(n_rx=2)
     bits = rng.integers(0, 2, size=2808)
     grids, _ = pack_bits(bits, cfg_2p, qpsk)
-    data = grids[0].mask == 0
+    data = build_mask(cfg_2p) == 0
     acc, n = 0.0, 0
     for _ in range(2000):
         ch = synth_channel(rng, params)
@@ -284,7 +288,6 @@ def test_cir_round_trip(tmp_path, rng):
     back = import_cirs(path)
     assert len(back) == 7
     for a, b in zip(chans, back):
-        assert b.meta == "imported"
         assert np.array_equal(a.gains, b.gains)
         assert np.array_equal(a.delays, b.delays)
         assert np.array_equal(a.dopplers, b.dopplers)
@@ -401,7 +404,7 @@ def test_cir_invalid_realization_is_a_file_error(tmp_path, n_rx, path_counts, ma
 def test_copied_realization_is_read_only_and_equal(clone, rng):
     ch = synth_channel(rng, SynthParams(n_rx=2))
     twin = clone(ch)
-    assert twin is not ch and twin.meta == ch.meta
+    assert twin is not ch
     for name in ("gains", "delays", "dopplers"):
         a, b = getattr(ch, name), getattr(twin, name)
         assert np.array_equal(a, b)
@@ -414,17 +417,10 @@ def test_copied_realization_is_read_only_and_equal(clone, rng):
 
 
 @pytest.fixture
-def evaluations(monkeypatch):
-    """Arguments of every response evaluation the memo misses on."""
-    calls = []
-    evaluate = channel._evaluate_response
-
-    def counted(*args):
-        calls.append(args)
-        return evaluate(*args)
-
-    monkeypatch.setattr(channel, "_evaluate_response", counted)
-    return calls
+def evaluations():
+    """Count of response evaluations (memo misses) since the test began."""
+    channel._memo_response.cache_clear()
+    return lambda: channel._memo_response.cache_info().misses
 
 
 def test_response_is_read_only(cfg_2p, rng):
@@ -441,7 +437,7 @@ def test_response_memo_is_shared_by_configs_on_one_lattice(
     h = freq_response_grid(ch, cfg_2p)
     assert freq_response_grid(ch, cfg_1p) is h
     assert freq_response_grid(ch, GridConfig(guard_left=0, pilot_seed=3)) is h
-    assert len(evaluations) == 1
+    assert evaluations() == 1
 
 
 def test_response_memo_misses_on_another_realization_or_lattice(cfg_2p, rng, evaluations):
@@ -450,13 +446,12 @@ def test_response_memo_misses_on_another_realization_or_lattice(cfg_2p, rng, eva
     twin = ChannelRealization(ch.gains, ch.delays, ch.dopplers)
     assert np.array_equal(freq_response_grid(twin, cfg_2p), h)
     for lattice in ({"n_symbols": 7, "pilot_symbol_indices": (2,)},
-                    {"n_subcarriers": 64},
-                    {"subcarrier_spacing_hz": 15e3}):
+                    {"n_subcarriers": 64}):
         cfg = GridConfig(**lattice)
         other = freq_response_grid(twin, cfg)
         assert other.shape[1:] == (cfg.n_symbols, cfg.n_subcarriers)
     assert freq_response_grid(ch, cfg_2p) is not h
-    assert len(evaluations) == 6
+    assert evaluations() == 5
     assert np.array_equal(freq_response_grid(ch, cfg_2p), h)
 
 
@@ -480,4 +475,4 @@ def test_link_evaluates_each_response_once(cfg_2p, qpsk, rng, evaluations):
     for g in grids:
         y = apply(ch, g, spec, rng)
         receive_perfect_csi(y, cfg_2p, spec.noise_variance, qpsk, h)
-    assert len(grids) == 3 and len(evaluations) == 1
+    assert len(grids) == 3 and evaluations() == 1

@@ -101,19 +101,6 @@ def test_config_stores_pilot_indices_as_a_tuple(cfg_2p):
     assert build_mask(cfg) is build_mask(cfg_2p)
 
 
-@pytest.mark.parametrize("spacing", [0.0, -30e3, np.nan, np.inf])
-def test_config_rejects_a_bad_subcarrier_spacing(spacing):
-    with pytest.raises(ValueError, match="subcarrier spacing"):
-        GridConfig(subcarrier_spacing_hz=spacing)
-
-
-def test_grid_equality_is_identity(cfg_2p, qpsk):
-    grids, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
-    again, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
-    assert grids[0] == grids[0] and grids[0] != again[0]
-    assert len({grids[0], again[0]}) == 2
-
-
 def _pilots(cfg, seed):
     """The pilot values drawn from ``seed``, in row-major pilot order."""
     values = pilot_value_grid(dataclasses.replace(cfg, pilot_seed=seed))
@@ -163,7 +150,7 @@ def test_pack_overflow_spills_to_second_grid(cfg_2p, qpsk, rng):
 
 def test_pack_empty_stream(cfg_2p, qpsk):
     grids, record = pack_bits(np.empty(0, dtype=np.uint8), cfg_2p, qpsk)
-    assert grids == []
+    assert grids.shape == (0, 14, 128) and grids.dtype == complex
     assert record.n_grids == 0
     assert unpack_llrs([], record, cfg_2p).size == 0
 
@@ -171,24 +158,19 @@ def test_pack_empty_stream(cfg_2p, qpsk):
 def test_grid_contents(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=100)
     grids, _ = pack_bits(bits, cfg_2p, qpsk)
-    g = grids[0]
-    assert np.all(g.symbols[g.mask == GUARD] == 0)
-    assert np.allclose(np.abs(g.symbols[g.mask == PILOT]), 1.0)
-    assert np.array_equal(g.symbols[g.mask == PILOT], _pilots(cfg_2p, cfg_2p.pilot_seed))
-
-
-def test_grids_are_immutable(cfg_2p, qpsk):
-    grids, _ = pack_bits(np.zeros(10, dtype=np.uint8), cfg_2p, qpsk)
-    with pytest.raises(ValueError):
-        grids[0].symbols[0, 0] = 1.0
+    g, mask = grids[0], build_mask(cfg_2p)
+    assert grids.shape == (1, 14, 128)
+    assert np.all(g[mask == GUARD] == 0)
+    assert np.allclose(np.abs(g[mask == PILOT]), 1.0)
+    assert np.array_equal(g[mask == PILOT], _pilots(cfg_2p, cfg_2p.pilot_seed))
 
 
 def _identity_llrs(grids, qpsk):
     """Noiseless loopback: +inf-like LLR magnitude straight from the symbols."""
     out = []
     for g in grids:
-        d2 = np.abs(g.symbols[..., None] - qpsk.points) ** 2
-        llr = np.empty(g.symbols.shape + (2,))
+        d2 = np.abs(g[..., None] - qpsk.points) ** 2
+        llr = np.empty(g.shape + (2,))
         for l, labels in enumerate(qpsk.bit_labels.T):
             mask0 = labels == 0
             llr[..., l] = d2[..., ~mask0].min(-1) - d2[..., mask0].min(-1)
@@ -252,7 +234,7 @@ def test_unpack_matches_a_per_grid_mask_gather(cfg_1p, cfg_2p, rng, pilots, orde
     const = qam(order)
     grids, record = pack_bits(rng.integers(0, 2, size=9000), cfg, const)
     assert record.n_grids > 1
-    llrs = [rng.standard_normal(g.symbols.shape + (const.bits_per_symbol,)) for g in grids]
+    llrs = [rng.standard_normal(g.shape + (const.bits_per_symbol,)) for g in grids]
     data_pos = build_mask(cfg) == DATA
     expected = np.concatenate([l[data_pos].reshape(-1) for l in llrs])[: record.payload_bits]
     assert np.array_equal(unpack_llrs(llrs, record, cfg), expected)
@@ -277,9 +259,16 @@ def test_pack_matches_integer_labels_scattered_through_the_mask(
     for g, chunk in zip(grids, padded.reshape(2, capacity)):
         expected = pilot_value_grid(cfg).copy()
         expected[data_pos] = const.points[chunk.reshape(-1, B).astype(np.int64) @ weights]
-        assert np.array_equal(g.symbols, expected)
+        assert np.array_equal(g, expected)
 
 
-def test_grids_share_the_config_mask(cfg_2p, qpsk):
-    grids, _ = pack_bits(np.zeros(6000, dtype=np.uint8), cfg_2p, qpsk)
-    assert all(g.mask is build_mask(cfg_2p) for g in grids)
+
+@pytest.mark.parametrize(
+    "bits",
+    [[0, 2], [0.7, 1.0], [-1, 0], [2, 0], [0, 256], np.array([0, 255], np.uint8)],
+    ids=["two", "fraction", "minus-one", "leading-two", "wraps-to-zero", "uint8-255"],
+)
+def test_pack_rejects_a_value_that_is_not_a_bit(cfg_2p, qpsk, bits):
+    # the check runs before the uint8 cast, which would wrap or truncate these
+    with pytest.raises(ValueError, match="0 or 1"):
+        pack_bits(bits, cfg_2p, qpsk)

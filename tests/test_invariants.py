@@ -1,0 +1,147 @@
+"""Seeded invariant sweep over the transmit side and the channel.
+
+Most tests pin the paper's layout: 14x128 grids, QPSK, 2 RX antennas and
+2 pilot columns. This module draws configurations from one fixed seed,
+crossing grid size, odd guards, 1-3 pilot columns in any order, QAM order
+and antenna count, and checks on each one invariants that hold whatever
+the configuration.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from telempose.channel import (
+    NoiseSpec,
+    SynthParams,
+    apply,
+    flat_unit_channel,
+    freq_response_grid,
+    synth_channel,
+)
+from telempose.grid import (
+    GridConfig,
+    _data_index,
+    grid_capacity_bits,
+    pack_bits,
+    unpack_llrs,
+)
+from telempose.modem import hard_decide, qam
+from telempose.rx_classic import receive_classic, receive_perfect_csi
+
+SEED = 20_250_306
+N_COMBOS = 40
+
+
+def _draw_combos(rng, n):
+    """``n`` valid (GridConfig, QAM order, n_rx) combinations."""
+    combos = []
+    for _ in range(n):
+        n_pilots = int(rng.integers(1, 4))
+        # at least one data symbol, so every grid has capacity
+        n_symbols = int(rng.integers(n_pilots + 1, 15))
+        pilots = tuple(int(i) for i in rng.permutation(n_symbols)[:n_pilots])
+        cfg = GridConfig(
+            n_subcarriers=int(rng.integers(16, 129)),
+            n_symbols=n_symbols,
+            guard_left=int(rng.integers(0, 8)),
+            guard_right=int(rng.integers(0, 8)),
+            pilot_symbol_indices=pilots,
+            pilot_seed=int(rng.integers(1 << 16)),
+        )
+        combos.append((cfg, int(rng.choice([4, 16, 64])), int(rng.integers(1, 5))))
+    return combos
+
+
+COMBOS = _draw_combos(np.random.default_rng(SEED), N_COMBOS)
+IDS = [
+    f"{c.n_symbols}x{c.n_subcarriers}-g{c.guard_left}.{c.guard_right}"
+    f"-p{'.'.join(map(str, c.pilot_symbol_indices))}-qam{order}-rx{n_rx}"
+    for c, order, n_rx in COMBOS
+]
+
+
+def test_the_sweep_covers_every_axis():
+    cfgs = [c for c, _, _ in COMBOS]
+    assert {order for _, order, _ in COMBOS} == {4, 16, 64}
+    assert {n_rx for _, _, n_rx in COMBOS} == {1, 2, 3, 4}
+    assert {len(c.pilot_symbol_indices) for c in cfgs} == {1, 2, 3}
+    assert any(list(c.pilot_symbol_indices) != sorted(c.pilot_symbol_indices) for c in cfgs)
+    assert any(c.guard_left % 2 and c.guard_right % 2 for c in cfgs)
+    assert any(c.n_subcarriers % 2 for c in cfgs)
+
+
+@lru_cache(maxsize=None)
+def _qam(order):
+    return qam(order)
+
+
+def _payload(case, cfg, order, n_grids=2.5):
+    """Seeded bits for about ``n_grids`` grids, so the last grid is padded."""
+    rng = np.random.default_rng([SEED, case])
+    n = int(n_grids * grid_capacity_bits(cfg, _qam(order)))
+    return rng, rng.integers(0, 2, size=n, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
+def test_unpack_inverts_pack(case):
+    cfg, order, _ = COMBOS[case]
+    const = _qam(order)
+    _, bits = _payload(case, cfg, order)
+    symbols, record = pack_bits(bits, cfg, const)
+    assert symbols.shape == (record.n_grids, cfg.n_symbols, cfg.n_subcarriers)
+    # +-1 LLRs of the nearest point's label at every element; pilot and guard
+    # elements decide whatever their value is nearest to, and must be dropped
+    nearest = np.abs(symbols[..., None] - const.points).argmin(axis=-1)
+    llrs = 1.0 - 2.0 * const.bit_labels[nearest]
+    assert np.array_equal(hard_decide(unpack_llrs(llrs, record, cfg)), bits)
+
+
+@pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
+def test_both_receivers_decode_a_noiseless_flat_channel(case):
+    cfg, order, n_rx = COMBOS[case]
+    const = _qam(order)
+    rng, bits = _payload(case, cfg, order)
+    symbols, record = pack_bits(bits, cfg, const)
+    ch = flat_unit_channel(n_rx)
+    h = freq_response_grid(ch, cfg)
+    ys = [apply(ch, s, None, rng) for s in symbols]
+    for receive in (
+        lambda y: receive_classic(y, cfg, 0.0, const),
+        lambda y: receive_perfect_csi(y, cfg, 0.0, const, h),
+    ):
+        llrs = [receive(y) for y in ys]
+        assert np.array_equal(hard_decide(unpack_llrs(llrs, record, cfg)), bits)
+
+
+@pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
+def test_noiseless_apply_is_the_response_times_the_grid(case):
+    cfg, order, n_rx = COMBOS[case]
+    rng, bits = _payload(case, cfg, order)
+    symbols, _ = pack_bits(bits, cfg, _qam(order))
+    ch = synth_channel(rng, SynthParams(n_rx=n_rx))
+    for s in symbols:
+        assert np.array_equal(apply(ch, s, None, rng), freq_response_grid(ch, cfg) * s)
+
+
+@pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
+def test_perfect_csi_at_60_db_decodes_every_bit_the_channel_carries(case):
+    cfg, order, n_rx = COMBOS[case]
+    const = _qam(order)
+    rng, bits = _payload(case, cfg, order)
+    symbols, record = pack_bits(bits, cfg, const)
+    ch = synth_channel(rng, SynthParams(n_rx=n_rx))
+    h = freq_response_grid(ch, cfg)
+    spec = NoiseSpec(60.0, const.bits_per_symbol)
+    llrs = [
+        receive_perfect_csi(apply(ch, s, spec, rng), cfg, spec.noise_variance, const, h)
+        for s in symbols
+    ]
+    decided = hard_decide(unpack_llrs(llrs, record, cfg))
+    # |h|^2 summed over the antennas, per payload bit
+    gain = np.square(np.abs(h)).sum(axis=0).reshape(-1)[_data_index(cfg)]
+    strong = np.tile(np.repeat(gain, const.bits_per_symbol), record.n_grids) > 1e-3
+    strong = strong[: bits.size]
+    assert strong.mean() > 0.5
+    assert np.array_equal(decided[strong], bits[strong])

@@ -63,6 +63,29 @@ def test_dequantize_length_mismatch():
         dequantize_frame(np.zeros(204 * 8 - 1, dtype=np.uint8), QuantizerConfig(q=8))
 
 
+@pytest.mark.parametrize("everywhere", [False, True], ids=["one-bit", "every-bit"])
+@pytest.mark.parametrize(
+    "value, dtype",
+    [(2, np.uint8), (2, np.int64), (-1, np.int64), (0.5, float), (np.nan, float)],
+    ids=["uint8-two", "int-two", "minus-one", "half", "nan"],
+)
+def test_dequantize_rejects_a_value_that_is_not_a_bit(value, dtype, everywhere):
+    # all-2 bits used to decode to 3.0, outside [lo, hi]
+    bits = np.full(204 * 8, value if everywhere else 0, dtype=dtype)
+    bits[17] = value
+    with pytest.raises(ValueError, match="0 or 1"):
+        dequantize_frame(bits, QuantizerConfig(q=8))
+
+
+def test_dequantize_accepts_bits_of_any_dtype():
+    cfg = QuantizerConfig(q=4)
+    bits = np.tile([1, 0, 1, 1], 204)
+    expected = dequantize_frame(bits.astype(np.uint8), cfg)
+    assert np.all(expected == -1.0 + 2.0 * 11 / 15)
+    for dtype in (bool, np.int64, float):
+        assert np.array_equal(dequantize_frame(bits.astype(dtype), cfg), expected)
+
+
 def test_quantize_frame_all_zero_features():
     cfg = QuantizerConfig(q=4)
     bits = quantize_frame(np.zeros(204), cfg)
@@ -217,6 +240,17 @@ def test_map_symbols_examples(qpsk):
 def test_map_symbols_rejects_ragged_input(qpsk):
     with pytest.raises(FramingError):
         map_symbols([0, 1, 1], qpsk)
+
+
+@pytest.mark.parametrize(
+    "bits", [[0, 2], [0.7, 1.0], [-1, 0], [2, 0], np.array([0, 9], np.uint8)],
+    ids=["two", "fraction", "minus-one", "leading-two", "uint8-nine"],
+)
+def test_map_symbols_rejects_a_value_that_is_not_a_bit(qpsk, bits):
+    # these used to map to a point ([0, 2] and [0.7, 1] both to point 2,
+    # [-1, 0] to points[-2]) or raise a bare IndexError
+    with pytest.raises(ValueError, match="0 or 1"):
+        map_symbols(bits, qpsk)
 
 
 def test_map_then_min_distance_decision_is_identity(qpsk, rng):

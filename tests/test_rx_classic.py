@@ -11,7 +11,14 @@ from telempose.channel import (
     freq_response_grid,
     synth_channel,
 )
-from telempose.grid import DATA, build_mask, pack_bits, pilot_value_grid, unpack_llrs
+from telempose.grid import (
+    DATA,
+    GridConfig,
+    build_mask,
+    pack_bits,
+    pilot_value_grid,
+    unpack_llrs,
+)
 from telempose.modem import hard_decide, llr_maxlog, qam
 from telempose.rx_classic import (
     interpolate,
@@ -182,6 +189,19 @@ def test_lmmse_matches_docstring_formulas(noise_var, rng):
     assert np.allclose(c_hat, np.sum(np.conj(h) * y, axis=0) / denom, rtol=1e-13, atol=0)
     assert np.allclose(bias, norm2 / denom, rtol=1e-13, atol=0)
     assert np.allclose(post, noise_var * norm2 / denom**2, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "h_shape", [(1, 14, 117), (2, 14, 1), (2, 1, 117), (14, 117)],
+    ids=["one-antenna", "one-subcarrier", "one-symbol", "no-antenna-axis"],
+)
+def test_lmmse_rejects_an_estimate_of_another_shape(rng, h_shape):
+    # a [1, ...] estimate against a 2-antenna y used to broadcast to a wrong
+    # c_hat (1.82 where two-antenna MRC gives about 0.95)
+    y = rng.standard_normal((2, 14, 117)) + 0j
+    with pytest.raises(ValueError, match=r"\(2, 14, 117\)") as err:
+        lmmse_equalize(y, np.ones(h_shape, complex), 0.1)
+    assert str(h_shape) in str(err.value)
 
 
 def test_equalizer_phase_correctness(rng):
@@ -407,6 +427,28 @@ def test_receivers_equal_their_public_stages_bit_for_bit(layout, order, erased, 
     ref, n_erased = _composed(y, cfg, nv, const, h)
     assert (n_erased > 0) == erased
     assert np.array_equal(receive_perfect_csi(y, cfg, nv, const, h), ref)
+
+
+def test_perfect_csi_rejects_a_response_for_fewer_antennas(cfg_2p, qpsk):
+    y, h = np.ones((2, 14, 128), complex), np.ones((1, 14, 128), complex)
+    match = r"\(1, 14, 117\) does not match received \(2, 14, 117\)"
+    with pytest.raises(ValueError, match=match):
+        receive_perfect_csi(y, cfg_2p, 0.1, qpsk, h)
+
+
+@pytest.mark.parametrize(
+    "n_subcarriers, shape",
+    [(64, (2, 14, 128)), (128, (2, 14, 64)), (128, (2, 7, 128)), (128, (14, 128)),
+     (128, (1, 2, 14, 128))],
+    ids=["128-against-64", "64-against-128", "fewer-symbols", "no-antenna-axis", "batched"],
+)
+def test_receivers_reject_a_grid_of_another_shape(qpsk, n_subcarriers, shape):
+    cfg = GridConfig(n_subcarriers=n_subcarriers)
+    y = np.ones(shape, complex)
+    with pytest.raises(ValueError, match=f"14x{n_subcarriers}"):
+        receive_classic(y, cfg, 0.1, qpsk)
+    with pytest.raises(ValueError, match=f"14x{n_subcarriers}"):
+        receive_perfect_csi(y, cfg, 0.1, qpsk, np.ones(shape, complex))
 
 
 def test_overflowing_equalizer_output_is_rejected(cfg_1p, qpsk):
