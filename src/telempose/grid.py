@@ -57,6 +57,13 @@ class GridConfig:
                 raise ValueError(f"pilot symbol index {i} out of range")
         if len(set(self.pilot_symbol_indices)) != len(self.pilot_symbol_indices):
             raise ValueError(f"repeated pilot symbol index in {self.pilot_symbol_indices}")
+        # guards always leave effective subcarriers, so only a pilot in
+        # every symbol leaves no DATA element, and no grid could carry a bit
+        if len(self.pilot_symbol_indices) == self.n_symbols:
+            raise ValueError(
+                f"pilots {self.pilot_symbol_indices} fill all {self.n_symbols} symbols "
+                "and leave no DATA element"
+            )
 
     @property
     def n_effective(self) -> int:

@@ -2,28 +2,40 @@
 
 Just the ops its residual CNN uses: 3x3 same-padded convolution with a
 folded bias, layer normalization over (C, T, F), ReLU, equal-shape
-residual addition, the fused sigmoid-BCE loss, and Adam. Tensors wrap
-numpy arrays; an op whose output needs a gradient records its parents
-and a closure that accumulates gradients into them, and
-``Tensor.backward`` replays the closures in reverse topological order.
+residual addition, the fused sigmoid-BCE loss, and Adam.
 
-Graphs are freed by reference counting alone. A closure receives its
-output's gradient as an argument and never refers to its own output
-Tensor, so no graph is a reference cycle and it dies with its last user.
+A ``Tensor`` is a numpy array plus, when a gradient flows to it, a graph
+node (``_Node``) that holds its ``grad``. An op whose output needs a
+gradient gives that output a node with a backward closure and links to
+the parent *nodes*, never to the parent tensors, and the closure keeps
+only the arrays it reads:
+
+- conv: its input (only when the kernel takes a gradient) and its kernel;
+- LayerNorm: the normalized input, the per-sample 1/std and gamma;
+- ReLU: a bool mask of its positive outputs;
+- add: nothing;
+- BCE: the logits, targets, weights and exp(-|z|).
+
+So a recorded graph holds no conv output, ReLU output or residual sum:
+each is freed as soon as the caller drops its tensor. Graphs are freed by
+reference counting alone, since a closure never refers to its own node.
 Inside ``with no_grad():`` ops in that thread record nothing, so each
 intermediate array is freed once the next op has read it.
 
-Gradients are handed over, not copied. ``backward`` takes each non-leaf
-node's ``grad`` off the node before running its closure, so the closure
-owns that array: it may write it in place (ReLU and LayerNorm do) and
-hands it, or an array it made itself, to at most one parent. Every array
-passed to ``_accumulate`` is the parent's to keep. Leaf grads
+``Tensor.backward`` consumes its graph. It runs the closures in reverse
+topological order, then every node drops its closure and parent links,
+so the captured arrays are freed when ``backward`` returns rather than
+when the caller drops the output. A second ``backward`` through a
+consumed node raises ``RuntimeError``. Gradients are handed over, not copied: each non-leaf
+node's ``grad`` is taken off the node before its closure runs, so the
+closure owns that array. It may write it in place (ReLU and LayerNorm do)
+and hands it, or an array it made itself, to at most one parent. Every
+array passed to ``_Node.accumulate`` is the parent's to keep. Leaf grads
 (parameters, inputs) stay on their tensors after ``backward``.
 
 The 3x3-only convolution runs as three batched GEMMs over row taps of
 its input (see ``conv2d``). Backward builds the row taps of the output
-gradient once and reads them for both the input and the kernel
-gradient, so a recorded conv keeps only its output.
+gradient once and reads them for both the input and the kernel gradient.
 
 float32 is the training precision; gradient checks build the same graphs
 in float64.
@@ -67,69 +79,115 @@ def no_grad():
         _recording.on = previous
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+class _Node:
+    """Gradient slot of one tensor in a recorded graph.
 
-    def __init__(self, data, requires_grad=False, parents=()):
-        self.data = np.asarray(data)
+    A leaf's node has no closure and no parents. An op's node holds the
+    closure that sends its gradient to the parent nodes, and those nodes.
+    ``parents`` is None once ``backward`` has run the graph: the node is
+    consumed.
+    """
+
+    __slots__ = ("grad", "dtype", "backward", "parents")
+
+    def __init__(self, dtype, backward=None, parents=()):
         self.grad = None
-        self.requires_grad = requires_grad or (
-            _recording.on and any(p.requires_grad for p in parents)
-        )
-        self._backward = None
-        self._parents = parents if self.requires_grad else ()
+        self.dtype = dtype
+        self.backward = backward
+        self.parents = parents
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def _accumulate(self, g):
+    def accumulate(self, g):
         """Add ``g`` into ``grad``; the first ``g`` is kept, not copied.
 
         The caller hands ``g`` over: no one else holds it or writes it again.
         """
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=False)
+            self.grad = g.astype(self.dtype, copy=False)
         else:
             self.grad += g
+
+
+class Tensor:
+    """A numpy array and, when a gradient flows to it, its graph node."""
+
+    __slots__ = ("data", "_node")
+
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
+        self._node = _Node(self.data.dtype) if requires_grad else None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._node is None:
+            raise AttributeError("grad is set only on a tensor that requires a gradient")
+        self._node.grad = g
 
     def backward(self):
         """Populate ``grad`` on every upstream leaf tensor that requires it.
 
-        Each non-leaf node's ``grad`` is handed to its closure and not kept.
+        Consumes the graph: every closure and its node's parent links are
+        dropped before it returns, and a second ``backward`` through a
+        consumed node raises ``RuntimeError``.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.shape}")
-        if not self.requires_grad:
+        if self._node is None:
             raise RuntimeError("backward needs a recorded graph; none was built under no_grad")
-        topo, visited, stack = [], set(), [(self, False)]
+        topo, visited, stack = [], set(), [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
+            if node.parents is None:
+                raise RuntimeError("graph already consumed by an earlier backward")
             if id(node) in visited:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad:
-                    stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+            stack.extend((p, False) for p in node.parents)
+        self._node.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
+            if node.backward is not None:
                 g, node.grad = node.grad, None
-                node._backward(g)
+                node.backward(g)
+        # Dropped after the walk, not as it goes: freeing the newest arrays
+        # mid-walk lets the allocator trim the heap top, and each conv
+        # backward then faults in its tap buffer afresh.
+        for node in topo:
+            if node.backward is not None:
+                node.backward = node.parents = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
+def _grad_node(t: Tensor):
+    """``t``'s node if ops in this thread record and ``t`` takes a gradient."""
+    return t._node if _recording.on else None
+
+
 def _result(data, parents, backward) -> Tensor:
-    """Wrap an op's output, recording ``backward`` only if a gradient flows."""
-    out = Tensor(data, parents=parents)
-    if out.requires_grad:
-        out._backward = backward
+    """Wrap an op's output, recording ``backward`` only if a gradient flows.
+
+    ``parents`` are the operands' ``_grad_node``s, None where none flows.
+    """
+    out = Tensor(data)
+    nodes = tuple(p for p in parents if p is not None)
+    if nodes:
+        out._node = _Node(out.data.dtype, backward, nodes)
     return out
 
 
@@ -137,26 +195,30 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two equal-shaped tensors (the residual adds)."""
     if a.shape != b.shape:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
+    na, nb = _grad_node(a), _grad_node(b)
 
     def _bw(g):
         # g goes to a; b gets a copy, unless a takes no gradient
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g.copy() if a.requires_grad else g)
+        if na is not None:
+            na.accumulate(g)
+        if nb is not None:
+            nb.accumulate(g.copy() if na is not None else g)
 
-    return _result(a.data + b.data, (a, b), _bw)
+    return _result(a.data + b.data, (na, nb), _bw)
 
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
+    nx = _grad_node(x)
+    if nx is None:
+        return Tensor(data)
+    mask = data > 0  # a recorded ReLU keeps this, not its output
 
     def _bw(g):
-        if x.requires_grad:
-            g *= data > 0
-            x._accumulate(g)
+        g *= mask
+        nx.accumulate(g)
 
-    return _result(data, (x,), _bw)
+    return _result(data, (nx,), _bw)
 
 
 def _tap_rows(x: np.ndarray) -> list:
@@ -218,34 +280,37 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"cannot convolve input {x.shape} with 3x3 kernel {k.shape}")
     B, c_in, H, W = x.data.shape
     c_out = k.data.shape[0]
-    parents = (x, k) if bias is None else (x, k, bias)
-    data = _conv_taps(_tap_rows(x.data), k.data)
+    nx, nk = _grad_node(x), _grad_node(k)
+    nb = None if bias is None else _grad_node(bias)
+    b_shape = None if nb is None else bias.data.shape
+    xd = x.data if nk is not None else None  # only the kernel gradient reads it
+    kd = k.data
+    data = _conv_taps(_tap_rows(x.data), kd)
     if bias is not None:
         data += bias.data.reshape(1, c_out, 1)
     data = data.reshape(B, c_out, H, W)
 
     def _bw(g):
-        if bias is not None and bias.requires_grad:
+        if nb is not None:
             # one axis at a time: the order fixes the float32 rounding of
             # the bias gradient, so changing it changes trained weights
-            gb = g.sum(axis=0).sum(axis=1).sum(axis=1)
-            bias._accumulate(gb.reshape(bias.data.shape))
+            nb.accumulate(g.sum(axis=0).sum(axis=1).sum(axis=1).reshape(b_shape))
         spans = _tap_rows(g)
-        if k.requires_grad:
+        if nk is not None:
             # dk[co, c, i, j] = sum over b, h, w of g[b, co, h+1-i, w+1-j] x[b, c, h, w]:
             # span 2-i, tap 2-j of g times x transposed
-            xt = x.data.reshape(B, c_in, H * W).transpose(0, 2, 1)
+            xt = xd.reshape(B, c_in, H * W).transpose(0, 2, 1)
             rows = np.stack([(spans[2 - i] @ xt).sum(axis=0) for i in range(3)])
             dk = rows.reshape(3, 3, c_out, c_in)[:, ::-1].transpose(2, 3, 0, 1)
-            k._accumulate(np.ascontiguousarray(dk))
-        if x.requires_grad:
+            nk.accumulate(np.ascontiguousarray(dk))
+        if nx is not None:
             # full correlation with the flipped, in/out-swapped kernel; the
             # taps are a copy of g, so the result can take g's memory
-            kf = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            kf = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             out = g.reshape(B, c_out, H * W) if c_in == c_out else None
-            x._accumulate(_conv_taps(spans, kf, out).reshape(x.data.shape))
+            nx.accumulate(_conv_taps(spans, kf, out).reshape(B, c_in, H, W))
 
-    return _result(data, parents, _bw)
+    return _result(data, (nx, nk, nb), _bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -256,6 +321,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """
     axes = (1, 2, 3)
     B, C = x.data.shape[:2]
+    nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
     xhat = x.data - x.data.mean(axis=axes, keepdims=True)
     flat = xhat.reshape(B, 1, -1)
     var = (flat @ flat.transpose(0, 2, 1)).reshape(B, 1, 1, 1) / flat.shape[2]
@@ -270,11 +336,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         gs, xs = g.reshape(B, C, -1), xhat.reshape(B, C, -1)
         s1 = gs.sum(axis=2)
         s2 = np.einsum("bcn,bcn->bc", gs, xs)
-        if beta.requires_grad:
-            beta._accumulate(s1.sum(axis=0))
-        if gamma.requires_grad:
-            gamma._accumulate(s2.sum(axis=0))
-        if x.requires_grad:
+        if nbeta is not None:
+            nbeta.accumulate(s1.sum(axis=0))
+        if ngamma is not None:
+            ngamma.accumulate(s2.sum(axis=0))
+        if nx is not None:
             # dx = inv (dxhat - mean(dxhat) - xhat mean(dxhat xhat)), dxhat = gamma g
             n = gs[0].size
             m1 = (s1 @ gb.reshape(C) / n).reshape(B, 1, 1, 1)
@@ -283,9 +349,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             g -= m1
             g -= xhat * m2
             g *= inv
-            x._accumulate(g)
+            nx.accumulate(g)
 
-    return _result(data, (x, gamma, beta), _bw)
+    return _result(data, (nx, ngamma, nbeta), _bw)
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
@@ -306,12 +372,13 @@ def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
         mask = np.asarray(mask)
         weight = mask / mask.sum()
 
-    def _bw(g):
-        if logits.requires_grad:
-            sigmoid = np.where(z >= 0, 1, e) / (1 + e)  # exp(-|z|) never overflows
-            logits._accumulate(g * (sigmoid - t) * weight)
+    nz = _grad_node(logits)
 
-    return _result(np.array((elem * weight).sum()), (logits,), _bw)
+    def _bw(g):
+        sigmoid = np.where(z >= 0, 1, e) / (1 + e)  # exp(-|z|) never overflows
+        nz.accumulate(g * (sigmoid - t) * weight)
+
+    return _result(np.array((elem * weight).sum()), (nz,), _bw)
 
 
 # ---------------------------------------------------------------------------

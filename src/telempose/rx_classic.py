@@ -193,6 +193,11 @@ def receive_perfect_csi(
     ``channel.freq_response_grid``; it and ``y`` must be finite.
     """
     _check_received(y, cfg)
+    # before slicing, where a response of another rank raises a bare IndexError
+    if h_true.shape != y.shape:
+        raise ValueError(
+            f"channel response {h_true.shape} does not match received grid {y.shape}"
+        )
     _check_finite("channel response", h_true)
     eff = cfg.effective_slice
     c_hat, post_var, bias = lmmse_equalize(y[:, :, eff], h_true[:, :, eff], noise_var)

@@ -255,7 +255,7 @@ def train(
         loss.backward()
         nn.adam_step(params, state)
         hard = logits.data > 0
-        del logits, loss  # free this step's graph before the next one is built
+        del logits, loss  # backward released the graph; this frees the logits array
 
         live = mask > 0
         ber = float(np.mean(hard[live] != (targets[live] > 0.5)))

@@ -65,6 +65,13 @@ def test_config_rejects_a_negative_guard():
         GridConfig(guard_right=-1)
 
 
+@pytest.mark.parametrize("n_symbols, pilots", [(1, (0,)), (2, (0, 1)), (3, (2, 0, 1))])
+def test_config_rejects_pilots_in_every_symbol(n_symbols, pilots):
+    # no DATA element would leave every grid without capacity
+    with pytest.raises(ValueError, match="no DATA element"):
+        GridConfig(n_symbols=n_symbols, pilot_symbol_indices=pilots)
+
+
 def test_config_rejects_no_symbols():
     with pytest.raises(ValueError, match="OFDM symbol"):
         GridConfig(n_symbols=0, pilot_symbol_indices=())

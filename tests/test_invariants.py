@@ -1,17 +1,21 @@
-"""Seeded invariant sweep over the transmit side and the channel.
+"""Seeded invariant sweep over the quantizer, the link and the neural receiver.
 
 Most tests pin the paper's layout: 14x128 grids, QPSK, 2 RX antennas and
 2 pilot columns. This module draws configurations from one fixed seed,
 crossing grid size, odd guards, 1-3 pilot columns in any order, QAM order
 and antenna count, and checks on each one invariants that hold whatever
-the configuration.
+the configuration. It also round-trips the quantizer at every bit width,
+runs tiny neural receivers on drawn grids, and checks the gradients of
+the receiver's layer chain at drawn shapes.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from telempose import nn
 from telempose.channel import (
     NoiseSpec,
     SynthParams,
@@ -27,8 +31,17 @@ from telempose.grid import (
     pack_bits,
     unpack_llrs,
 )
-from telempose.modem import hard_decide, qam
+from telempose.modem import (
+    FEATURES_PER_FRAME,
+    QuantizerConfig,
+    dequantize_frame,
+    hard_decide,
+    qam,
+    quantize_frame,
+)
 from telempose.rx_classic import receive_classic, receive_perfect_csi
+from telempose.rx_neural import NeuralReceiver, NeuralRxConfig, TrainConfig, train
+from test_nn import check_grad
 
 SEED = 20_250_306
 N_COMBOS = 40
@@ -145,3 +158,80 @@ def test_perfect_csi_at_60_db_decodes_every_bit_the_channel_carries(case):
     strong = strong[: bits.size]
     assert strong.mean() > 0.5
     assert np.array_equal(decided[strong], bits[strong])
+
+
+# ---------------------------------------------------------------------------
+# quantizer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", range(1, 17))
+def test_dequantize_is_within_half_a_step_of_the_quantized_frame(q):
+    rng = np.random.default_rng([SEED, 1, q])
+    lo = float(rng.uniform(-100, 10))
+    cfg = QuantizerConfig(q=q, lo=lo, hi=lo + float(rng.uniform(1e-3, 100)))
+    x = rng.uniform(cfg.lo, cfg.hi, size=FEATURES_PER_FRAME)
+    x[:2] = cfg.lo, cfg.hi
+    back = dequantize_frame(quantize_frame(x, cfg), cfg)
+    # rounding: a few ulps of the endpoints in the scale and the shift
+    rounding = 4 * np.finfo(float).eps * (abs(cfg.lo) + abs(cfg.hi))
+    assert np.max(np.abs(back - x)) <= cfg.step / 2 + rounding
+
+
+# ---------------------------------------------------------------------------
+# neural receiver
+# ---------------------------------------------------------------------------
+
+N_NEURAL = 10
+NEURAL = COMBOS[:N_NEURAL]
+
+
+@pytest.mark.parametrize("case", range(N_NEURAL), ids=IDS[:N_NEURAL])
+def test_neural_receiver_shape_and_first_loss_at_chance(case):
+    cfg, order, n_rx = NEURAL[case]
+    const = _qam(order)
+    rng = np.random.default_rng([SEED, 2, case])
+    net = NeuralRxConfig(
+        n_rx=n_rx,
+        n_blocks=int(rng.integers(0, 3)),
+        filters=int(rng.integers(1, 5)),
+        bits_per_symbol=const.bits_per_symbol,
+        n_symbols=cfg.n_symbols,
+        n_subcarriers=cfg.n_subcarriers,
+    )
+    rx = NeuralReceiver(net, rng)
+    ch = synth_channel(rng, SynthParams(n_rx=n_rx))
+    y = apply(ch, np.zeros((cfg.n_symbols, cfg.n_subcarriers), complex),
+              NoiseSpec(10.0, const.bits_per_symbol), rng)
+    llr = rx.receive(y, 0.1)
+    assert llr.shape == (cfg.n_symbols, cfg.n_subcarriers, const.bits_per_symbol)
+    # the zero-initialised output conv emits logit 0, whose BCE is ln 2
+    log = train(rx, cfg, const, [ch], TrainConfig(iterations=1, batch=2), rng)
+    assert abs(log[0].loss - math.log(2)) <= 1e-6
+
+
+def test_the_neural_sweep_covers_every_order_and_antenna_count():
+    assert {order for _, order, _ in NEURAL} == {4, 16, 64}
+    assert {n_rx for _, _, n_rx in NEURAL} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_layer_chain_gradients_match_finite_differences(draw):
+    # conv -> LayerNorm -> ReLU -> residual add -> BCE, in float64
+    rng = np.random.default_rng([SEED, 3, draw])
+    B, c_in, c_out = (int(n) for n in rng.integers(1, 4, size=3))
+    H, W = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+
+    def leaf(*shape, scale=1.0):
+        return nn.Tensor(scale * rng.standard_normal(shape), requires_grad=True)
+
+    x, k, b = leaf(B, c_in, H, W), leaf(c_out, c_in, 3, 3, scale=0.5), leaf(1, c_out, 1, 1)
+    gamma = nn.Tensor(1.0 + 0.1 * rng.standard_normal(c_out), requires_grad=True)
+    beta = leaf(c_out, scale=0.1)
+    targets = nn.Tensor((rng.uniform(size=(B, c_out, H, W)) > 0.5).astype(float))
+
+    def loss():
+        h = nn.conv2d(x, k, b)
+        return nn.bce_with_logits(nn.add(h, nn.relu(nn.layer_norm(h, gamma, beta))), targets)
+
+    check_grad(loss, x, k, b, gamma, beta)

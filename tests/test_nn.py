@@ -78,7 +78,8 @@ def test_conv2d_layer_adds_its_bias_in_the_conv(rng):
     layer.b.data = rng.standard_normal(layer.b.data.shape)
     x = Tensor(rng.standard_normal((2, 3, 5, 7)))
     out = layer(x)
-    assert out._parents == (x, layer.k, layer.b)
+    # the bias is a parent of the conv's own node, not of a separate add
+    assert out._node.parents == (layer.k._node, layer.b._node)
     assert np.array_equal(out.data, conv2d(x, layer.k).data + layer.b.data)
 
 
@@ -429,7 +430,7 @@ def test_no_grad_records_nothing_and_computes_the_same(rng):
         inner = nn.add(out, out)
     assert np.array_equal(out.data, recorded.data)
     for t in (out, inner):
-        assert not t.requires_grad and t._parents == () and t._backward is None
+        assert not t.requires_grad and t._node is None
     assert recorded.requires_grad and relu(x).requires_grad
 
 
@@ -504,3 +505,27 @@ def test_backward_requires_scalar(rng):
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     with pytest.raises(ShapeError):
         relu(x).backward()
+
+
+def test_backward_consumes_its_graph(rng):
+    x = t64(rng, (2, 3, 4, 5))
+    loss = bce_with_logits(relu(x), _binary(rng, (2, 3, 4, 5)))
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    assert np.array_equal(x.grad, first)
+
+
+def test_backward_through_a_node_another_backward_consumed_raises(rng):
+    x = t64(rng, (3, 4))
+    h = relu(x)
+    t = _binary(rng, (3, 4))
+    bce_with_logits(h, t).backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        bce_with_logits(nn.add(h, x), t).backward()
+
+
+def test_grad_is_set_only_on_a_tensor_that_takes_one(rng):
+    with pytest.raises(AttributeError, match="requires a gradient"):
+        Tensor(rng.standard_normal(3)).grad = np.ones(3)

@@ -431,7 +431,14 @@ def test_receivers_equal_their_public_stages_bit_for_bit(layout, order, erased, 
 
 def test_perfect_csi_rejects_a_response_for_fewer_antennas(cfg_2p, qpsk):
     y, h = np.ones((2, 14, 128), complex), np.ones((1, 14, 128), complex)
-    match = r"\(1, 14, 117\) does not match received \(2, 14, 117\)"
+    match = r"\(1, 14, 128\) does not match received grid \(2, 14, 128\)"
+    with pytest.raises(ValueError, match=match):
+        receive_perfect_csi(y, cfg_2p, 0.1, qpsk, h)
+
+
+def test_perfect_csi_rejects_a_response_without_an_antenna_axis(cfg_2p, qpsk):
+    y, h = np.ones((2, 14, 128), complex), np.ones((14, 128), complex)
+    match = r"\(14, 128\) does not match received grid \(2, 14, 128\)"
     with pytest.raises(ValueError, match=match):
         receive_perfect_csi(y, cfg_2p, 0.1, qpsk, h)
 

@@ -1,6 +1,10 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from telempose.rx_neural import (
     NeuralRxConfig,
     TrainConfig,
     TrainingDiverged,
+    _Block,
     build_input_planes,
     train,
 )
@@ -258,6 +263,48 @@ def test_training_peak_memory_does_not_grow_after_the_first_step(cfg_2p, qpsk):
 
     one, three = _peak_bytes(lambda: run(1)), _peak_bytes(lambda: run(3))
     assert three < 1.1 * one, (one, three)
+
+
+def test_a_recorded_block_keeps_only_what_its_backward_reads():
+    # per block: two LayerNorm xhats, the two conv inputs, two bool ReLU
+    # masks (a quarter each) and the output; conv and ReLU outputs are freed
+    block = _Block(16, np.random.default_rng(0))
+    h = nn.Tensor(np.random.default_rng(1).standard_normal((2, 16, 14, 32)).astype(np.float32),
+                  requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = block(h)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept <= 6 * h.data.nbytes, kept / h.data.nbytes
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_a_batch_16_paper_step_peaks_below_half_a_gib():
+    # a fresh interpreter, so the peaks of other tests do not count
+    src = str(Path(nn.__file__).resolve().parents[1])
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from telempose import channel, grid, modem, rx_neural\n"
+        "rng = np.random.default_rng(0)\n"
+        "rx = rx_neural.NeuralReceiver(rx_neural.NeuralRxConfig(), rng)\n"
+        "hyper = rx_neural.TrainConfig(iterations=2, batch=16)\n"
+        "rx_neural.train(rx, grid.two_pilot_config(), modem.qam(4),\n"
+        "                [channel.flat_unit_channel(2)], hyper, rng)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True, text=True, check=True,
+    )
+    peak_kib = int(out.stdout.split()[-1])
+    assert peak_kib < 512 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
 
 
 def test_receive_equals_the_recorded_forward(rng):
