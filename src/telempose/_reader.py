@@ -1,12 +1,17 @@
-"""Bounds-checked reading of the package's binary file formats.
+"""Bounds-checked reading and all-or-nothing writing of the package's
+binary file formats.
 
 The channel-realization file (TPCR) and the checkpoint (TPWT) both read
 through :class:`Reader`, so a short, overlong or malformed file raises
 the format's own error class instead of a bare ``struct.error`` or a
-silently short array.
+silently short array. Both write through :func:`replacing`, so a write
+that fails midway leaves the file that was there before.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
 
 
 class Reader:
@@ -41,3 +46,22 @@ class Reader:
             raise self._error(
                 f"{self._kind} has {extra} trailing bytes after byte {self._off}"
             )
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Binary file to write that replaces ``path`` only when the block succeeds.
+
+    The bytes go to a temporary file in ``path``'s directory, which
+    ``os.replace`` then moves over ``path``. On any error the temporary
+    file is removed and ``path`` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

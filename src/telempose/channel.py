@@ -21,8 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._reader import Reader
-from .grid import SUBCARRIER_SPACING_HZ, GridConfig, _check_int
+from ._checks import check_int
+from ._reader import Reader, replacing
+from .grid import SUBCARRIER_SPACING_HZ, GridConfig
 
 SPEED_OF_LIGHT = 299_792_458.0
 MAX_PATHS = 75
@@ -91,9 +92,7 @@ class NoiseSpec:
     bits_per_symbol: int = 2
 
     def __post_init__(self):
-        _check_int("bits_per_symbol", self.bits_per_symbol)
-        if self.bits_per_symbol < 1:
-            raise ValueError(f"bits_per_symbol must be >= 1, got {self.bits_per_symbol}")
+        check_int("bits_per_symbol", self.bits_per_symbol, 1)
         # a Python float overflows with an exception; a numpy scalar would warn first
         object.__setattr__(self, "ebn0_db", float(self.ebn0_db))
         try:
@@ -121,10 +120,8 @@ class SynthParams:
     carrier_hz: float = 3.5e9
 
     def __post_init__(self):
-        _check_int("l_max", self.l_max)
-        _check_int("n_rx", self.n_rx)
-        if not 1 <= self.l_max <= MAX_PATHS:
-            raise ValueError(f"l_max must be in 1..{MAX_PATHS}")
+        check_int("l_max", self.l_max, 1, MAX_PATHS)
+        check_int("n_rx", self.n_rx, 1)
         # chained comparisons are False for NaN and raise no warning
         if not 0 < self.delay_spread_s < math.inf:
             raise ValueError(
@@ -133,8 +130,6 @@ class SynthParams:
         lo, hi = self.speed_range_mps
         if not 0 <= lo <= hi < math.inf:
             raise ValueError(f"invalid speed range {self.speed_range_mps}")
-        if self.n_rx < 1:
-            raise ValueError("need at least one RX antenna")
         if not 0 < self.carrier_hz < math.inf:
             raise ValueError(f"carrier must be finite and positive, got {self.carrier_hz}")
 
@@ -240,16 +235,16 @@ def apply(
 
 
 def export_cirs(realizations, path):
+    """Write realizations of one antenna count; a failed write keeps the old file."""
     realizations = list(realizations)
     n_rx = realizations[0].n_rx if realizations else 0
-    with open(path, "wb") as f:
+    for r, ch in enumerate(realizations):
+        if ch.n_rx != n_rx:
+            raise ChannelFileError(f"realization {r} has n_rx={ch.n_rx}, file uses {n_rx}")
+    with replacing(path) as f:
         f.write(_CIR_MAGIC)
         f.write(struct.pack("<III", _CIR_VERSION, len(realizations), n_rx))
-        for r, ch in enumerate(realizations):
-            if ch.n_rx != n_rx:
-                raise ChannelFileError(
-                    f"realization {r} has n_rx={ch.n_rx}, file uses {n_rx}"
-                )
+        for ch in realizations:
             records = np.empty((len(ch.delays), 2 + 2 * n_rx), dtype="<f8")
             records[:, 0] = ch.delays
             records[:, 1] = ch.dopplers

@@ -12,12 +12,12 @@ independently and nothing but the symbols needs to travel.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._checks import check_int
 from .modem import Constellation, FramingError, map_symbols
 
 #: Subcarrier spacing of every grid (30 kHz numerology); OFDM symbol i
@@ -39,22 +39,17 @@ class GridConfig:
     pilot_seed: int = 0x5EED  # agreed between transmitter and receiver
 
     def __post_init__(self):
-        for name in ("n_subcarriers", "n_symbols", "guard_left", "guard_right",
-                     "pilot_seed"):
-            _check_int(name, getattr(self, name))
+        check_int("n_subcarriers", self.n_subcarriers, 1)
+        check_int("n_symbols", self.n_symbols, 1)
+        check_int("guard_left", self.guard_left, 0)
+        check_int("guard_right", self.guard_right, 0)
+        check_int("pilot_seed", self.pilot_seed, 0)
         # a tuple keeps the config hashable, so it can key the per-config caches
         object.__setattr__(self, "pilot_symbol_indices", tuple(self.pilot_symbol_indices))
         for i in self.pilot_symbol_indices:
-            _check_int("pilot symbol index", i)
-        if self.n_symbols < 1:
-            raise ValueError(f"need at least one OFDM symbol, got {self.n_symbols}")
-        if min(self.guard_left, self.guard_right) < 0:
-            raise ValueError(f"negative guard in {self.guard_left}, {self.guard_right}")
+            check_int("pilot symbol index", i, 0, self.n_symbols - 1)
         if self.guard_left + self.guard_right >= self.n_subcarriers:
             raise ValueError("guards leave no effective subcarriers")
-        for i in self.pilot_symbol_indices:
-            if not 0 <= i < self.n_symbols:
-                raise ValueError(f"pilot symbol index {i} out of range")
         if len(set(self.pilot_symbol_indices)) != len(self.pilot_symbol_indices):
             raise ValueError(f"repeated pilot symbol index in {self.pilot_symbol_indices}")
         # guards always leave effective subcarriers, so only a pilot in
@@ -72,13 +67,6 @@ class GridConfig:
     @property
     def effective_slice(self) -> slice:
         return slice(self.guard_left, self.n_subcarriers - self.guard_right)
-
-
-def _check_int(name: str, value):
-    """Raise ``ValueError`` unless ``value`` is an integer (bool excluded)."""
-    # bool is an Integral, but True as a size, an index or a seed is a mistake
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def two_pilot_config(**kwargs) -> GridConfig:

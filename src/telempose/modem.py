@@ -1,7 +1,8 @@
 """Uniform quantization of sensor features and QAM mapping / soft demapping.
 
 All functions are pure and operate on immutable inputs; they are safe to
-call concurrently.
+call concurrently. :func:`llr_maxlog` is the one max-log demapper entry;
+the classical receivers call it too.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from ._checks import check_int
 
 #: Features per sensor frame (17 sensors x 12 features each).
 FEATURES_PER_FRAME = 204
@@ -33,8 +36,7 @@ class QuantizerConfig:
     hi: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.q <= 16:
-            raise ValueError(f"bit width q={self.q} outside 1..16")
+        check_int("q", self.q, 1, 16)
         # an infinite or NaN endpoint, or an overflowing width, leaves no finite step
         if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise ValueError(f"invalid clamp interval [{self.lo}, {self.hi}]")
@@ -202,8 +204,9 @@ def qam(order: int = 4) -> Constellation:
     For order 4 the labelling is (b0, b1) -> ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2):
     the first bit selects the in-phase sign, the second the quadrature sign.
     """
+    check_int("order", order, 4)
     b = int(round(np.log2(order)))
-    if order < 4 or 2**b != order or b % 2 != 0:
+    if 2**b != order or b % 2 != 0:
         raise ValueError(f"order {order} is not a square QAM order (4, 16, 64, ...)")
     m = b // 2  # bits per axis
     labels_int = np.arange(order)
@@ -231,15 +234,15 @@ def _demap_inputs(y_eq, noise_var):
     """Validate, and broadcast ``y_eq`` to the shape of the output LLRs."""
     y_eq = np.asarray(y_eq, dtype=complex)
     noise_var = np.asarray(noise_var, dtype=float)
-    _check_demap_inputs(y_eq, noise_var)
-    return np.broadcast_to(y_eq, np.broadcast_shapes(y_eq.shape, noise_var.shape)), noise_var
-
-
-def _check_demap_inputs(y_eq: np.ndarray, noise_var: np.ndarray):
     if not (np.isfinite(noise_var) & (noise_var > 0)).all():
         raise ValueError("noise_var must be finite and positive")
     if not np.isfinite(y_eq).all():
         raise ValueError("y_eq must be finite")
+    # only a noise_var that enlarges y_eq needs a broadcast view; a receiver's never does
+    shape = np.broadcast(y_eq, noise_var).shape
+    if shape != y_eq.shape:
+        y_eq = np.broadcast_to(y_eq, shape)
+    return y_eq, noise_var
 
 
 def _distance_metric(y_eq: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -288,16 +291,8 @@ def llr_exact(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
 
 
 def llr_maxlog(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
-    """Max-log approximation of :func:`llr_exact` (same sign convention)."""
-    return _llr_maxlog_core(*_demap_inputs(y_eq, noise_var), constellation)
-
-
-def _llr_maxlog_core(y_eq: np.ndarray, noise_var: np.ndarray, constellation: Constellation):
-    """:func:`llr_maxlog` on arrays that passed :func:`_check_demap_inputs`.
-
-    ``y_eq`` is complex with the output's leading shape; ``noise_var`` is a
-    float array that broadcasts against it.
-    """
+    """Max-log approximation of :func:`llr_exact` (same inputs and sign convention)."""
+    y_eq, noise_var = _demap_inputs(y_eq, noise_var)
     d = _distance_metric(y_eq, constellation)
     B = constellation.bits_per_symbol
     llrs = np.empty(y_eq.shape + (B,))

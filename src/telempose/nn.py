@@ -51,7 +51,7 @@ import threading
 
 import numpy as np
 
-from ._reader import Reader
+from ._reader import Reader, replacing
 
 
 class ShapeError(ValueError):
@@ -358,19 +358,24 @@ def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
     """Mean sigmoid binary cross entropy, fused for stability.
 
     Uses max(z,0) - z*t + log1p(exp(-|z|)) so large logits never reach an
-    exp overflow. ``mask`` (same shape, not differentiated) selects which
-    elements enter the mean.
+    exp overflow. ``mask`` (same shape, not differentiated, positive sum)
+    weights the elements that enter the mean.
     """
     z, t = logits.data, targets.data
     if z.shape != t.shape:
         raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
-    e = np.exp(-np.abs(z))
-    elem = np.maximum(z, 0) - z * t + np.log1p(e)
     if mask is None:
         weight = np.ones_like(z) / z.size
     else:
         mask = np.asarray(mask)
-        weight = mask / mask.sum()
+        if mask.shape != z.shape:  # a broadcast mask would change the mean's divisor
+            raise ShapeError(f"mask {mask.shape} vs logits {logits.shape}")
+        total = mask.sum()
+        if not total > 0:  # NaN fails too
+            raise ValueError(f"mask has no positive weight (sum {total})")
+        weight = mask / total
+    e = np.exp(-np.abs(z))
+    elem = np.maximum(z, 0) - z * t + np.log1p(e)
 
     nz = _grad_node(logits)
 
@@ -479,7 +484,8 @@ def config_hash(description: str) -> str:
 
 
 def save_checkpoint(path, named_params: dict, cfg_hash: str):
-    with open(path, "wb") as f:
+    """Write the named weights; a failed write keeps the old file."""
+    with replacing(path) as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<I", _CKPT_VERSION))
         hb = cfg_hash.encode()

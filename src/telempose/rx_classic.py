@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridConfig, pilot_value_grid
-from .modem import Constellation, _check_demap_inputs, _llr_maxlog_core
+from .modem import Constellation, llr_maxlog
 
 _TINY = np.finfo(float).tiny
 
@@ -137,8 +137,8 @@ def _demap(c_hat, post_var, bias, constellation, cfg):
         )
     # floor keeps the demapper finite when called on noiseless input
     np.maximum(var_eff, 1e-30, out=var_eff)
-    _check_demap_inputs(c_unbiased, var_eff)
-    llr_eff = _llr_maxlog_core(c_unbiased, var_eff, constellation)
+    # var_eff has c_unbiased's shape, so llr_maxlog checks both and builds no broadcast
+    llr_eff = llr_maxlog(c_unbiased, var_eff, constellation)
     if not all_live:
         llr_eff[~live] = 0.0  # erasures carry no information
     llr_grid = np.zeros((cfg.n_symbols, cfg.n_subcarriers, constellation.bits_per_symbol))

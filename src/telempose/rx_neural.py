@@ -17,8 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
+from ._checks import check_int
 from .channel import NoiseSpec, apply
-from .grid import GridConfig, _check_int, _data_index, grid_capacity_bits, pack_bits
+from .grid import DATA, GridConfig, build_mask, grid_capacity_bits, pack_bits
 from .modem import Constellation
 
 
@@ -36,13 +37,9 @@ class NeuralRxConfig:
     n_subcarriers: int = 128
 
     def __post_init__(self):
-        _check_int("n_blocks", self.n_blocks)
-        if self.n_blocks < 0:
-            raise ValueError(f"n_blocks must be >= 0, got {self.n_blocks}")
+        check_int("n_blocks", self.n_blocks, 0)
         for name in ("n_rx", "filters", "bits_per_symbol", "n_symbols", "n_subcarriers"):
-            _check_int(name, getattr(self, name))
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_int(name, getattr(self, name), 1)
 
     @property
     def input_channels(self) -> int:
@@ -68,9 +65,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("iterations", "batch", "log_every"):
-            _check_int(name, getattr(self, name))
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_int(name, getattr(self, name), 1)
         if not 0 < self.lr < math.inf:  # NaN fails too
             raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
         r = self.ebn0_range_db
@@ -188,7 +183,7 @@ class NeuralReceiver:
 def bits_to_target_grid(bits: np.ndarray, cfg: GridConfig, B: int) -> np.ndarray:
     """Scatter payload bits to their [B, n_symbols, n_subcarriers] positions."""
     target = np.zeros((B, cfg.n_symbols, cfg.n_subcarriers), dtype=np.float32)
-    target.reshape(B, -1)[:, _data_index(cfg)] = bits.reshape(-1, B).T
+    target[:, build_mask(cfg) == DATA] = bits.reshape(-1, B).T
     return target
 
 
@@ -209,8 +204,7 @@ def train(
     range; the masked binary cross entropy over data elements is followed
     by one Adam step. Returns the training log.
     """
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    check_int("checkpoint_every", checkpoint_every, 1)
     channels = list(channels)
     if not channels:
         raise ValueError("empty channel training set")
@@ -221,8 +215,7 @@ def train(
             )
     B = constellation.bits_per_symbol
     capacity = grid_capacity_bits(grid_cfg, constellation)
-    data_mask = np.zeros((grid_cfg.n_symbols, grid_cfg.n_subcarriers), dtype=np.float32)
-    data_mask.reshape(-1)[_data_index(grid_cfg)] = 1
+    data_mask = (build_mask(grid_cfg) == DATA).astype(np.float32)
     mask = np.broadcast_to(data_mask, (hyper.batch, B) + data_mask.shape)
     params = receiver.params()
     state = nn.AdamState(params, lr=hyper.lr)

@@ -1,5 +1,9 @@
 """Malformed binary files raise the owning module's error, never a bare
-``struct.error``, and a rejected checkpoint leaves the model unchanged."""
+``struct.error``, a rejected checkpoint leaves the model unchanged, and a
+failed write leaves the file that was there before."""
+
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,3 +95,34 @@ def test_bit_flips_load_finite_values_or_raise_the_typed_error(tmp_path, fmt):
         arrays += [a for ch in out or () for a in (ch.gains, ch.delays, ch.dopplers)]
         assert all(np.all(np.isfinite(a)) for a in arrays)
     assert loaded and rejected
+
+
+def _mixed_antenna_counts(path):
+    rng = np.random.default_rng(9)
+    export_cirs([synth_channel(rng, SynthParams(n_rx=n)) for n in (2, 2, 1)], path)
+
+
+def _uncodable_second_tensor(path):
+    named = _small_model(3)
+    named["conv.b"] = SimpleNamespace(data=np.array(["x"], dtype=object))
+    nn.save_checkpoint(path, named, CKPT_HASH)
+
+
+FAILED_WRITES = {
+    "tpcr": (_mixed_antenna_counts, ChannelFileError),
+    "tpwt": (_uncodable_second_tensor, ValueError),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_failed_write_keeps_the_old_file(tmp_path, fmt):
+    make, _ = FORMATS[fmt]
+    path = tmp_path / fmt
+    load, _ = make(path)
+    blob = path.read_bytes()
+    write, error = FAILED_WRITES[fmt]
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == [fmt]  # no temporary file left behind
+    load()

@@ -8,6 +8,7 @@ from telempose.grid import (
     GUARD,
     PILOT,
     FramingError,
+    FramingRecord,
     GridConfig,
     build_mask,
     grid_capacity_bits,
@@ -59,9 +60,9 @@ def test_config_validation():
 
 
 def test_config_rejects_a_negative_guard():
-    with pytest.raises(ValueError, match="negative guard"):
+    with pytest.raises(ValueError, match="guard_left must be >= 0"):
         GridConfig(guard_left=-3)
-    with pytest.raises(ValueError, match="negative guard"):
+    with pytest.raises(ValueError, match="guard_right must be >= 0"):
         GridConfig(guard_right=-1)
 
 
@@ -73,7 +74,7 @@ def test_config_rejects_pilots_in_every_symbol(n_symbols, pilots):
 
 
 def test_config_rejects_no_symbols():
-    with pytest.raises(ValueError, match="OFDM symbol"):
+    with pytest.raises(ValueError, match="n_symbols must be >= 1"):
         GridConfig(n_symbols=0, pilot_symbol_indices=())
 
 
@@ -212,6 +213,13 @@ def test_unpack_grid_count_mismatch(cfg_2p, qpsk, rng):
     grids, record = pack_bits(bits, cfg_2p, qpsk)
     with pytest.raises(FramingError):
         unpack_llrs([], record, cfg_2p)
+
+
+def test_unpack_rejects_a_record_whose_payload_exceeds_its_grids(cfg_2p, qpsk):
+    capacity = grid_capacity_bits(cfg_2p, qpsk)
+    record = FramingRecord(payload_bits=capacity + 1, n_grids=1, bits_per_symbol=2)
+    with pytest.raises(FramingError, match=f"carry {capacity} LLRs"):
+        unpack_llrs([np.zeros((14, 128, 2))], record, cfg_2p)
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,12 @@ def test_non_finite_features_are_rejected(bad):
             quantize_frame(frame, cfg)
 
 
+@pytest.mark.parametrize("order", [8, 32, 6, 12, 128])
+def test_qam_rejects_an_order_that_is_not_a_power_of_4(order):
+    with pytest.raises(ValueError, match="square QAM order"):
+        qam(order)
+
+
 def test_invalid_quantizer_configs():
     with pytest.raises(ValueError):
         QuantizerConfig(q=0)

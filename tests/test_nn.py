@@ -529,3 +529,17 @@ def test_backward_through_a_node_another_backward_consumed_raises(rng):
 def test_grad_is_set_only_on_a_tensor_that_takes_one(rng):
     with pytest.raises(AttributeError, match="requires a gradient"):
         Tensor(rng.standard_normal(3)).grad = np.ones(3)
+
+
+def test_bce_rejects_a_mask_of_another_shape():
+    # it used to broadcast: 4 ln 2 for zero logits, where the masked mean is ln 2
+    z = Tensor(np.zeros((2, 2, 3, 4)))
+    with pytest.raises(ShapeError, match=r"\(3, 4\).*\(2, 2, 3, 4\)"):
+        bce_with_logits(z, Tensor(np.zeros(z.shape)), mask=np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("fill", [0.0, -1.0, np.nan])
+def test_bce_rejects_a_mask_without_positive_weight(fill):
+    with pytest.raises(ValueError, match="no positive weight"):
+        bce_with_logits(Tensor(np.zeros((3, 4))), Tensor(np.ones((3, 4))),
+                        mask=np.full((3, 4), fill))

@@ -106,7 +106,7 @@ def test_antenna_count_mismatch_is_rejected(cfg_2p, qpsk, rng):
         {"ebn0_range_db": (-5.0, np.inf)}, {"ebn0_range_db": (np.nan, 5.0)},
         {"ebn0_range_db": (1.0, 2.0, 3.0)}, {"checkpoint_every": 0},
         {"checkpoint_every": -1}, {"batch": 2.5}, {"iterations": 1.5},
-        {"log_every": True},
+        {"log_every": True}, {"checkpoint_every": 2.5}, {"checkpoint_every": True},
     ],
     ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
 )
@@ -124,6 +124,12 @@ def test_invalid_training_settings_change_nothing(tmp_path, cfg_2p, qpsk, bad):
     for name, p in rx.named_params().items():
         assert np.array_equal(p.data, before[name]), name
     assert not (tmp_path / "rx.tpwt").exists()
+
+
+def test_an_empty_channel_set_is_rejected(cfg_2p, qpsk, rng):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="empty channel"):
+        train(rx, cfg_2p, qpsk, [], TrainConfig(iterations=1, batch=1), rng)
 
 
 def test_first_training_loss_is_ln2(cfg_2p, qpsk):
