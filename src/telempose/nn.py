@@ -10,15 +10,28 @@ gradient gives that output a node with a backward closure and links to
 the parent *nodes*, never to the parent tensors, and the closure keeps
 only the arrays it reads:
 
-- conv: its input (only when the kernel takes a gradient) and its kernel;
-- LayerNorm: the normalized input, the per-sample 1/std and gamma;
+- conv: its kernel and, only when the kernel takes a gradient, its input:
+  the input's LayerNorm rebuild if it carries one, else its array;
+- LayerNorm: the normalized input xhat, the per-sample 1/std and gamma;
 - ReLU: a bool mask of its positive outputs;
 - add: nothing;
 - BCE: the logits, targets, weights and exp(-|z|).
 
-So a recorded graph holds no conv output, ReLU output or residual sum:
-each is freed as soon as the caller drops its tensor. Graphs are freed by
-reference counting alone, since a closure never refers to its own node.
+A recorded LayerNorm output carries a rebuild of itself: the same
+``xhat * gamma + beta`` ops that forward ran, applied to a slice of the
+samples of the xhat that its node keeps anyway. A conv fed that output
+keeps the rebuild, not the array, and calls it in backward, one chunk of
+samples at a time, for its kernel gradient. The values are the forward
+output's bit for bit, and the LayerNorm → conv pair keeps one activation
+instead of two. (Rebuilding by inverting the affine, as In-Place ABN does,
+would need gamma ≠ 0; rebuilding from xhat needs nothing.) Under
+``no_grad`` no rebuild is attached. A LayerNorm output that the caller
+still holds keeps its rebuild, and with it xhat, until it is dropped.
+
+So a recorded graph holds no conv output, LayerNorm output, ReLU output
+or residual sum: each is freed as soon as the caller drops its tensor.
+Graphs are freed by reference counting alone, since a closure never
+refers to its own node.
 Inside ``with no_grad():`` ops in that thread record nothing, so each
 intermediate array is freed once the next op has read it.
 
@@ -36,6 +49,13 @@ array passed to ``_Node.accumulate`` is the parent's to keep. Leaf grads
 The 3x3-only convolution runs as three batched GEMMs over row taps of
 its input (see ``conv2d``). Backward builds the row taps of the output
 gradient once and reads them for both the input and the kernel gradient.
+Taps are built for as many samples as fit ``_TAP_BUDGET`` (16 MiB, at
+least one sample), in forward and in backward, which bounds the tap
+buffer whatever the batch. The budget sits below glibc's 32 MiB mmap
+ceiling, above which every buffer is mapped afresh and faulted in on each
+build (one batch-16 build of all samples would take 50 MB). The kernel
+gradient adds the samples in batch order, as one sum over the batch does,
+so every output is the same bit for bit at any chunking.
 
 float32 is the training precision; gradient checks build the same graphs
 in float64.
@@ -110,11 +130,12 @@ class _Node:
 class Tensor:
     """A numpy array and, when a gradient flows to it, its graph node."""
 
-    __slots__ = ("data", "_node")
+    __slots__ = ("data", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
         self._node = _Node(self.data.dtype) if requires_grad else None
+        self._rebuild = None  # a recorded LayerNorm output's affine, by sample slice
 
     @property
     def shape(self):
@@ -221,6 +242,21 @@ def relu(x: Tensor) -> Tensor:
     return _result(data, (nx,), _bw)
 
 
+# Bytes of row taps that a conv builds at once: below glibc's 32 MiB mmap
+# ceiling, above which every buffer is mapped afresh and faulted in on each
+# build. One paper-shape sample's taps are 3 MiB (3 x 128 channels x 16 x
+# 128 float32), so batch 4 is one chunk and batch 16 is chunks of 5, 5, 5
+# and 1.
+_TAP_BUDGET = 16 << 20
+
+
+def _chunks(a: np.ndarray) -> list:
+    """Sample slices of [B,C,H,W] ``a`` whose row taps fit ``_TAP_BUDGET``, one sample at least."""
+    B, C, H, W = a.shape
+    n = max(1, _TAP_BUDGET // (3 * C * (H + 2) * W * a.itemsize))
+    return [slice(s, s + n) for s in range(0, B, n)]
+
+
 def _tap_rows(x: np.ndarray) -> list:
     """Copy [B,C,H,W] into column taps; return one [B, 3C, H*W] span per kernel row.
 
@@ -261,15 +297,16 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     """Stride-1 zero-padded 3x3 convolution preserving the spatial size.
 
     ``x`` is [batch, c_in, h, w], ``k`` is [c_out, c_in, 3, 3]; any other
-    kernel size raises ``ShapeError``. The optional per-output-channel
-    ``bias`` is added after the three kernel-row sums. The input is copied
-    into three column taps (w-1, w, w+1) zero-padded by one row, so each
-    kernel row is one batched GEMM over a contiguous span of the taps and
-    the output is batch-major without a transpose. The taps (3x the
-    input) are dropped after the forward pass. Backward builds the taps
-    of the output gradient once: the input gradient convolves them with
-    the flipped, in/out-swapped kernel, and the kernel gradient multiplies
-    them by the input.
+    kernel size raises ``ShapeError``. The optional ``bias`` holds one
+    value per output channel and is added after the three kernel-row sums.
+    The input is copied into three column taps (w-1, w, w+1) zero-padded
+    by one row, so each kernel row is one batched GEMM over a contiguous
+    span of the taps and the output is batch-major without a transpose.
+    Taps are built for a few samples at a time (see ``_TAP_BUDGET``) and
+    dropped once read. Backward builds the taps of the output gradient
+    once per chunk: the input gradient convolves them with the flipped,
+    in/out-swapped kernel, and the kernel gradient multiplies them by the
+    input.
     """
     if (
         x.data.ndim != 4
@@ -280,12 +317,18 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"cannot convolve input {x.shape} with 3x3 kernel {k.shape}")
     B, c_in, H, W = x.data.shape
     c_out = k.data.shape[0]
+    if bias is not None and bias.data.size != c_out:
+        raise ShapeError(f"bias {bias.shape} needs {c_out} values, one per output channel")
     nx, nk = _grad_node(x), _grad_node(k)
     nb = None if bias is None else _grad_node(bias)
     b_shape = None if nb is None else bias.data.shape
-    xd = x.data if nk is not None else None  # only the kernel gradient reads it
+    # only the kernel gradient reads the input, a chunk at a time: through
+    # its LayerNorm rebuild if it has one, so no second copy is kept
+    x_at = None if nk is None else x._rebuild or x.data.__getitem__
     kd = k.data
-    data = _conv_taps(_tap_rows(x.data), kd)
+    data = np.empty((B, c_out, H * W), dtype=np.result_type(x.data, kd))
+    for s in _chunks(x.data):
+        _conv_taps(_tap_rows(x.data[s]), kd, data[s])
     if bias is not None:
         data += bias.data.reshape(1, c_out, 1)
     data = data.reshape(B, c_out, H, W)
@@ -295,20 +338,36 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
             # one axis at a time: the order fixes the float32 rounding of
             # the bias gradient, so changing it changes trained weights
             nb.accumulate(g.sum(axis=0).sum(axis=1).sum(axis=1).reshape(b_shape))
-        spans = _tap_rows(g)
-        if nk is not None:
-            # dk[co, c, i, j] = sum over b, h, w of g[b, co, h+1-i, w+1-j] x[b, c, h, w]:
-            # span 2-i, tap 2-j of g times x transposed
-            xt = xd.reshape(B, c_in, H * W).transpose(0, 2, 1)
-            rows = np.stack([(spans[2 - i] @ xt).sum(axis=0) for i in range(3)])
-            dk = rows.reshape(3, 3, c_out, c_in)[:, ::-1].transpose(2, 3, 0, 1)
-            nk.accumulate(np.ascontiguousarray(dk))
         if nx is not None:
             # full correlation with the flipped, in/out-swapped kernel; the
             # taps are a copy of g, so the result can take g's memory
             kf = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            out = g.reshape(B, c_out, H * W) if c_in == c_out else None
-            nx.accumulate(_conv_taps(spans, kf, out).reshape(B, c_in, H, W))
+            if c_in == c_out:
+                dx = g.reshape(B, c_out, H * W)
+            else:
+                dx = np.empty((B, c_in, H * W), dtype=np.result_type(kd, g))
+        rows = [None] * 3  # per kernel row i: [3 c_out, c_in], summed over samples
+        for s in _chunks(g):
+            spans = _tap_rows(g[s])
+            if nk is not None:
+                # dk[co, c, i, j] = sum over b, h, w of g[b, co, h+1-i, w+1-j] x[b, c, h, w]:
+                # span 2-i, tap 2-j of g times x transposed, added sample by
+                # sample in batch order, as one sum over the batch would
+                xt = x_at(s).reshape(-1, c_in, H * W).transpose(0, 2, 1)
+                for i in range(3):
+                    prod = spans[2 - i] @ xt
+                    if rows[i] is None:
+                        rows[i] = prod.sum(axis=0)
+                    else:
+                        for p in prod:
+                            rows[i] += p
+            if nx is not None:
+                _conv_taps(spans, kf, dx[s])
+        if nk is not None:
+            dk = np.stack(rows).reshape(3, 3, c_out, c_in)[:, ::-1].transpose(2, 3, 0, 1)
+            nk.accumulate(np.ascontiguousarray(dk))
+        if nx is not None:
+            nx.accumulate(dx.reshape(B, c_in, H, W))
 
     return _result(data, (nx, nk, nb), _bw)
 
@@ -317,8 +376,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each sample of [batch, c, h, w] over (c, h, w) jointly.
 
     eps is 1e-5. The affine is per channel: gamma and beta are [c]-shaped
-    and broadcast along axis 1.
+    and broadcast along axis 1. A recorded output carries its rebuild
+    (see the module docstring).
     """
+    if x.data.ndim != 4 or gamma.shape != x.shape[1:2] or beta.shape != x.shape[1:2]:
+        raise ShapeError(
+            f"layer norm of {x.shape} needs [c]-shaped gamma and beta, "
+            f"got {gamma.shape} and {beta.shape}"
+        )
     axes = (1, 2, 3)
     B, C = x.data.shape[:2]
     nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
@@ -328,8 +393,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv  # in place: only the normalized values are kept for backward
     gb = gamma.data.reshape(1, -1, 1, 1)
-    data = xhat * gb
-    data += beta.data.reshape(1, -1, 1, 1)
+    bb = beta.data.reshape(1, -1, 1, 1)
+
+    def affine(s):
+        """xhat * gamma + beta for the samples ``s``: the output, or part of it again."""
+        part = xhat[s] * gb
+        part += bb
+        return part
 
     def _bw(g):
         # per-sample, per-channel sums of g and of g * xhat, as batched dots
@@ -351,7 +421,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             g *= inv
             nx.accumulate(g)
 
-    return _result(data, (nx, ngamma, nbeta), _bw)
+    out = _result(affine(slice(None)), (nx, ngamma, nbeta), _bw)
+    if out._node is not None:
+        out._rebuild = affine
+    return out
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:

@@ -213,6 +213,17 @@ def train(
             raise ValueError(
                 f"channel has {ch.n_rx} antennas, receiver expects {receiver.cfg.n_rx}"
             )
+    rc = receiver.cfg
+    if rc.bits_per_symbol != constellation.bits_per_symbol:
+        raise nn.ShapeError(
+            f"receiver emits {rc.bits_per_symbol} bits per symbol, "
+            f"constellation carries {constellation.bits_per_symbol}"
+        )
+    if (rc.n_symbols, rc.n_subcarriers) != (grid_cfg.n_symbols, grid_cfg.n_subcarriers):
+        raise nn.ShapeError(
+            f"receiver grid {rc.n_symbols}x{rc.n_subcarriers} does not match "
+            f"resource grid {grid_cfg.n_symbols}x{grid_cfg.n_subcarriers}"
+        )
     B = constellation.bits_per_symbol
     capacity = grid_capacity_bits(grid_cfg, constellation)
     data_mask = (build_mask(grid_cfg) == DATA).astype(np.float32)

@@ -198,6 +198,16 @@ def test_shape_errors_name_both_shapes():
         bce_with_logits(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError):
         conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))))
+    x, k = Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((4, 2, 3, 3)))
+    with pytest.raises(ShapeError, match=r"\(1, 1, 1, 1\).*4 values"):
+        conv2d(x, k, Tensor(np.zeros((1, 1, 1, 1))))
+    # a 1-element gamma or beta would scale or shift every channel alike
+    ones, one = Tensor(np.ones(2)), Tensor(np.ones(1))
+    for gamma, beta in ((one, ones), (ones, one), (ones, Tensor(np.ones((1, 2, 1, 1))))):
+        with pytest.raises(ShapeError, match=r"\(1, 2, 4, 4\).*gamma and beta"):
+            layer_norm(x, gamma, beta)
+        with nn.no_grad(), pytest.raises(ShapeError):
+            layer_norm(x, gamma, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +272,11 @@ def test_grad_bce_with_mask(rng):
     check_grad(lambda: bce_with_logits(z, t, mask=mask), z)
 
 
-def test_grad_two_block_residual_network(rng):
+@pytest.mark.parametrize("tap_budget", [None, 1], ids=["one-chunk", "one-sample-chunks"])
+def test_grad_two_block_residual_network(rng, monkeypatch, tap_budget):
     """Composed network: conv stem, two residual blocks with layer norm."""
+    if tap_budget is not None:
+        monkeypatch.setattr(nn, "_TAP_BUDGET", tap_budget)
     gen = np.random.default_rng(0)
     stem = Conv2d(2, 3, gen, dtype=np.float64)
     ln1 = LayerNorm(3, dtype=np.float64)
@@ -284,6 +297,70 @@ def test_grad_two_block_residual_network(rng):
     params = [stem.k, stem.b, ln1.gamma, ln1.beta, c1.k, c1.b]
     params += [ln2.gamma, ln2.beta, c2.k, c2.b, out_conv.k, out_conv.b, x]
     check_grad(forward, *params)
+
+
+@pytest.mark.parametrize("c_in", [3, 4])
+@pytest.mark.parametrize("per_chunk", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_in_sample_chunks_equals_one_chunk(rng, monkeypatch, dtype, per_chunk, c_in):
+    x0 = rng.standard_normal((5, c_in, 6, 7)).astype(dtype)
+    k0 = (0.5 * rng.standard_normal((4, c_in, 3, 3))).astype(dtype)
+    b0 = rng.standard_normal((1, 4, 1, 1)).astype(dtype)
+    t = Tensor((rng.uniform(size=(5, 4, 6, 7)) > 0.5).astype(dtype))
+
+    def run():
+        x, k, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, k0, b0))
+        out = conv2d(x, k, b)
+        bce_with_logits(out, t).backward()
+        return out.data, x.grad, k.grad, b.grad
+
+    whole = run()
+    sizes, tap_rows = [], nn._tap_rows
+    monkeypatch.setattr(nn, "_tap_rows", lambda a: sizes.append(len(a)) or tap_rows(a))
+    # room for per_chunk samples of the 4-channel output gradient's taps
+    monkeypatch.setattr(nn, "_TAP_BUDGET", per_chunk * 3 * 4 * 8 * 7 * np.dtype(dtype).itemsize)
+    chunked = run()
+    assert max(sizes) == per_chunk and sum(sizes) == 2 * 5, sizes
+    assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
+
+
+@pytest.mark.parametrize("tap_budget", [None, 1], ids=["one-chunk", "one-sample-chunks"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_conv_reading_a_layer_norm_rebuild_gets_the_plain_kernel_gradient(
+    rng, monkeypatch, dtype, tap_budget
+):
+    if tap_budget is not None:
+        monkeypatch.setattr(nn, "_TAP_BUDGET", tap_budget)
+    x = Tensor(rng.standard_normal((3, 4, 5, 6)).astype(dtype), requires_grad=True)
+    gamma = Tensor((1 + 0.1 * rng.standard_normal(4)).astype(dtype), requires_grad=True)
+    beta = Tensor((0.1 * rng.standard_normal(4)).astype(dtype), requires_grad=True)
+    k0 = (0.5 * rng.standard_normal((2, 4, 3, 3))).astype(dtype)
+    t = Tensor((rng.uniform(size=(3, 2, 5, 6)) > 0.5).astype(dtype))
+    grads = []
+    for plain in (False, True):
+        k = Tensor(k0.copy(), requires_grad=True)
+        h = layer_norm(x, gamma, beta)
+        if plain:
+            h = Tensor(h.data.copy())
+        bce_with_logits(conv2d(h, k), t).backward()
+        grads.append(k.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_a_recorded_layer_norm_conv_pair_keeps_one_activation(rng):
+    # the LayerNorm keeps xhat; the conv reads its input back through the
+    # LayerNorm's rebuild instead of keeping a second copy
+    x = Tensor(rng.standard_normal((2, 16, 14, 32)).astype(np.float32), requires_grad=True)
+    ln, layer = LayerNorm(16), Conv2d(16, 16, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = layer(ln(x))
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept <= 1.1 * x.data.nbytes, kept / x.data.nbytes
 
 
 # ---------------------------------------------------------------------------

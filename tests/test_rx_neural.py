@@ -126,6 +126,24 @@ def test_invalid_training_settings_change_nothing(tmp_path, cfg_2p, qpsk, bad):
     assert not (tmp_path / "rx.tpwt").exists()
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [NeuralRxConfig(n_blocks=1, filters=4, bits_per_symbol=4),
+     NeuralRxConfig(n_blocks=1, filters=4, n_symbols=12),
+     NeuralRxConfig(n_blocks=1, filters=4, n_subcarriers=64)],
+    ids=["bits_per_symbol", "n_symbols", "n_subcarriers"],
+)
+def test_a_receiver_of_another_constellation_or_grid_is_rejected_before_any_draw(
+    cfg_2p, qpsk, cfg
+):
+    rx = NeuralReceiver(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(nn.ShapeError, match="receiver"):
+        train(rx, cfg_2p, qpsk, _channels(), TrainConfig(iterations=1, batch=1), rng)
+    assert rng.bit_generator.state == state
+
+
 def test_an_empty_channel_set_is_rejected(cfg_2p, qpsk, rng):
     rx = NeuralReceiver(TINY, np.random.default_rng(0))
     with pytest.raises(ValueError, match="empty channel"):
@@ -272,8 +290,9 @@ def test_training_peak_memory_does_not_grow_after_the_first_step(cfg_2p, qpsk):
 
 
 def test_a_recorded_block_keeps_only_what_its_backward_reads():
-    # per block: two LayerNorm xhats, the two conv inputs, two bool ReLU
-    # masks (a quarter each) and the output; conv and ReLU outputs are freed
+    # per block: two LayerNorm xhats, two bool ReLU masks (a quarter each)
+    # and the output; each conv reads its input back through its LayerNorm's
+    # rebuild, and conv, ReLU and LayerNorm outputs are freed
     block = _Block(16, np.random.default_rng(0))
     h = nn.Tensor(np.random.default_rng(1).standard_normal((2, 16, 14, 32)).astype(np.float32),
                   requires_grad=True)
@@ -285,11 +304,11 @@ def test_a_recorded_block_keeps_only_what_its_backward_reads():
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    assert kept <= 6 * h.data.nbytes, kept / h.data.nbytes
+    assert kept <= 4 * h.data.nbytes, kept / h.data.nbytes
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
-def test_a_batch_16_paper_step_peaks_below_half_a_gib():
+def test_a_batch_16_paper_step_peaks_below_384_mib():
     # a fresh interpreter, so the peaks of other tests do not count
     src = str(Path(nn.__file__).resolve().parents[1])
     code = (
@@ -310,7 +329,7 @@ def test_a_batch_16_paper_step_peaks_below_half_a_gib():
         capture_output=True, text=True, check=True,
     )
     peak_kib = int(out.stdout.split()[-1])
-    assert peak_kib < 512 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
+    assert peak_kib < 384 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
 
 
 def test_receive_equals_the_recorded_forward(rng):
