@@ -305,5 +305,11 @@ def llr_maxlog(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
 
 
 def hard_decide(llrs) -> np.ndarray:
-    """LLR -> bit decision: 0 when the LLR is >= 0 (ties decide 0)."""
-    return (np.asarray(llrs) < 0).astype(np.uint8)
+    """LLR -> bit decision: 0 when the LLR is >= 0 (ties decide 0).
+
+    ±inf are certain decisions; a NaN LLR raises ``ValueError``.
+    """
+    llrs = np.asarray(llrs)
+    if np.isnan(llrs).any():
+        raise ValueError("cannot decide a NaN LLR")
+    return (llrs < 0).astype(np.uint8)

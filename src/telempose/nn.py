@@ -18,15 +18,15 @@ only the arrays it reads:
 - BCE: the logits, targets, weights and exp(-|z|).
 
 A recorded LayerNorm output carries a rebuild of itself: the same
-``xhat * gamma + beta`` ops that forward ran, applied to a slice of the
-samples of the xhat that its node keeps anyway. A conv fed that output
-keeps the rebuild, not the array, and calls it in backward, one chunk of
-samples at a time, for its kernel gradient. The values are the forward
-output's bit for bit, and the LayerNorm → conv pair keeps one activation
-instead of two. (Rebuilding by inverting the affine, as In-Place ABN does,
-would need gamma ≠ 0; rebuilding from xhat needs nothing.) Under
-``no_grad`` no rebuild is attached. A LayerNorm output that the caller
-still holds keeps its rebuild, and with it xhat, until it is dropped.
+``xhat * gamma + beta`` ops that forward ran, applied to one sample of
+the xhat that its node keeps anyway. A conv fed that output keeps the
+rebuild, not the array, and calls it in backward, one sample at a time,
+for its kernel gradient. The values are the forward output's bit for bit,
+and the LayerNorm → conv pair keeps one activation instead of two.
+(Rebuilding by inverting the affine, as In-Place ABN does, would need
+gamma ≠ 0; rebuilding from xhat needs nothing.) Under ``no_grad`` no
+rebuild is attached. A LayerNorm output that the caller still holds keeps
+its rebuild, and with it xhat, until it is dropped.
 
 So a recorded graph holds no conv output, LayerNorm output, ReLU output
 or residual sum: each is freed as soon as the caller drops its tensor.
@@ -46,16 +46,12 @@ and hands it, or an array it made itself, to at most one parent. Every
 array passed to ``_Node.accumulate`` is the parent's to keep. Leaf grads
 (parameters, inputs) stay on their tensors after ``backward``.
 
-The 3x3-only convolution runs as three batched GEMMs over row taps of
-its input (see ``conv2d``). Backward builds the row taps of the output
-gradient once and reads them for both the input and the kernel gradient.
-Taps are built for as many samples as fit ``_TAP_BUDGET`` (16 MiB, at
-least one sample), in forward and in backward, which bounds the tap
-buffer whatever the batch. The budget sits below glibc's 32 MiB mmap
-ceiling, above which every buffer is mapped afresh and faulted in on each
-build (one batch-16 build of all samples would take 50 MB). The kernel
-gradient adds the samples in batch order, as one sum over the batch does,
-so every output is the same bit for bit at any chunking.
+The 3x3-only convolution runs, one sample at a time, as three GEMMs over
+row taps of that sample (see ``conv2d``), in forward and in backward, so
+the tap buffer is one sample's whatever the batch. Backward builds the
+row taps of each sample's output gradient once and reads them for both
+the input and the kernel gradient. The kernel gradient adds the samples
+in batch order.
 
 float32 is the training precision; gradient checks build the same graphs
 in float64.
@@ -135,7 +131,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
         self._node = _Node(self.data.dtype) if requires_grad else None
-        self._rebuild = None  # a recorded LayerNorm output's affine, by sample slice
+        self._rebuild = None  # a recorded LayerNorm output's affine, by sample
 
     @property
     def shape(self):
@@ -242,55 +238,40 @@ def relu(x: Tensor) -> Tensor:
     return _result(data, (nx,), _bw)
 
 
-# Bytes of row taps that a conv builds at once: below glibc's 32 MiB mmap
-# ceiling, above which every buffer is mapped afresh and faulted in on each
-# build. One paper-shape sample's taps are 3 MiB (3 x 128 channels x 16 x
-# 128 float32), so batch 4 is one chunk and batch 16 is chunks of 5, 5, 5
-# and 1.
-_TAP_BUDGET = 16 << 20
-
-
-def _chunks(a: np.ndarray) -> list:
-    """Sample slices of [B,C,H,W] ``a`` whose row taps fit ``_TAP_BUDGET``, one sample at least."""
-    B, C, H, W = a.shape
-    n = max(1, _TAP_BUDGET // (3 * C * (H + 2) * W * a.itemsize))
-    return [slice(s, s + n) for s in range(0, B, n)]
-
-
 def _tap_rows(x: np.ndarray) -> list:
-    """Copy [B,C,H,W] into column taps; return one [B, 3C, H*W] span per kernel row.
+    """Copy one [C,H,W] sample into column taps; return one [3C, H*W] span per kernel row.
 
     Tap j holds the input shifted so that column w reads column w+j-1,
-    with one zero row above and below. Flattened to [B, 3C, (H+2)*W], the
+    with one zero row above and below. Flattened to [3C, (H+2)*W], the
     span of kernel row i for output row h starts at row h+i, so each
     kernel row reads one contiguous range of every tap.
     """
-    B, C, H, W = x.shape
-    taps = np.empty((B, 3, C, H + 2, W), dtype=x.dtype)
-    taps[:, :, :, 0] = 0
-    taps[:, :, :, -1] = 0
-    taps[:, 0, :, 1:-1, 0] = 0
-    taps[:, 2, :, 1:-1, -1] = 0
-    taps[:, 0, :, 1:-1, 1:] = x[..., :-1]
-    taps[:, 1, :, 1:-1] = x
-    taps[:, 2, :, 1:-1, :-1] = x[..., 1:]
-    flat = taps.reshape(B, 3 * C, (H + 2) * W)
-    return [flat[:, :, i * W : (i + H) * W] for i in range(3)]
+    C, H, W = x.shape
+    taps = np.empty((3, C, H + 2, W), dtype=x.dtype)
+    taps[:, :, 0] = 0
+    taps[:, :, -1] = 0
+    taps[0, :, 1:-1, 0] = 0
+    taps[2, :, 1:-1, -1] = 0
+    taps[0, :, 1:-1, 1:] = x[..., :-1]
+    taps[1, :, 1:-1] = x
+    taps[2, :, 1:-1, :-1] = x[..., 1:]
+    flat = taps.reshape(3 * C, (H + 2) * W)
+    return [flat[:, i * W : (i + H) * W] for i in range(3)]
 
 
-def _conv_taps(spans: list, k: np.ndarray, out=None) -> np.ndarray:
-    """3x3 same convolution over row-tap spans: three batched [Co, 3C] @ [3C, H*W] GEMMs.
+def _kernel_rows(k: np.ndarray) -> np.ndarray:
+    """[Co, C, 3, 3] kernel as one [Co, 3C] matrix per kernel row, columns by (tap, channel)."""
+    return k.transpose(2, 0, 3, 1).reshape(3, k.shape[0], -1)
 
-    Returns the [B, Co, H*W] sum of the kernel-row products, written into
-    ``out`` if one is given.
+
+def _conv_taps(spans: list, rows: np.ndarray, out: np.ndarray, part: np.ndarray):
+    """3x3 same convolution of one sample: three [Co, 3C] @ [3C, H*W] GEMMs summed into ``out``.
+
+    ``part`` is scratch of ``out``'s shape.
     """
-    c_out = k.shape[0]
-    rows = k.transpose(2, 0, 3, 1).reshape(3, c_out, -1)  # [i, co, (j, c)]
-    out = np.matmul(rows[0], spans[0], out=out)
-    part = np.empty_like(out)
+    np.matmul(rows[0], spans[0], out=out)
     for i in (1, 2):
         out += np.matmul(rows[i], spans[i], out=part)
-    return out
 
 
 def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -299,14 +280,12 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     ``x`` is [batch, c_in, h, w], ``k`` is [c_out, c_in, 3, 3]; any other
     kernel size raises ``ShapeError``. The optional ``bias`` holds one
     value per output channel and is added after the three kernel-row sums.
-    The input is copied into three column taps (w-1, w, w+1) zero-padded
-    by one row, so each kernel row is one batched GEMM over a contiguous
-    span of the taps and the output is batch-major without a transpose.
-    Taps are built for a few samples at a time (see ``_TAP_BUDGET``) and
-    dropped once read. Backward builds the taps of the output gradient
-    once per chunk: the input gradient convolves them with the flipped,
-    in/out-swapped kernel, and the kernel gradient multiplies them by the
-    input.
+    Each sample is copied into three column taps (w-1, w, w+1) zero-padded
+    by one row, so each kernel row is one GEMM over a contiguous span of
+    the taps and the output is batch-major without a transpose. Backward
+    builds the taps of each sample's output gradient once: the input
+    gradient convolves them with the flipped, in/out-swapped kernel, and
+    the kernel gradient multiplies them by the input.
     """
     if (
         x.data.ndim != 4
@@ -322,13 +301,14 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     nx, nk = _grad_node(x), _grad_node(k)
     nb = None if bias is None else _grad_node(bias)
     b_shape = None if nb is None else bias.data.shape
-    # only the kernel gradient reads the input, a chunk at a time: through
+    # only the kernel gradient reads the input, a sample at a time: through
     # its LayerNorm rebuild if it has one, so no second copy is kept
     x_at = None if nk is None else x._rebuild or x.data.__getitem__
     kd = k.data
     data = np.empty((B, c_out, H * W), dtype=np.result_type(x.data, kd))
-    for s in _chunks(x.data):
-        _conv_taps(_tap_rows(x.data[s]), kd, data[s])
+    rows, part = _kernel_rows(kd), np.empty_like(data[0])
+    for b in range(B):
+        _conv_taps(_tap_rows(x.data[b]), rows, data[b], part)
     if bias is not None:
         data += bias.data.reshape(1, c_out, 1)
     data = data.reshape(B, c_out, H, W)
@@ -341,30 +321,28 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
         if nx is not None:
             # full correlation with the flipped, in/out-swapped kernel; the
             # taps are a copy of g, so the result can take g's memory
-            kf = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            rows_f = _kernel_rows(kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
             if c_in == c_out:
                 dx = g.reshape(B, c_out, H * W)
             else:
                 dx = np.empty((B, c_in, H * W), dtype=np.result_type(kd, g))
-        rows = [None] * 3  # per kernel row i: [3 c_out, c_in], summed over samples
-        for s in _chunks(g):
-            spans = _tap_rows(g[s])
+            part = np.empty_like(dx[0])
+        if nk is not None:
+            # per kernel row i: [3 c_out, c_in], summed over the samples
+            dk = np.zeros((3, 3 * c_out, c_in), dtype=g.dtype)
+            prod = np.empty_like(dk[0])
+        for b in range(B):
+            spans = _tap_rows(g[b])
             if nk is not None:
                 # dk[co, c, i, j] = sum over b, h, w of g[b, co, h+1-i, w+1-j] x[b, c, h, w]:
-                # span 2-i, tap 2-j of g times x transposed, added sample by
-                # sample in batch order, as one sum over the batch would
-                xt = x_at(s).reshape(-1, c_in, H * W).transpose(0, 2, 1)
+                # span 2-i, tap 2-j of g times x transposed, added in batch order
+                xt = x_at(b).reshape(c_in, H * W).T
                 for i in range(3):
-                    prod = spans[2 - i] @ xt
-                    if rows[i] is None:
-                        rows[i] = prod.sum(axis=0)
-                    else:
-                        for p in prod:
-                            rows[i] += p
+                    dk[i] += np.matmul(spans[2 - i], xt, out=prod)
             if nx is not None:
-                _conv_taps(spans, kf, dx[s])
+                _conv_taps(spans, rows_f, dx[b], part)
         if nk is not None:
-            dk = np.stack(rows).reshape(3, 3, c_out, c_in)[:, ::-1].transpose(2, 3, 0, 1)
+            dk = dk.reshape(3, 3, c_out, c_in)[:, ::-1].transpose(2, 3, 0, 1)
             nk.accumulate(np.ascontiguousarray(dk))
         if nx is not None:
             nx.accumulate(dx.reshape(B, c_in, H, W))
@@ -396,7 +374,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     bb = beta.data.reshape(1, -1, 1, 1)
 
     def affine(s):
-        """xhat * gamma + beta for the samples ``s``: the output, or part of it again."""
+        """xhat * gamma + beta for the samples ``s``: the output, or one sample of it again."""
         part = xhat[s] * gb
         part += bb
         return part
@@ -557,7 +535,16 @@ def config_hash(description: str) -> str:
 
 
 def save_checkpoint(path, named_params: dict, cfg_hash: str):
-    """Write the named weights; a failed write keeps the old file."""
+    """Write the named weights; a failed write keeps the old file.
+
+    A weight that is NaN or infinite in float32 raises ``CheckpointError``
+    before the file is opened, as ``load_checkpoint`` would reject it.
+    """
+    with np.errstate(over="ignore"):  # a float64 beyond float32's range becomes inf
+        values = {name: p.data.astype("<f4", copy=False) for name, p in named_params.items()}
+    for name, v in values.items():
+        if not np.isfinite(v).all():
+            raise CheckpointError(f"tensor {name!r} holds a non-finite value")
     with replacing(path) as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<I", _CKPT_VERSION))
@@ -565,13 +552,13 @@ def save_checkpoint(path, named_params: dict, cfg_hash: str):
         f.write(struct.pack("<H", len(hb)))
         f.write(hb)
         f.write(struct.pack("<I", len(named_params)))
-        for name, p in named_params.items():
+        for name, v in values.items():
             nb = name.encode()
             f.write(struct.pack("<H", len(nb)))
             f.write(nb)
-            f.write(struct.pack("<B", p.data.ndim))
-            f.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            f.write(p.data.astype("<f4").tobytes())
+            f.write(struct.pack("<B", v.ndim))
+            f.write(struct.pack(f"<{v.ndim}I", *v.shape))
+            f.write(v.tobytes())
 
 
 def load_checkpoint(path, named_params: dict, cfg_hash: str):

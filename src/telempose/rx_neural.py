@@ -20,7 +20,7 @@ from . import nn
 from ._checks import check_int
 from .channel import NoiseSpec, apply
 from .grid import DATA, GridConfig, build_mask, grid_capacity_bits, pack_bits
-from .modem import Constellation
+from .modem import Constellation, FramingError
 
 
 class TrainingDiverged(RuntimeError):
@@ -181,9 +181,20 @@ class NeuralReceiver:
 
 
 def bits_to_target_grid(bits: np.ndarray, cfg: GridConfig, B: int) -> np.ndarray:
-    """Scatter payload bits to their [B, n_symbols, n_subcarriers] positions."""
+    """Scatter one grid's payload bits to their [B, n_symbols, n_subcarriers] positions.
+
+    ``bits`` must hold exactly B bits per DATA element; any other count
+    raises ``FramingError``.
+    """
+    data = build_mask(cfg) == DATA
+    n_data = np.count_nonzero(data)
+    bits = np.asarray(bits)
+    if bits.size != n_data * B:
+        raise FramingError(
+            f"payload of {bits.size} bits does not fill {n_data} DATA elements at {B} bits each"
+        )
     target = np.zeros((B, cfg.n_symbols, cfg.n_subcarriers), dtype=np.float32)
-    target[:, build_mask(cfg) == DATA] = bits.reshape(-1, B).T
+    target[:, data] = bits.reshape(-1, B).T
     return target
 
 

@@ -444,3 +444,13 @@ def test_hard_decide_rules():
     assert hard_decide([3.2]).tolist() == [0]
     assert hard_decide([-0.1]).tolist() == [1]
     assert hard_decide([0.0]).tolist() == [0]
+
+
+def test_hard_decide_takes_infinities_as_certain_decisions():
+    assert hard_decide([np.inf, -np.inf, -0.0]).tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("llrs", [[np.nan], [1.0, np.nan, -1.0], np.full((2, 3), np.nan)])
+def test_hard_decide_rejects_a_nan_llr(llrs):
+    with pytest.raises(ValueError, match="NaN LLR"):
+        hard_decide(llrs)

@@ -272,11 +272,8 @@ def test_grad_bce_with_mask(rng):
     check_grad(lambda: bce_with_logits(z, t, mask=mask), z)
 
 
-@pytest.mark.parametrize("tap_budget", [None, 1], ids=["one-chunk", "one-sample-chunks"])
-def test_grad_two_block_residual_network(rng, monkeypatch, tap_budget):
+def test_grad_two_block_residual_network(rng):
     """Composed network: conv stem, two residual blocks with layer norm."""
-    if tap_budget is not None:
-        monkeypatch.setattr(nn, "_TAP_BUDGET", tap_budget)
     gen = np.random.default_rng(0)
     stem = Conv2d(2, 3, gen, dtype=np.float64)
     ln1 = LayerNorm(3, dtype=np.float64)
@@ -300,37 +297,35 @@ def test_grad_two_block_residual_network(rng, monkeypatch, tap_budget):
 
 
 @pytest.mark.parametrize("c_in", [3, 4])
-@pytest.mark.parametrize("per_chunk", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv2d_in_sample_chunks_equals_one_chunk(rng, monkeypatch, dtype, per_chunk, c_in):
-    x0 = rng.standard_normal((5, c_in, 6, 7)).astype(dtype)
+def test_a_conv_batch_equals_its_samples_run_one_at_a_time(rng, dtype, c_in):
+    B = 4  # a power of two, so a sample's loss is B times its share of the batch's exactly
+    x0 = rng.standard_normal((B, c_in, 6, 7)).astype(dtype)
     k0 = (0.5 * rng.standard_normal((4, c_in, 3, 3))).astype(dtype)
     b0 = rng.standard_normal((1, 4, 1, 1)).astype(dtype)
-    t = Tensor((rng.uniform(size=(5, 4, 6, 7)) > 0.5).astype(dtype))
+    t = (rng.uniform(size=(B, 4, 6, 7)) > 0.5).astype(dtype)
 
-    def run():
-        x, k, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, k0, b0))
+    def run(s):
+        x, k, b = (Tensor(a.copy(), requires_grad=True) for a in (x0[s], k0, b0))
         out = conv2d(x, k, b)
-        bce_with_logits(out, t).backward()
+        bce_with_logits(out, Tensor(t[s])).backward()
         return out.data, x.grad, k.grad, b.grad
 
-    whole = run()
-    sizes, tap_rows = [], nn._tap_rows
-    monkeypatch.setattr(nn, "_tap_rows", lambda a: sizes.append(len(a)) or tap_rows(a))
-    # room for per_chunk samples of the 4-channel output gradient's taps
-    monkeypatch.setattr(nn, "_TAP_BUDGET", per_chunk * 3 * 4 * 8 * 7 * np.dtype(dtype).itemsize)
-    chunked = run()
-    assert max(sizes) == per_chunk and sum(sizes) == 2 * 5, sizes
-    assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
+    out, dx, dk, db = run(slice(None))
+    samples = [run(slice(i, i + 1)) for i in range(B)]
+    assert np.concatenate([a[0] for a in samples]).tobytes() == out.tobytes()
+    assert (np.concatenate([a[1] for a in samples]) / B).tobytes() == dx.tobytes()
+    total = samples[0][2] / B
+    for a in samples[1:]:
+        total += a[2] / B  # in batch order
+    assert total.tobytes() == dk.tobytes()
+    # the bias gradient sums the batch axis before the spatial ones, so the
+    # per-sample sums agree to rounding only
+    np.testing.assert_allclose(sum(a[3] for a in samples) / B, db, rtol=1e-5)
 
 
-@pytest.mark.parametrize("tap_budget", [None, 1], ids=["one-chunk", "one-sample-chunks"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_a_conv_reading_a_layer_norm_rebuild_gets_the_plain_kernel_gradient(
-    rng, monkeypatch, dtype, tap_budget
-):
-    if tap_budget is not None:
-        monkeypatch.setattr(nn, "_TAP_BUDGET", tap_budget)
+def test_a_conv_reading_a_layer_norm_rebuild_gets_the_plain_kernel_gradient(rng, dtype):
     x = Tensor(rng.standard_normal((3, 4, 5, 6)).astype(dtype), requires_grad=True)
     gamma = Tensor((1 + 0.1 * rng.standard_normal(4)).astype(dtype), requires_grad=True)
     beta = Tensor((0.1 * rng.standard_normal(4)).astype(dtype), requires_grad=True)
@@ -475,15 +470,36 @@ def test_checkpoint_rejects_repeated_tensor(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_checkpoint_rejects_a_non_finite_weight(tmp_path, bad):
     layer = Conv2d(5, 2, np.random.default_rng(3))
-    layer.b.data[0, 1, 0, 0] = bad
     h = nn.config_hash("cfg")
     path = tmp_path / "weights.ckpt"
     save_checkpoint(path, {"k": layer.k, "b": layer.b}, h)
+    # the bias is written last, so its second value is the file's last 4 bytes
+    path.write_bytes(path.read_bytes()[:-4] + np.array(bad, "<f4").tobytes())
     fresh = Conv2d(5, 2, np.random.default_rng(4))
     before = fresh.k.data.copy()
     with pytest.raises(CheckpointError, match="non-finite"):
         load_checkpoint(path, {"k": fresh.k, "b": fresh.b}, h)
     assert np.array_equal(fresh.k.data, before)
+
+
+@pytest.mark.parametrize(
+    "bad, dtype",
+    [(np.nan, np.float32), (np.inf, np.float32), (-np.inf, np.float32), (1e39, np.float64)],
+    ids=["nan", "inf", "-inf", "beyond-float32"],
+)
+def test_save_checkpoint_rejects_a_non_finite_weight_and_keeps_the_old_file(
+    tmp_path, bad, dtype
+):
+    layer = Conv2d(5, 2, np.random.default_rng(3), dtype=dtype)
+    h = nn.config_hash("cfg")
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(path, {"k": layer.k, "b": layer.b}, h)
+    blob = path.read_bytes()
+    layer.k.data[1, 4, 2, 0] = bad
+    with pytest.raises(CheckpointError, match="'k' holds a non-finite value"):
+        save_checkpoint(path, {"k": layer.k, "b": layer.b}, h)
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == ["weights.ckpt"]
 
 
 def test_backward_keeps_leaf_grads_and_drops_the_others(rng):

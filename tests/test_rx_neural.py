@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from telempose import nn
+from telempose.grid import DATA, build_mask, grid_capacity_bits
+from telempose.modem import FramingError
 from telempose.channel import (
     ChannelRealization,
     SynthParams,
@@ -22,6 +24,7 @@ from telempose.rx_neural import (
     TrainConfig,
     TrainingDiverged,
     _Block,
+    bits_to_target_grid,
     build_input_planes,
     train,
 )
@@ -207,6 +210,23 @@ def test_non_finite_loss_raises_training_diverged(cfg_2p, qpsk):
         train(rx, cfg_2p, qpsk, [huge], hyper, np.random.default_rng(1))
 
 
+def test_target_grid_puts_each_data_element_s_bits_on_the_bit_axis(cfg_2p, qpsk, rng):
+    bits = rng.integers(0, 2, size=grid_capacity_bits(cfg_2p, qpsk), dtype=np.uint8)
+    target = bits_to_target_grid(bits, cfg_2p, 2)
+    data = build_mask(cfg_2p) == DATA
+    assert target.shape == (2, 14, 128)
+    assert np.array_equal(target[:, data].T.reshape(-1), bits)
+    assert not target[:, ~data].any()
+
+
+@pytest.mark.parametrize(
+    "size", [2, 2807, 2809, 2 * 2808], ids=["two", "short", "long", "two-grids"]
+)
+def test_target_grid_needs_exactly_one_grid_of_bits(cfg_2p, size):
+    with pytest.raises(FramingError, match=f"payload of {size} bits does not fill 1404"):
+        bits_to_target_grid(np.zeros(size, np.uint8), cfg_2p, 2)
+
+
 @pytest.mark.parametrize(
     "noise_var",
     [0.0, -0.5, np.nan, np.inf, 1e-60, [0.1, 0.0]],
@@ -308,7 +328,7 @@ def test_a_recorded_block_keeps_only_what_its_backward_reads():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
-def test_a_batch_16_paper_step_peaks_below_384_mib():
+def test_a_batch_16_paper_step_peaks_below_352_mib():
     # a fresh interpreter, so the peaks of other tests do not count
     src = str(Path(nn.__file__).resolve().parents[1])
     code = (
@@ -329,7 +349,7 @@ def test_a_batch_16_paper_step_peaks_below_384_mib():
         capture_output=True, text=True, check=True,
     )
     peak_kib = int(out.stdout.split()[-1])
-    assert peak_kib < 384 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
+    assert peak_kib < 352 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
 
 
 def test_receive_equals_the_recorded_forward(rng):
