@@ -13,7 +13,7 @@ only the arrays it reads:
 - conv: its kernel and, only when the kernel takes a gradient, its input:
   the input's LayerNorm rebuild if it carries one, else its array;
 - LayerNorm: the normalized input xhat, the per-sample 1/std and gamma;
-- ReLU: a bool mask of its positive outputs;
+- ReLU: its positive outputs as packed bits, one bit per element;
 - add: nothing;
 - BCE: the logits, targets, weights and exp(-|z|).
 
@@ -52,6 +52,10 @@ the tap buffer is one sample's whatever the batch. Backward builds the
 row taps of each sample's output gradient once and reads them for both
 the input and the kernel gradient. The kernel gradient adds the samples
 in batch order.
+
+``AdamState`` makes its moments in the first ``adam_step``, after that
+step's ``backward`` has freed its graph, so the first forward and backward
+run without them.
 
 float32 is the training precision; gradient checks build the same graphs
 in float64.
@@ -229,10 +233,10 @@ def relu(x: Tensor) -> Tensor:
     nx = _grad_node(x)
     if nx is None:
         return Tensor(data)
-    mask = data > 0  # a recorded ReLU keeps this, not its output
+    packed = np.packbits(data > 0)  # a recorded ReLU keeps one bit per element
 
     def _bw(g):
-        g *= mask
+        g *= np.unpackbits(packed, count=g.size).reshape(g.shape)
         nx.accumulate(g)
 
     return _result(data, (nx,), _bw)
@@ -478,15 +482,28 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
+    """Step count and moments for ``params``; ``m`` and ``v`` stay None until the first step."""
+
     def __init__(self, params, lr=1e-3):
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.shapes = [p.data.shape for p in params]
+        self.m = self.v = None
 
 
 def adam_step(params, state: AdamState):
-    """One bias-corrected Adam update from the grads stored on ``params``."""
+    """One bias-corrected Adam update from the grads stored on ``params``.
+
+    Raises ``ValueError`` before any change unless ``state`` was built for their shapes.
+    """
+    if len(params) != len(state.shapes):
+        raise ValueError(f"adam_step got {len(params)} params, state holds {len(state.shapes)}")
+    for i, (p, shape) in enumerate(zip(params, state.shapes)):
+        if p.data.shape != shape:
+            raise ValueError(f"param {i} has shape {p.data.shape}, state holds {shape}")
+    if state.m is None:
+        state.m = [np.zeros_like(p.data) for p in params]
+        state.v = [np.zeros_like(p.data) for p in params]
     state.step_count += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1 - b1**state.step_count

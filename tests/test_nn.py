@@ -65,6 +65,35 @@ def test_relu_values():
     assert out.data.tolist() == [0.0, 0.0, 2.0]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 5, 7, 3), (2, 4, 8)], ids=["315-elements", "64-elements"])
+def test_relu_backward_is_g_times_the_positive_mask_bit_for_bit(rng, dtype, shape):
+    # the packed mask multiplies by the same 0s and 1s as a bool mask, so
+    # negative g at x <= 0 gives -0.0 and signed zeros keep their sign
+    x_data = rng.standard_normal(shape).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    x_data.reshape(-1)[:4] = 0.0, -0.0, 0.0, -0.0
+    g.reshape(-1)[:6] = 0.0, -0.0, -0.0, 0.0, -0.0, 0.0
+    expected = g * (x_data > 0)
+    x = Tensor(x_data, requires_grad=True)
+    relu(x)._node.backward(g.copy())
+    assert x.grad.dtype == dtype
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+def test_a_recorded_relu_keeps_one_bit_per_element(rng):
+    x = Tensor(rng.standard_normal((2, 16, 14, 32)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = relu(x)
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept <= x.data.size / 8 + 1024, kept
+
+
 def test_conv2d_identity_kernel(rng):
     x = Tensor(rng.standard_normal((2, 1, 5, 7)))
     k = np.zeros((1, 1, 3, 3))
@@ -394,6 +423,80 @@ def test_adam_update_does_not_depend_on_the_lr_type(rng):
             adam_step([p], state)
         out.append(p.data)
     np.testing.assert_array_equal(out[0], out[1])
+
+
+def test_adam_state_makes_its_moments_at_the_first_step():
+    p = Tensor(np.zeros((64, 64), np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = AdamState([p])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert state.m is None and state.v is None
+    assert kept < p.data.nbytes, kept
+    p.grad = np.ones_like(p.data)
+    adam_step([p], state)
+    assert [m.shape for m in state.m] == [v.shape for v in state.v] == [(64, 64)]
+
+
+def _eager_adam(start, grads, lr):
+    """Adam as plain expressions, with zero moments made before the first step."""
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+    ps = [s.copy() for s in start]
+    m = [np.zeros_like(s) for s in start]
+    v = [np.zeros_like(s) for s in start]
+    for t, step_grads in enumerate(grads, start=1):
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        for i, g in enumerate(step_grads):
+            m[i] = m[i] * b1 + g * (1 - b1)
+            v[i] = v[i] * b2 + g * (1 - b2) * g
+            ps[i] = ps[i] - m[i] / c1 * lr / (np.sqrt(v[i] / c2) + nn.ADAM_EPS)
+    return ps, m, v
+
+
+def test_adam_with_moments_made_at_the_first_step_equals_eager_moments(rng):
+    start = [rng.standard_normal(s).astype(np.float32) for s in ((3, 4), (5,))]
+    grads = [[rng.standard_normal(s.shape).astype(np.float32) for s in start] for _ in range(3)]
+    params = [Tensor(s.copy(), requires_grad=True) for s in start]
+    state = AdamState(params, lr=1e-3)
+    for step_grads in grads:
+        for p, g in zip(params, step_grads):
+            p.grad = g.copy()
+        adam_step(params, state)
+    ps, m, v = _eager_adam(start, grads, 1e-3)
+    for i, p in enumerate(params):
+        assert p.data.tobytes() == ps[i].tobytes()
+        assert state.m[i].tobytes() == m[i].tobytes()
+        assert state.v[i].tobytes() == v[i].tobytes()
+
+
+@pytest.mark.parametrize("steps_before", [0, 1], ids=["moments-unmade", "moments-made"])
+@pytest.mark.parametrize("case", ["extra-param", "missing-param", "other-shape"])
+def test_adam_step_rejects_params_the_state_was_not_built_for(rng, case, steps_before):
+    # a zip over mismatched lists would update a prefix and skip the rest
+    a, b, c = (Tensor(rng.standard_normal(n).astype(np.float32), requires_grad=True)
+               for n in (3, 4, 5))
+    for p in (a, b, c):
+        p.grad = np.ones_like(p.data)
+    built, called = {
+        "extra-param": ([a], [a, b]),
+        "missing-param": ([a, b], [a]),
+        "other-shape": ([a, b], [a, c]),
+    }[case]
+    state = AdamState(built)
+    for _ in range(steps_before):
+        adam_step(built, state)
+
+    def snapshot():
+        moments = None if state.m is None else [s.tobytes() for s in state.m + state.v]
+        return [p.data.tobytes() for p in (a, b, c)], state.step_count, moments
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="state holds"):
+        adam_step(called, state)
+    assert snapshot() == before
 
 
 def test_training_determinism():

@@ -1,9 +1,9 @@
 """Fixed-seed statistical oracles for the link model.
 
 Each test compares a Monte-Carlo mean with its closed form. The tolerance
-is five standard errors of that mean, from a variance bound stated with
-the test and the test's own sample count, so a wrong model fails and a
-correct one passes at any seed.
+is five standard errors of that mean, from a variance (or a bound on it)
+stated with the test and the test's own sample count, so a wrong model
+fails and a correct one passes at any seed.
 """
 
 import math
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from telempose.channel import (
+    ChannelRealization,
     NoiseSpec,
     SynthParams,
     apply,
@@ -19,8 +20,15 @@ from telempose.channel import (
     freq_response_grid,
     synth_channel,
 )
-from telempose.grid import GridConfig, grid_capacity_bits, pack_bits, pilot_value_grid
-from telempose.rx_classic import interpolate, ls_estimate
+from telempose.grid import (
+    GridConfig,
+    grid_capacity_bits,
+    pack_bits,
+    pilot_value_grid,
+    unpack_llrs,
+)
+from telempose.modem import hard_decide
+from telempose.rx_classic import interpolate, ls_estimate, receive_perfect_csi
 
 
 def bessel_j0(x: float) -> float:
@@ -102,3 +110,69 @@ def test_ls_interpolation_error_variance(qpsk, pilots):
         w = np.clip((s - pilots[0]) / (pilots[1] - pilots[0]), 0, 1)
     expected = (1 - w) ** 2 + w**2
     assert np.all(np.abs(measured / expected - 1) <= 5 / math.sqrt(m)), measured / expected
+
+
+def mrc_ber(ebn0: float, n_rx: int) -> float:
+    """Bit error rate of Gray QPSK with maximal-ratio combining over n_rx i.i.d. Rayleigh branches.
+
+    Simon & Alouini, ch. 9: at mean Eb/N0 ``ebn0`` per branch (linear),
+    mu = sqrt(ebn0 / (1 + ebn0)) and, with L = n_rx,
+    P = ((1 - mu) / 2)^L * sum over k < L of C(L - 1 + k, k) ((1 + mu) / 2)^k.
+    """
+    mu = math.sqrt(ebn0 / (1 + ebn0))
+    return ((1 - mu) / 2) ** n_rx * sum(
+        math.comb(n_rx - 1 + k, k) * ((1 + mu) / 2) ** k for k in range(n_rx)
+    )
+
+
+def fade_error_moments(ebn0: float, n_rx: int) -> tuple:
+    """E[p] and E[p^2] over the fade of a bit's error probability p given the gains h.
+
+    After maximal-ratio combining, a Gray QPSK bit errs with
+    p = Q(sqrt(2 ebn0 |h|^2)) = erfc(sqrt(ebn0) |h|) / 2, and |h|^2 is a sum
+    of n_rx Exp(1). By the midpoint rule in u = |h| on [0, 8], where the
+    density 2 u^(2 n_rx - 1) exp(-u^2) / (n_rx - 1)! is smooth.
+    """
+    du = 8 / 4096
+    u = (np.arange(4096) + 0.5) * du
+    p = np.array([math.erfc(math.sqrt(ebn0) * x) / 2 for x in u])
+    weight = 2 * u ** (2 * n_rx - 1) * np.exp(-u * u) / math.factorial(n_rx - 1) * du
+    return float(p @ weight), float(p * p @ weight)
+
+
+@pytest.mark.parametrize("n_rx", [1, 2])
+@pytest.mark.parametrize("ebn0", [1.0, 4.0, 10.0])
+def test_mrc_ber_closed_form_matches_quadrature(ebn0, n_rx):
+    assert fade_error_moments(ebn0, n_rx)[0] == pytest.approx(mrc_ber(ebn0, n_rx), abs=1e-6)
+
+
+@pytest.mark.parametrize("n_rx", [1, 2])
+def test_perfect_csi_ber_on_flat_rayleigh_is_the_mrc_closed_form(qpsk, n_rx):
+    # Each grid draws one CN(0, 1) gain per antenna on a single path with no
+    # delay and no Doppler, so the grids are the independent fades. Given
+    # the fade, a grid's n_bits errors are independent with probability p,
+    # so its error fraction has variance
+    # E[p^2] - P^2 + (P - E[p^2]) / n_bits over the fades.
+    cfg = GridConfig(n_subcarriers=16, guard_left=0, guard_right=0)
+    n_grids = 1500
+    n_bits = grid_capacity_bits(cfg, qpsk)
+    rng = np.random.default_rng(20250310 + n_rx)
+    for ebn0_db in (0.0, 6.0):
+        spec = NoiseSpec(ebn0_db, qpsk.bits_per_symbol)
+        bits = rng.integers(0, 2, size=n_grids * n_bits, dtype=np.uint8)
+        symbols, record = pack_bits(bits, cfg, qpsk)
+        llrs = []
+        for grid_symbols in symbols:
+            gains = rng.standard_normal((1, n_rx)) + 1j * rng.standard_normal((1, n_rx))
+            ch = ChannelRealization(gains / math.sqrt(2), np.zeros(1), np.zeros(1))
+            y = apply(ch, grid_symbols, spec, rng)
+            h = freq_response_grid(ch, cfg)
+            llrs.append(receive_perfect_csi(y, cfg, spec.noise_variance, qpsk, h))
+        measured = np.mean(hard_decide(unpack_llrs(llrs, record, cfg)) != bits)
+        g = 10 ** (ebn0_db / 10)
+        expected = mrc_ber(g, n_rx)
+        p2 = fade_error_moments(g, n_rx)[1]
+        var = p2 - expected**2 + (expected - p2) / n_bits
+        assert abs(measured - expected) <= 5 * math.sqrt(var / n_grids), (
+            ebn0_db, measured, expected,
+        )
