@@ -1,4 +1,4 @@
-"""The integer rule of every config field and size argument.
+"""The integer and real-number rules of every config field and size argument.
 
 It imports nothing from the package, so ``modem`` can use it as well as
 ``grid``: a rule kept in ``grid``, which imports ``modem``, would need an
@@ -7,6 +7,7 @@ import cycle to reach it.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -18,3 +19,32 @@ def check_int(name: str, value, lo: int, hi: int | None = None):
     if value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
+def check_real(name: str, value, lo: float | None = None) -> float:
+    """``value`` as a float; ``ValueError``, naming ``name``, unless finite and >= lo."""
+    # bool is a Real, but True as a rate, a level or a frequency is a mistake
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return float(value)
+
+
+def check_positive(name: str, value) -> float:
+    """:func:`check_real` of a value that must also be above zero."""
+    if (value := check_real(name, value)) <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return value
+
+
+def check_range(name: str, value, lo: float | None = None) -> tuple[float, float]:
+    """``value`` as a (low, high) pair of :func:`check_real` floats with low <= high."""
+    try:
+        low, high = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a (low, high) pair, got {value!r}") from None
+    low, high = check_real(name, low, lo), check_real(name, high, lo)
+    if low > high:
+        raise ValueError(f"{name} must have low <= high, got ({low}, {high})")
+    return low, high

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, check_positive, check_range, check_real
 from ._reader import Reader, replacing
 from .grid import SUBCARRIER_SPACING_HZ, GridConfig
 
@@ -94,7 +94,7 @@ class NoiseSpec:
     def __post_init__(self):
         check_int("bits_per_symbol", self.bits_per_symbol, 1)
         # a Python float overflows with an exception; a numpy scalar would warn first
-        object.__setattr__(self, "ebn0_db", float(self.ebn0_db))
+        object.__setattr__(self, "ebn0_db", check_real("ebn0_db", self.ebn0_db))
         try:
             nv = self.noise_variance
         except (OverflowError, ZeroDivisionError):
@@ -122,20 +122,15 @@ class SynthParams:
     def __post_init__(self):
         check_int("l_max", self.l_max, 1, MAX_PATHS)
         check_int("n_rx", self.n_rx, 1)
-        # chained comparisons are False for NaN and raise no warning
-        if not 0 < self.delay_spread_s < math.inf:
-            raise ValueError(
-                f"delay spread must be finite and positive, got {self.delay_spread_s}"
-            )
-        lo, hi = self.speed_range_mps
-        if not 0 <= lo <= hi < math.inf:
-            raise ValueError(f"invalid speed range {self.speed_range_mps}")
-        if not 0 < self.carrier_hz < math.inf:
-            raise ValueError(f"carrier must be finite and positive, got {self.carrier_hz}")
+        for name in ("delay_spread_s", "carrier_hz"):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
+        speeds = check_range("speed_range_mps", self.speed_range_mps, 0)
+        object.__setattr__(self, "speed_range_mps", speeds)
 
 
 def flat_unit_channel(n_rx: int = 1) -> ChannelRealization:
     """Single path, zero delay, zero Doppler, unit gain on every antenna."""
+    check_int("n_rx", n_rx, 1)
     return ChannelRealization(np.ones((1, n_rx), complex), np.zeros(1), np.zeros(1))
 
 

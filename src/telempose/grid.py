@@ -45,7 +45,14 @@ class GridConfig:
         check_int("guard_right", self.guard_right, 0)
         check_int("pilot_seed", self.pilot_seed, 0)
         # a tuple keeps the config hashable, so it can key the per-config caches
-        object.__setattr__(self, "pilot_symbol_indices", tuple(self.pilot_symbol_indices))
+        try:
+            pilots = tuple(self.pilot_symbol_indices)
+        except TypeError:
+            raise ValueError(
+                "pilot_symbol_indices must be a sequence of symbol indices, "
+                f"got {self.pilot_symbol_indices!r}"
+            ) from None
+        object.__setattr__(self, "pilot_symbol_indices", pilots)
         for i in self.pilot_symbol_indices:
             check_int("pilot symbol index", i, 0, self.n_symbols - 1)
         if self.guard_left + self.guard_right >= self.n_subcarriers:

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, check_real
 
 #: Features per sensor frame (17 sensors x 12 features each).
 FEATURES_PER_FRAME = 204
@@ -37,7 +37,9 @@ class QuantizerConfig:
 
     def __post_init__(self):
         check_int("q", self.q, 1, 16)
-        # an infinite or NaN endpoint, or an overflowing width, leaves no finite step
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        # an overflowing width leaves no finite step
         if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise ValueError(f"invalid clamp interval [{self.lo}, {self.hi}]")
 
@@ -69,9 +71,18 @@ def _levels(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     return np.floor(v, out=v).astype(np.int64)
 
 
+def _real_features(x) -> np.ndarray:
+    """``x`` as a float array; a complex value raises ``ValueError``, since a
+    cast would drop its imaginary part with only a warning."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError("cannot quantize a complex value")
+    return x.astype(float, copy=False)
+
+
 def saturation_count(x, cfg: QuantizerConfig) -> int:
     """Number of inputs that fall outside [lo, hi] and get clamped."""
-    x = np.asarray(x, dtype=float)
+    x = _real_features(x)
     return int(np.count_nonzero((x < cfg.lo) | (x > cfg.hi)))
 
 
@@ -111,10 +122,10 @@ def quantize_frame(x, cfg: QuantizerConfig) -> np.ndarray:
 
     Each feature becomes the big-endian q-bit index of its level. Finite
     out-of-range features are clamped, never rejected; use
-    :func:`saturation_count` to track how often that happens. NaN and
-    infinities raise ``ValueError``.
+    :func:`saturation_count` to track how often that happens. NaN,
+    infinities and complex values raise ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real_features(x)
     if x.shape != (FEATURES_PER_FRAME,):
         raise FramingError(
             f"expected frame of {FEATURES_PER_FRAME} features, got shape {x.shape}"

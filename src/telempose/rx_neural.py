@@ -10,14 +10,13 @@ LLR means bit 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
-from ._checks import check_int
+from ._checks import check_int, check_positive, check_range
 from .channel import NoiseSpec, apply
 from .grid import DATA, GridConfig, build_mask, grid_capacity_bits, pack_bits
 from .modem import Constellation, FramingError
@@ -66,11 +65,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("iterations", "batch", "log_every"):
             check_int(name, getattr(self, name), 1)
-        if not 0 < self.lr < math.inf:  # NaN fails too
-            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
-        r = self.ebn0_range_db
-        if not (len(r) == 2 and all(map(math.isfinite, r)) and r[0] <= r[1]):
-            raise ValueError(f"Eb/N0 range must be two finite values lo <= hi, got {r}")
+        object.__setattr__(self, "lr", check_positive("lr", self.lr))
+        object.__setattr__(self, "ebn0_range_db", check_range("ebn0_range_db", self.ebn0_range_db))
 
 
 class LogEntry(NamedTuple):

@@ -166,7 +166,7 @@ def test_noise_spec_variance():
 
 @pytest.mark.parametrize("ebn0_db", [np.nan, np.inf, -np.inf])
 def test_noise_spec_rejects_a_non_finite_ebn0(ebn0_db):
-    with pytest.raises(ValueError, match="Eb/N0"):
+    with pytest.raises(ValueError, match="^ebn0_db must be a finite real number"):
         NoiseSpec(ebn0_db)
 
 

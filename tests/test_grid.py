@@ -59,6 +59,12 @@ def test_config_validation():
         GridConfig(pilot_symbol_indices=(2, 2))
 
 
+@pytest.mark.parametrize("pilots", [5, 2.0, None])
+def test_config_rejects_pilot_indices_that_are_not_a_sequence(pilots):
+    with pytest.raises(ValueError, match="^pilot_symbol_indices must be"):
+        GridConfig(pilot_symbol_indices=pilots)
+
+
 def test_config_rejects_a_negative_guard():
     with pytest.raises(ValueError, match="guard_left must be >= 0"):
         GridConfig(guard_left=-3)

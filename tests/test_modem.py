@@ -153,6 +153,15 @@ def test_non_finite_features_are_rejected(bad):
             quantize_frame(frame, cfg)
 
 
+def test_complex_features_are_rejected():
+    # a cast to float would keep 0.5 of 0.5+0.7j and count 2j as in range
+    cfg = QuantizerConfig(q=8)
+    with pytest.raises(ValueError, match="complex"):
+        quantize_frame(np.full(204, 0.5 + 0.7j), cfg)
+    with pytest.raises(ValueError, match="complex"):
+        saturation_count([2j, 0.1], cfg)
+
+
 @pytest.mark.parametrize("order", [8, 32, 6, 12, 128])
 def test_qam_rejects_an_order_that_is_not_a_power_of_4(order):
     with pytest.raises(ValueError, match="square QAM order"):
@@ -169,12 +178,13 @@ def test_invalid_quantizer_configs():
 
 
 @pytest.mark.parametrize(
-    "lo, hi",
-    [(-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)],
+    "lo, hi, message",
+    [(-np.inf, 1.0, "^lo must be a finite"), (-1.0, np.inf, "^hi must be a finite"),
+     (np.nan, 1.0, "^lo must be a finite"), (-1e308, 1e308, "clamp interval")],
     ids=["-inf-lo", "inf-hi", "nan-lo", "width-overflows"],
 )
-def test_quantizer_rejects_an_interval_without_a_finite_width(lo, hi):
-    with pytest.raises(ValueError, match="clamp interval"):
+def test_quantizer_rejects_an_interval_without_a_finite_width(lo, hi, message):
+    with pytest.raises(ValueError, match=message):
         QuantizerConfig(q=4, lo=lo, hi=hi)
 
 

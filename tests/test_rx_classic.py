@@ -204,6 +204,25 @@ def test_lmmse_rejects_an_estimate_of_another_shape(rng, h_shape):
     assert str(h_shape) in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "noise_var", [np.array([0.1, 0.2]), [0.1, 0.1], np.full((2, 1, 1), 0.1)],
+    ids=["vector", "list", "per-antenna"],
+)
+def test_lmmse_rejects_more_than_one_noise_variance(rng, noise_var):
+    y = rng.standard_normal((2, 14, 117)) + 0j
+    with pytest.raises(ValueError, match="^noise_var must be one"):
+        lmmse_equalize(y, y, noise_var)
+
+
+def test_lmmse_takes_a_numpy_scalar_or_a_0d_noise_variance(rng):
+    y = rng.standard_normal((2, 14, 117)) + 0j
+    h = rng.standard_normal((2, 14, 117)) + 0j
+    expected = lmmse_equalize(y, h, 0.1)
+    for noise_var in (np.float64(0.1), np.array(0.1)):
+        for got, want in zip(lmmse_equalize(y, h, noise_var), expected):
+            assert np.array_equal(got, want)
+
+
 def test_equalizer_phase_correctness(rng):
     # noiseless random single-tap channels leave no residual rotation
     for _ in range(200):
