@@ -24,7 +24,12 @@ def check_int(name: str, value, lo: int, hi: int | None = None):
 def check_real(name: str, value, lo: float | None = None) -> float:
     """``value`` as a float; ``ValueError``, naming ``name``, unless finite and >= lo."""
     # bool is a Real, but True as a rate, a level or a frequency is a mistake
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value}")

@@ -7,13 +7,12 @@ the classical receivers call it too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import check_int
 
 #: Features per sensor frame (17 sensors x 12 features each).
 FEATURES_PER_FRAME = 204
@@ -25,23 +24,16 @@ class FramingError(ValueError):
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Uniform scalar quantizer over [lo, hi] with 2**q levels.
+    """Uniform scalar quantizer over [-1, 1] with 2**q levels.
 
     Both interval endpoints are representable levels, so there are
-    2**q levels and 2**q - 1 gaps of width (hi - lo) / (2**q - 1).
+    2**q levels and 2**q - 1 gaps of width 2 / (2**q - 1).
     """
 
     q: int
-    lo: float = -1.0
-    hi: float = 1.0
 
     def __post_init__(self):
         check_int("q", self.q, 1, 16)
-        for name in ("lo", "hi"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        # an overflowing width leaves no finite step
-        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
-            raise ValueError(f"invalid clamp interval [{self.lo}, {self.hi}]")
 
     @property
     def n_levels(self) -> int:
@@ -50,40 +42,37 @@ class QuantizerConfig:
     @property
     def step(self) -> float:
         """Width of one quantization gap."""
-        return (self.hi - self.lo) / (self.n_levels - 1)
+        return 2.0 / (self.n_levels - 1)
 
 
 def _levels(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
-    """Clamp and map values to integer level indices.
-
-    Rounding is half-away-from-zero; since the scaled argument is
-    non-negative this is floor(v + 0.5). Non-finite values have no level
-    and are rejected.
-    """
-    if not np.isfinite(x).all():
-        raise ValueError("cannot quantize a non-finite value")
-    v = np.maximum(x, cfg.lo)  # clamp into [lo, hi], then scale in place
-    np.minimum(v, cfg.hi, out=v)
-    v -= cfg.lo
-    v /= cfg.hi - cfg.lo
+    """Clamp finite values into [-1, 1] and map them to integer level indices,
+    rounding half away from zero: floor(v + 0.5), as v is non-negative."""
+    v = np.maximum(x, -1.0)  # clamp into [-1, 1], then scale in place
+    np.minimum(v, 1.0, out=v)
+    v += 1.0
+    v /= 2.0
     v *= cfg.n_levels - 1
     v += 0.5
     return np.floor(v, out=v).astype(np.int64)
 
 
 def _real_features(x) -> np.ndarray:
-    """``x`` as a float array; a complex value raises ``ValueError``, since a
-    cast would drop its imaginary part with only a warning."""
+    """``x`` as a finite float array; ``ValueError`` for a non-finite value, which has no
+    level, and for a complex one, whose cast would drop the imaginary part with a warning."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
         raise ValueError("cannot quantize a complex value")
-    return x.astype(float, copy=False)
+    x = x.astype(float, copy=False)
+    if not np.isfinite(x).all():
+        raise ValueError("cannot quantize a non-finite value")
+    return x
 
 
 def saturation_count(x, cfg: QuantizerConfig) -> int:
-    """Number of inputs that fall outside [lo, hi] and get clamped."""
+    """Number of inputs outside [-1, 1], which get clamped; rejects what quantize_frame does."""
     x = _real_features(x)
-    return int(np.count_nonzero((x < cfg.lo) | (x > cfg.hi)))
+    return int(np.count_nonzero((x < -1.0) | (x > 1.0)))
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +131,8 @@ def dequantize_frame(bits, cfg: QuantizerConfig) -> np.ndarray:
         )
     levels = _bits_to_levels(bits.reshape(FEATURES_PER_FRAME, cfg.q), cfg.q)
     values = levels / (cfg.n_levels - 1)
-    values *= cfg.hi - cfg.lo
-    values += cfg.lo
+    values *= 2.0
+    values -= 1.0
     return values
 
 

@@ -57,8 +57,9 @@ in batch order.
 step's ``backward`` has freed its graph, so the first forward and backward
 run without them.
 
-float32 is the training precision; gradient checks build the same graphs
-in float64.
+``Conv2d``, ``LayerNorm`` and ``kaiming_uniform`` make float32 tensors,
+the training precision. The ops keep their operands' precision, so
+gradient checks call them on float64 leaves.
 """
 
 from __future__ import annotations
@@ -446,31 +447,28 @@ def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def kaiming_uniform(rng, shape, fan_in, dtype=np.float32) -> np.ndarray:
+def kaiming_uniform(rng, shape, fan_in) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 class Conv2d:
     """3x3 same-padding convolution plus per-channel bias."""
 
-    def __init__(self, c_in, c_out, rng, dtype=np.float32, zero_init=False):
+    def __init__(self, c_in, c_out, rng, zero_init=False):
         shape = (c_out, c_in, 3, 3)
-        if zero_init:
-            k = np.zeros(shape, dtype=dtype)
-        else:
-            k = kaiming_uniform(rng, shape, c_in * 9, dtype)
+        k = np.zeros(shape, np.float32) if zero_init else kaiming_uniform(rng, shape, c_in * 9)
         self.k = Tensor(k, requires_grad=True)
-        self.b = Tensor(np.zeros((1, c_out, 1, 1), dtype=dtype), requires_grad=True)
+        self.b = Tensor(np.zeros((1, c_out, 1, 1), dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.k, self.b)
 
 
 class LayerNorm:
-    def __init__(self, n_channels, dtype=np.float32):
-        self.gamma = Tensor(np.ones(n_channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(n_channels, dtype=dtype), requires_grad=True)
+    def __init__(self, n_channels):
+        self.gamma = Tensor(np.ones(n_channels, dtype=np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(n_channels, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)

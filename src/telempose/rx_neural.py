@@ -96,6 +96,16 @@ def build_input_planes(y: np.ndarray, noise_var) -> np.ndarray:
     return planes
 
 
+def _named_tensors(prefix: str, layer):
+    """``layer``'s tensors by dotted name, in the order its attributes (tensors
+    and layers, nothing else) were set."""
+    for name, value in vars(layer).items():
+        if isinstance(value, nn.Tensor):
+            yield f"{prefix}.{name}", value
+        else:
+            yield from _named_tensors(f"{prefix}.{name}", value)
+
+
 class _Block:
     def __init__(self, filters, rng):
         self.ln1 = nn.LayerNorm(filters)
@@ -123,20 +133,10 @@ class NeuralReceiver:
         self.out = nn.Conv2d(cfg.filters, cfg.bits_per_symbol, rng, zero_init=True)
 
     def named_params(self) -> dict:
-        """Every trainable tensor by checkpoint name, in optimizer order."""
-        named = {"stem.k": self.stem.k, "stem.b": self.stem.b}
-        for i, b in enumerate(self.blocks):
-            named[f"block{i}.ln1.gamma"] = b.ln1.gamma
-            named[f"block{i}.ln1.beta"] = b.ln1.beta
-            named[f"block{i}.conv1.k"] = b.conv1.k
-            named[f"block{i}.conv1.b"] = b.conv1.b
-            named[f"block{i}.ln2.gamma"] = b.ln2.gamma
-            named[f"block{i}.ln2.beta"] = b.ln2.beta
-            named[f"block{i}.conv2.k"] = b.conv2.k
-            named[f"block{i}.conv2.b"] = b.conv2.b
-        named["out.k"] = self.out.k
-        named["out.b"] = self.out.b
-        return named
+        """Every trainable tensor by checkpoint name, in construction (and optimizer) order."""
+        layers = {"stem": self.stem, **{f"block{i}": b for i, b in enumerate(self.blocks)},
+                  "out": self.out}
+        return dict(kv for prefix, layer in layers.items() for kv in _named_tensors(prefix, layer))
 
     def params(self) -> list:
         return list(self.named_params().values())
@@ -232,6 +232,12 @@ def train(
             f"resource grid {grid_cfg.n_symbols}x{grid_cfg.n_subcarriers}"
         )
     B = constellation.bits_per_symbol
+    # the noise variance falls as Eb/N0 rises, so both ends bound every draw
+    for end in hyper.ebn0_range_db:
+        try:
+            NoiseSpec(end, B)
+        except ValueError as e:
+            raise ValueError(f"ebn0_range_db: {e}") from None
     capacity = grid_capacity_bits(grid_cfg, constellation)
     data_mask = (build_mask(grid_cfg) == DATA).astype(np.float32)
     mask = np.broadcast_to(data_mask, (hyper.batch, B) + data_mask.shape)

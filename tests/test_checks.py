@@ -58,8 +58,6 @@ REALS = [
     _field(SynthParams, "delay_spread_s", (0, -1e-6), 2),
     _field(SynthParams, "carrier_hz", (0, -3.5e9), 2),
     _field(NoiseSpec, "ebn0_db", (), 2),
-    _field(QuantizerConfig, "lo", (), -2, q=8),
-    _field(QuantizerConfig, "hi", (), 2, q=8),
     _field(TrainConfig, "lr", (0, -1e-3), 2),
 ]
 
@@ -69,8 +67,8 @@ RANGES = [
     _field(TrainConfig, "ebn0_range_db", None),
 ]
 
-#: Not a finite real number, each of them.
-NOT_REAL = [True, "1", None, 1j, math.nan, math.inf, -math.inf]
+#: Not a finite real number, each of them; ±10**400 overflow a float.
+NOT_REAL = [True, "1", None, 1j, math.nan, math.inf, -math.inf, 10**400, -(10**400)]
 
 
 def _bad_values(lo, hi, ok):
@@ -103,7 +101,7 @@ def test_an_integer_setting_takes_a_numpy_integer(build, ok):
 
 @pytest.mark.parametrize(
     "name, build, bad",
-    [pytest.param(name, build, bad, id=f"{name}-{bad!r}")
+    [pytest.param(name, build, bad, id=f"{name}-{bad!r:.30}")
      for name, _, build, too_low, _ in REALS for bad in NOT_REAL + list(too_low)],
 )
 def test_a_real_setting_rejects_a_non_real_a_non_finite_and_out_of_range(name, build, bad):
@@ -134,7 +132,7 @@ def _bad_ranges(lo):
 
 @pytest.mark.parametrize(
     "name, build, bad",
-    [pytest.param(name, build, bad, id=f"{name}-{bad!r}")
+    [pytest.param(name, build, bad, id=f"{name}-{bad!r:.30}")
      for name, _, build, lo in RANGES for bad in _bad_ranges(lo)],
 )
 def test_a_range_rejects_anything_but_a_pair_of_finite_reals_low_to_high(name, build, bad):

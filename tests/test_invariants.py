@@ -168,14 +168,12 @@ def test_perfect_csi_at_60_db_decodes_every_bit_the_channel_carries(case):
 @pytest.mark.parametrize("q", range(1, 17))
 def test_dequantize_is_within_half_a_step_of_the_quantized_frame(q):
     rng = np.random.default_rng([SEED, 1, q])
-    lo = float(rng.uniform(-100, 10))
-    cfg = QuantizerConfig(q=q, lo=lo, hi=lo + float(rng.uniform(1e-3, 100)))
-    x = rng.uniform(cfg.lo, cfg.hi, size=FEATURES_PER_FRAME)
-    x[:2] = cfg.lo, cfg.hi
+    cfg = QuantizerConfig(q=q)
+    x = rng.uniform(-1, 1, size=FEATURES_PER_FRAME)
+    x[:2] = -1.0, 1.0
     back = dequantize_frame(quantize_frame(x, cfg), cfg)
     # rounding: a few ulps of the endpoints in the scale and the shift
-    rounding = 4 * np.finfo(float).eps * (abs(cfg.lo) + abs(cfg.hi))
-    assert np.max(np.abs(back - x)) <= cfg.step / 2 + rounding
+    assert np.max(np.abs(back - x)) <= cfg.step / 2 + 8 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------

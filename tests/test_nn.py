@@ -103,8 +103,8 @@ def test_conv2d_identity_kernel(rng):
 
 
 def test_conv2d_layer_adds_its_bias_in_the_conv(rng):
-    layer = Conv2d(3, 4, np.random.default_rng(0), dtype=np.float64)
-    layer.b.data = rng.standard_normal(layer.b.data.shape)
+    layer = Conv2d(3, 4, np.random.default_rng(0))
+    layer.b.data = rng.standard_normal(layer.b.data.shape).astype(np.float32)
     x = Tensor(rng.standard_normal((2, 3, 5, 7)))
     out = layer(x)
     # the bias is a parent of the conv's own node, not of a separate add
@@ -210,8 +210,7 @@ def test_bce_hand_value_on_toy_grid():
 
 def test_layer_norm_standardizes(rng):
     x = Tensor(rng.standard_normal((3, 4, 5, 6)) * 3 + 1.5)
-    ln = LayerNorm(4, dtype=np.float64)
-    out = ln(x)
+    out = LayerNorm(4)(x)
     m = out.data.mean(axis=(1, 2, 3))
     v = out.data.var(axis=(1, 2, 3))
     assert np.all(np.abs(m) < 1e-6)
@@ -303,26 +302,26 @@ def test_grad_bce_with_mask(rng):
 
 def test_grad_two_block_residual_network(rng):
     """Composed network: conv stem, two residual blocks with layer norm."""
-    gen = np.random.default_rng(0)
-    stem = Conv2d(2, 3, gen, dtype=np.float64)
-    ln1 = LayerNorm(3, dtype=np.float64)
-    c1 = Conv2d(3, 3, gen, dtype=np.float64)
-    ln2 = LayerNorm(3, dtype=np.float64)
-    c2 = Conv2d(3, 3, gen, dtype=np.float64)
-    out_conv = Conv2d(3, 1, gen, dtype=np.float64)
+    def conv(c_in, c_out):  # float64 leaves at the layers' kaiming scale
+        k = t64(rng, (c_out, c_in, 3, 3), (2 / (9 * c_in)) ** 0.5)
+        return k, t64(rng, (1, c_out, 1, 1), 0.1)
+
+    def norm():
+        return Tensor(1 + 0.1 * rng.standard_normal(3), requires_grad=True), t64(rng, (3,), 0.1)
+
+    stem, c1, c2, out_conv = conv(2, 3), conv(3, 3), conv(3, 3), conv(3, 1)
+    ln1, ln2 = norm(), norm()
     x = Tensor(rng.standard_normal((2, 2, 4, 6)), requires_grad=True)
     targets = Tensor((rng.uniform(size=(2, 1, 4, 6)) > 0.5).astype(float))
 
     def forward():
-        h = stem(x)
+        h = conv2d(x, *stem)
         for ln_a, conv_a in ((ln1, c1), (ln2, c2)):
-            t = relu(conv_a(ln_a(h)))
+            t = relu(conv2d(layer_norm(h, *ln_a), *conv_a))
             h = nn.add(h, t)
-        return bce_with_logits(out_conv(h), targets)
+        return bce_with_logits(conv2d(h, *out_conv), targets)
 
-    params = [stem.k, stem.b, ln1.gamma, ln1.beta, c1.k, c1.b]
-    params += [ln2.gamma, ln2.beta, c2.k, c2.b, out_conv.k, out_conv.b, x]
-    check_grad(forward, *params)
+    check_grad(forward, *stem, *ln1, *c1, *ln2, *c2, *out_conv, x)
 
 
 @pytest.mark.parametrize("c_in", [3, 4])
@@ -593,7 +592,8 @@ def test_checkpoint_rejects_a_non_finite_weight(tmp_path, bad):
 def test_save_checkpoint_rejects_a_non_finite_weight_and_keeps_the_old_file(
     tmp_path, bad, dtype
 ):
-    layer = Conv2d(5, 2, np.random.default_rng(3), dtype=dtype)
+    layer = Conv2d(5, 2, np.random.default_rng(3))
+    layer.k.data = layer.k.data.astype(dtype)
     h = nn.config_hash("cfg")
     path = tmp_path / "weights.ckpt"
     save_checkpoint(path, {"k": layer.k, "b": layer.b}, h)
@@ -679,12 +679,12 @@ def test_a_tensor_read_by_two_ops_sums_both_gradients(rng):
 
 def test_a_later_backward_leaves_earlier_leaf_grads_alone(rng):
     x = t64(rng, (2, 3, 4, 5))
-    layer = Conv2d(3, 3, np.random.default_rng(0), dtype=np.float64)
-    ln = LayerNorm(3, dtype=np.float64)
-    leaves = [x, layer.k, layer.b, ln.gamma, ln.beta]
+    k, b = t64(rng, (3, 3, 3, 3)), t64(rng, (1, 3, 1, 1))
+    gamma, beta = t64(rng, (3,)), t64(rng, (3,))
+    leaves = [x, k, b, gamma, beta]
 
     def loss():
-        h = relu(layer(ln(x)))
+        h = relu(conv2d(layer_norm(x, gamma, beta), k, b))
         return bce_with_logits(nn.add(h, x), _binary(rng, (2, 3, 4, 5)))
 
     loss().backward()
