@@ -112,6 +112,25 @@ def test_conv2d_layer_adds_its_bias_in_the_conv(rng):
     assert np.array_equal(out.data, conv2d(x, layer.k).data + layer.b.data)
 
 
+def test_layers_build_float32_leaves_and_take_no_dtype():
+    conv, ln = Conv2d(3, 4, np.random.default_rng(0)), LayerNorm(4)
+    zero = Conv2d(3, 4, None, zero_init=True)
+    leaves = {"k": conv.k, "b": conv.b, "zero k": zero.k, "gamma": ln.gamma, "beta": ln.beta}
+    for name, t in leaves.items():
+        assert t.data.dtype == np.float32 and t.requires_grad, name
+    assert conv.k.shape == (4, 3, 3, 3) and conv.b.shape == (1, 4, 1, 1)
+    assert ln.gamma.shape == ln.beta.shape == (4,)
+    drawn = nn.kaiming_uniform(np.random.default_rng(0), (4, 3, 3, 3), 27)
+    assert np.array_equal(conv.k.data, drawn)
+    assert np.abs(conv.k.data).max() <= np.sqrt(6 / 27) and not zero.k.data.any()
+    assert np.array_equal(ln.gamma.data, np.ones(4)) and not ln.beta.data.any()
+    for build in (lambda: Conv2d(3, 4, np.random.default_rng(0), dtype=np.float64),
+                  lambda: LayerNorm(4, dtype=np.float64),
+                  lambda: nn.kaiming_uniform(np.random.default_rng(0), (2,), 1, dtype=np.float64)):
+        with pytest.raises(TypeError, match="dtype"):
+            build()
+
+
 def _conv_naive(x, k):
     B, C, H, W = x.shape
     Co, Ci, kh, kw = k.shape
