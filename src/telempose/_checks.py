@@ -21,8 +21,8 @@ def check_int(name: str, value, lo: int, hi: int | None = None):
         raise ValueError(f"{name} must be {bounds}, got {value}")
 
 
-def check_real(name: str, value, lo: float | None = None) -> float:
-    """``value`` as a float; ``ValueError``, naming ``name``, unless finite and >= lo."""
+def check_real(name: str, value) -> float:
+    """``value`` as a float; ``ValueError``, naming ``name``, unless a finite real number."""
     # bool is a Real, but True as a rate, a level or a frequency is a mistake
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
@@ -31,8 +31,6 @@ def check_real(name: str, value, lo: float | None = None) -> float:
         finite = False
     if not finite:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    if lo is not None and value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value}")
     return float(value)
 
 
@@ -43,13 +41,13 @@ def check_positive(name: str, value) -> float:
     return value
 
 
-def check_range(name: str, value, lo: float | None = None) -> tuple[float, float]:
+def check_range(name: str, value) -> tuple[float, float]:
     """``value`` as a (low, high) pair of :func:`check_real` floats with low <= high."""
     try:
         low, high = value
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a (low, high) pair, got {value!r}") from None
-    low, high = check_real(name, low, lo), check_real(name, high, lo)
+    low, high = check_real(name, low), check_real(name, high)
     if low > high:
         raise ValueError(f"{name} must have low <= high, got ({low}, {high})")
     return low, high

@@ -10,6 +10,10 @@ circular complex Gaussian noise at a configured Eb/N0.
 
 Carrier-phase terms are folded into the stored gains at synthesis or
 import time, so the per-path gain is the only spatial/attenuation state.
+
+The synthetic scenario is fixed: a :data:`DELAY_SPREAD_S` delay spread
+and a receiver moving at a speed uniform in :data:`SPEED_RANGE_MPS` at a
+:data:`CARRIER_HZ` carrier.
 """
 
 from __future__ import annotations
@@ -21,12 +25,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_int, check_positive, check_range, check_real
+from ._checks import check_int, check_real
 from ._reader import Reader, replacing
 from .grid import SUBCARRIER_SPACING_HZ, GridConfig
 
 SPEED_OF_LIGHT = 299_792_458.0
 MAX_PATHS = 75
+DELAY_SPREAD_S = 1e-6
+SPEED_RANGE_MPS = (13.6, 18.8)
+CARRIER_HZ = 3.5e9
 
 _CIR_MAGIC = b"TPCR"
 _CIR_VERSION = 1
@@ -111,21 +118,14 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SynthParams:
-    """Knobs for the synthetic tapped-delay-line generator."""
+    """The most paths and the antenna count of a synthetic tapped-delay-line draw."""
 
     l_max: int = 8
-    delay_spread_s: float = 1e-6
-    speed_range_mps: tuple = (13.6, 18.8)
     n_rx: int = 2
-    carrier_hz: float = 3.5e9
 
     def __post_init__(self):
         check_int("l_max", self.l_max, 1, MAX_PATHS)
         check_int("n_rx", self.n_rx, 1)
-        for name in ("delay_spread_s", "carrier_hz"):
-            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
-        speeds = check_range("speed_range_mps", self.speed_range_mps, 0)
-        object.__setattr__(self, "speed_range_mps", speeds)
 
 
 def flat_unit_channel(n_rx: int = 1) -> ChannelRealization:
@@ -138,14 +138,14 @@ def synth_channel(rng: np.random.Generator, params: SynthParams) -> ChannelReali
     """Draw one random multipath realization.
 
     Path count is uniform on 1..l_max; delays follow an exponential
-    profile truncated to the delay spread; per-path Rayleigh gains decay
+    profile truncated to :data:`DELAY_SPREAD_S`; per-path Rayleigh gains decay
     exponentially in delay and are normalized so the expected total power
     per antenna is one. Antenna phases come from a half-wavelength
     uniform-linear-array response at a random angle of arrival.
     """
     L = int(rng.integers(1, params.l_max + 1))
-    scale = params.delay_spread_s / 3.0
-    delays = np.minimum(rng.exponential(scale=scale, size=L), params.delay_spread_s)
+    scale = DELAY_SPREAD_S / 3.0
+    delays = np.minimum(rng.exponential(scale=scale, size=L), DELAY_SPREAD_S)
     delays.sort()
     weights = np.exp(-delays / scale)
     power = weights / weights.sum()
@@ -155,8 +155,8 @@ def synth_channel(rng: np.random.Generator, params: SynthParams) -> ChannelReali
         1j * np.pi * np.outer(np.sin(aoa), np.arange(params.n_rx))
     )  # [L, n_rx]
     gains = np.sqrt(power)[:, None] * fading[:, None] * steering
-    speed = rng.uniform(*params.speed_range_mps)
-    wavelength = SPEED_OF_LIGHT / params.carrier_hz
+    speed = rng.uniform(*SPEED_RANGE_MPS)
+    wavelength = SPEED_OF_LIGHT / CARRIER_HZ
     dopplers = (speed / wavelength) * np.cos(rng.uniform(0, 2 * np.pi, size=L))
     return ChannelRealization(gains, delays, dopplers)
 

@@ -1,13 +1,15 @@
-"""OFDM resource-grid framing.
+"""OFDM resource-grid framing on one fixed numerology.
 
-A transmit grid is a complex array [n_symbols, n_subcarriers]; its
-time-frequency lattice is its shape at the fixed
-:data:`SUBCARRIER_SPACING_HZ`. Every element is data, pilot, or guard.
-Pilot columns span all effective (non-guard) subcarriers; payload bits
-stream across grids in row-major (symbol-major) order with zero-bit
-padding in the final grid. The layout and the pilot values are functions
-of the config alone, so transmitter and receiver derive them
-independently and nothing but the symbols needs to travel.
+Every transmit grid is a complex array [N_SYMBOLS, N_SUBCARRIERS] =
+[14, 128] at SUBCARRIER_SPACING_HZ = 30 kHz, with GUARD_LEFT = 5 and
+GUARD_RIGHT = 6 guard subcarriers: the grid of the neural-receiver setup
+the paper follows. Only the pilot layout varies, so a :class:`GridConfig`
+holds nothing else. Every element is data, pilot, or guard. Pilot columns
+span all effective (non-guard) subcarriers; payload bits stream across
+grids in row-major (symbol-major) order with zero-bit padding in the
+final grid. The layout and the pilot values are functions of the config
+alone, so transmitter and receiver derive them independently and nothing
+but the symbols needs to travel.
 """
 
 from __future__ import annotations
@@ -20,9 +22,15 @@ import numpy as np
 from ._checks import check_int
 from .modem import Constellation, FramingError, map_symbols
 
+N_SYMBOLS = 14
+N_SUBCARRIERS = 128
 #: Subcarrier spacing of every grid (30 kHz numerology); OFDM symbol i
 #: starts at i / SUBCARRIER_SPACING_HZ.
 SUBCARRIER_SPACING_HZ = 30e3
+GUARD_LEFT = 5
+GUARD_RIGHT = 6
+#: Seed of the pilot values, agreed between transmitter and receiver.
+PILOT_SEED = 0x5EED
 
 DATA = np.int8(0)
 PILOT = np.int8(1)
@@ -31,20 +39,19 @@ GUARD = np.int8(2)
 
 @dataclass(frozen=True)
 class GridConfig:
-    n_subcarriers: int = 128
-    n_symbols: int = 14
-    guard_left: int = 5
-    guard_right: int = 6
+    """A pilot layout: the symbol indices of the pilot columns, stored sorted.
+
+    The numerology is read from the config as class attributes, not fields.
+    """
+
     pilot_symbol_indices: tuple = (2, 12)
-    pilot_seed: int = 0x5EED  # agreed between transmitter and receiver
+
+    n_symbols = N_SYMBOLS
+    n_subcarriers = N_SUBCARRIERS
+    n_effective = N_SUBCARRIERS - GUARD_LEFT - GUARD_RIGHT
+    effective_slice = slice(GUARD_LEFT, N_SUBCARRIERS - GUARD_RIGHT)
 
     def __post_init__(self):
-        check_int("n_subcarriers", self.n_subcarriers, 1)
-        check_int("n_symbols", self.n_symbols, 1)
-        check_int("guard_left", self.guard_left, 0)
-        check_int("guard_right", self.guard_right, 0)
-        check_int("pilot_seed", self.pilot_seed, 0)
-        # a tuple keeps the config hashable, so it can key the per-config caches
         try:
             pilots = tuple(self.pilot_symbol_indices)
         except TypeError:
@@ -52,38 +59,31 @@ class GridConfig:
                 "pilot_symbol_indices must be a sequence of symbol indices, "
                 f"got {self.pilot_symbol_indices!r}"
             ) from None
-        object.__setattr__(self, "pilot_symbol_indices", pilots)
-        for i in self.pilot_symbol_indices:
-            check_int("pilot symbol index", i, 0, self.n_symbols - 1)
-        if self.guard_left + self.guard_right >= self.n_subcarriers:
-            raise ValueError("guards leave no effective subcarriers")
-        if len(set(self.pilot_symbol_indices)) != len(self.pilot_symbol_indices):
-            raise ValueError(f"repeated pilot symbol index in {self.pilot_symbol_indices}")
+        for i in pilots:
+            check_int("pilot symbol index", i, 0, N_SYMBOLS - 1)
+        if not pilots:
+            raise ValueError("pilot_symbol_indices must name at least one pilot symbol")
+        if len(set(pilots)) != len(pilots):
+            raise ValueError(f"repeated pilot symbol index in {pilots}")
         # guards always leave effective subcarriers, so only a pilot in
         # every symbol leaves no DATA element, and no grid could carry a bit
-        if len(self.pilot_symbol_indices) == self.n_symbols:
+        if len(pilots) == N_SYMBOLS:
             raise ValueError(
-                f"pilots {self.pilot_symbol_indices} fill all {self.n_symbols} symbols "
-                "and leave no DATA element"
+                f"pilots {pilots} fill all {N_SYMBOLS} symbols and leave no DATA element"
             )
-
-    @property
-    def n_effective(self) -> int:
-        return self.n_subcarriers - self.guard_left - self.guard_right
-
-    @property
-    def effective_slice(self) -> slice:
-        return slice(self.guard_left, self.n_subcarriers - self.guard_right)
+        # a sorted tuple makes one config of every spelling of a layout, and
+        # keeps it hashable, so it can key the per-config caches
+        object.__setattr__(self, "pilot_symbol_indices", tuple(sorted(pilots)))
 
 
-def two_pilot_config(**kwargs) -> GridConfig:
+def two_pilot_config() -> GridConfig:
     """Two pilot columns at symbol indices 2 and 12 ("2P")."""
-    return GridConfig(pilot_symbol_indices=(2, 12), **kwargs)
+    return GridConfig(pilot_symbol_indices=(2, 12))
 
 
-def one_pilot_config(**kwargs) -> GridConfig:
+def one_pilot_config() -> GridConfig:
     """Single pilot column at symbol index 2 ("1P")."""
-    return GridConfig(pilot_symbol_indices=(2,), **kwargs)
+    return GridConfig(pilot_symbol_indices=(2,))
 
 
 @lru_cache(maxsize=None)
@@ -92,9 +92,9 @@ def build_mask(cfg: GridConfig) -> np.ndarray:
 
     The array is cached per config and read-only; copy before mutating.
     """
-    mask = np.full((cfg.n_symbols, cfg.n_subcarriers), DATA, dtype=np.int8)
-    mask[:, : cfg.guard_left] = GUARD
-    mask[:, cfg.n_subcarriers - cfg.guard_right :] = GUARD
+    mask = np.full((N_SYMBOLS, N_SUBCARRIERS), DATA, dtype=np.int8)
+    mask[:, :GUARD_LEFT] = GUARD
+    mask[:, N_SUBCARRIERS - GUARD_RIGHT :] = GUARD
     for i in cfg.pilot_symbol_indices:
         mask[i, cfg.effective_slice] = PILOT
     mask.flags.writeable = False
@@ -113,15 +113,15 @@ def _data_index(cfg: GridConfig) -> np.ndarray:
 def pilot_value_grid(cfg: GridConfig) -> np.ndarray:
     """Pilot values placed at their grid positions (zeros elsewhere).
 
-    The values are unit-modulus QPSK drawn from ``cfg.pilot_seed`` in
+    The values are unit-modulus QPSK drawn from :data:`PILOT_SEED` in
     row-major order of the PILOT elements, so the transmitter and the
     receiver reproduce them from the config alone. Cached per config; the
     returned array is read-only.
     """
     mask = build_mask(cfg)
-    rng = np.random.default_rng(cfg.pilot_seed)
+    rng = np.random.default_rng(PILOT_SEED)
     quadrants = rng.integers(0, 4, size=len(cfg.pilot_symbol_indices) * cfg.n_effective)
-    out = np.zeros((cfg.n_symbols, cfg.n_subcarriers), dtype=complex)
+    out = np.zeros((N_SYMBOLS, N_SUBCARRIERS), dtype=complex)
     out[mask == PILOT] = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
     out.flags.writeable = False
     return out
@@ -159,10 +159,10 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
     # in the caller's dtype: map_symbols must see a non-bit before a cast wraps it
     padded = np.zeros(n_grids * capacity, dtype=bits.dtype)
     padded[: bits.size] = bits
-    symbols = np.empty((n_grids, cfg.n_symbols * cfg.n_subcarriers), dtype=complex)
+    symbols = np.empty((n_grids, N_SYMBOLS * N_SUBCARRIERS), dtype=complex)
     symbols[:] = pilot_value_grid(cfg).reshape(-1)
     symbols[:, data_index] = map_symbols(padded, constellation).reshape(-1, data_index.size)
-    return symbols.reshape(n_grids, cfg.n_symbols, cfg.n_subcarriers), record
+    return symbols.reshape(n_grids, N_SYMBOLS, N_SUBCARRIERS), record
 
 
 def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray:
@@ -179,7 +179,7 @@ def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray
     if record.n_grids == 0:
         return np.empty(0)
     grid_llrs = [np.asarray(llrs) for llrs in grid_llrs]
-    shape = (cfg.n_symbols, cfg.n_subcarriers, record.bits_per_symbol)
+    shape = (N_SYMBOLS, N_SUBCARRIERS, record.bits_per_symbol)
     if any(llrs.shape != shape for llrs in grid_llrs):
         raise FramingError(
             f"grid LLRs need shape {list(shape)}, "

@@ -72,6 +72,7 @@ import threading
 
 import numpy as np
 
+from ._checks import check_positive
 from ._reader import Reader, replacing
 
 
@@ -483,7 +484,7 @@ class AdamState:
     """Step count and moments for ``params``; ``m`` and ``v`` stay None until the first step."""
 
     def __init__(self, params, lr=1e-3):
-        self.lr = lr
+        self.lr = check_positive("lr", lr)
         self.step_count = 0
         self.shapes = [p.data.shape for p in params]
         self.m = self.v = None
@@ -506,7 +507,6 @@ def adam_step(params, state: AdamState):
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1 - b1**state.step_count
     correction2 = 1 - b2**state.step_count
-    lr = float(state.lr)  # a numpy scalar would promote the update to float64
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         # m += (1-b1) g; v += (1-b2) g g; p -= lr (m/c1) / (sqrt(v/c2) + eps),
@@ -523,7 +523,7 @@ def adam_step(params, state: AdamState):
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         np.divide(m, correction1, out=step)
-        step *= lr
+        step *= state.lr
         step /= denom
         p.data -= step
 

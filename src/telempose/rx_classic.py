@@ -52,26 +52,23 @@ def _pilot_conj(cfg: GridConfig) -> np.ndarray:
 def _interp_weights(cfg: GridConfig) -> np.ndarray:
     """[n_symbols, n_pilot_columns] time-interpolation weights, read-only.
 
-    Columns follow ``cfg.pilot_symbol_indices``. Each row is linear between
-    the two pilot columns around its symbol, constant outside them, and all
-    ones for a single column.
+    Columns follow ``cfg.pilot_symbol_indices``, which the config keeps
+    sorted and non-empty. Each row is linear between the two pilot columns
+    around its symbol, constant outside them, and all ones for a single
+    column.
     """
     times = np.asarray(cfg.pilot_symbol_indices, dtype=float)
-    if times.size == 0:
-        raise ValueError("no pilot columns to interpolate from")
     weights = np.zeros((cfg.n_symbols, times.size))
     if times.size == 1:
         weights[:] = 1.0
     else:
-        order = np.argsort(times)
-        times = times[order]
         targets = np.arange(cfg.n_symbols, dtype=float)
         idx = np.clip(np.searchsorted(times, targets, side="right"), 1, times.size - 1)
         t0, t1 = times[idx - 1], times[idx]
         w = np.clip((targets - t0) / (t1 - t0), 0.0, 1.0)
         rows = np.arange(cfg.n_symbols)
-        weights[rows, order[idx - 1]] = 1.0 - w
-        weights[rows, order[idx]] = w
+        weights[rows, idx - 1] = 1.0 - w
+        weights[rows, idx] = w
     weights.flags.writeable = False
     return weights
 

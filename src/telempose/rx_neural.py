@@ -18,7 +18,9 @@ import numpy as np
 from . import nn
 from ._checks import check_int, check_positive, check_range
 from .channel import NoiseSpec, apply
-from .grid import DATA, GridConfig, build_mask, grid_capacity_bits, pack_bits
+from .grid import (
+    DATA, N_SUBCARRIERS, N_SYMBOLS, GridConfig, build_mask, grid_capacity_bits, pack_bits,
+)
 from .modem import Constellation, FramingError
 
 
@@ -28,16 +30,20 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class NeuralRxConfig:
+    """The network's size; it reads grids of the fixed ``grid`` numerology."""
+
     n_rx: int = 2
     n_blocks: int = 4
     filters: int = 128
     bits_per_symbol: int = 2
-    n_symbols: int = 14
-    n_subcarriers: int = 128
+
+    # class attributes, not fields: every grid has this shape
+    n_symbols = N_SYMBOLS
+    n_subcarriers = N_SUBCARRIERS
 
     def __post_init__(self):
         check_int("n_blocks", self.n_blocks, 0)
-        for name in ("n_rx", "filters", "bits_per_symbol", "n_symbols", "n_subcarriers"):
+        for name in ("n_rx", "filters", "bits_per_symbol"):
             check_int(name, getattr(self, name), 1)
 
     @property
@@ -225,11 +231,6 @@ def train(
         raise nn.ShapeError(
             f"receiver emits {rc.bits_per_symbol} bits per symbol, "
             f"constellation carries {constellation.bits_per_symbol}"
-        )
-    if (rc.n_symbols, rc.n_subcarriers) != (grid_cfg.n_symbols, grid_cfg.n_subcarriers):
-        raise nn.ShapeError(
-            f"receiver grid {rc.n_symbols}x{rc.n_subcarriers} does not match "
-            f"resource grid {grid_cfg.n_symbols}x{grid_cfg.n_subcarriers}"
         )
     B = constellation.bits_per_symbol
     # the noise variance falls as Eb/N0 rises, so both ends bound every draw

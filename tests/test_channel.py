@@ -1,5 +1,5 @@
 import copy
-import math
+import hashlib
 import pickle
 import struct
 
@@ -20,7 +20,15 @@ from telempose.channel import (
     import_cirs,
     synth_channel,
 )
-from telempose.grid import SUBCARRIER_SPACING_HZ, GridConfig, build_mask, pack_bits
+from telempose.grid import (
+    SUBCARRIER_SPACING_HZ,
+    GridConfig,
+    build_mask,
+    one_pilot_config,
+    pack_bits,
+    pilot_value_grid,
+    two_pilot_config,
+)
 from telempose.rx_classic import receive_perfect_csi
 
 
@@ -60,11 +68,8 @@ def test_two_path_comb_nulls(cfg_2p):
 
 
 def test_freq_response_matches_dft_oracle():
-    # taps on the sample grid of an 8-subcarrier system vs. a direct DFT
-    cfg8 = GridConfig(
-        n_subcarriers=8, n_symbols=2, guard_left=0, guard_right=0,
-        pilot_symbol_indices=(0,),
-    )
+    # taps on the sample grid of an 8-subcarrier system vs. a direct DFT;
+    # apply evaluates the response at the shape of the grid it is given
     N, df = 8, SUBCARRIER_SPACING_HZ
     rng = np.random.default_rng(5)
     tap_positions = [0, 2, 5]
@@ -74,7 +79,7 @@ def test_freq_response_matches_dft_oracle():
         delays=np.array(tap_positions) / (N * df),
         dopplers=np.zeros(3),
     )
-    h = freq_response_grid(ch, cfg8)[0, 0, :]
+    h = apply(ch, np.ones((2, N), complex), None, rng)[0, 0, :]
     centered = np.arange(N) - N // 2
     dft = np.zeros(N, complex)
     for g, m in zip(tap_gains, tap_positions):
@@ -110,6 +115,28 @@ def test_synth_determinism():
     assert np.array_equal(a.dopplers, b.dopplers)
 
 
+def _digest(arrays):
+    """sha256 of ``arrays`` cast to single precision, so that a last-ulp
+    difference between two libms' exp or sin does not count as a change."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.astype(np.complex64 if np.iscomplexobj(a) else np.float32).tobytes())
+    return h.hexdigest()
+
+
+def test_the_scenario_constants_give_the_pinned_draws_and_pilots():
+    # delay spread, speed range, carrier, grid shape, guards and pilot seed:
+    # changing any of them changes these digests, so it must be deliberate
+    draws = [synth_channel(np.random.default_rng(seed), SynthParams()) for seed in range(8)]
+    assert _digest(a for ch in draws for a in (ch.gains, ch.delays, ch.dopplers)) == (
+        "b749696e9cb441027bc01205a65ab9c0548ac3d845feb436783c692874e04be7"
+    )
+    pilots = [pilot_value_grid(cfg) for cfg in (one_pilot_config(), two_pilot_config())]
+    assert _digest(pilots) == (
+        "c0a333041ca23f3687027848db11ebadc338d81657353e739ce78ede1d115211"
+    )
+
+
 def test_synth_shapes_and_limits(rng):
     params = SynthParams(l_max=8, n_rx=4)
     for _ in range(50):
@@ -117,7 +144,7 @@ def test_synth_shapes_and_limits(rng):
         assert 1 <= len(ch.delays) <= 8
         assert ch.gains.shape == (len(ch.delays), 4)
         assert ch.dopplers.shape == ch.delays.shape
-        assert np.all(ch.delays >= 0) and np.all(ch.delays <= params.delay_spread_s)
+        assert np.all(ch.delays >= 0) and np.all(ch.delays <= channel.DELAY_SPREAD_S)
 
 
 def test_synth_power_normalization(rng):
@@ -133,26 +160,11 @@ def test_synth_power_normalization(rng):
 @pytest.mark.parametrize(
     "field",
     [
-        {"carrier_hz": 0.0},
-        {"carrier_hz": -3.5e9},
-        {"carrier_hz": math.nan},
-        {"carrier_hz": math.inf},
-        {"delay_spread_s": np.float64(np.nan)},
-        {"delay_spread_s": math.inf},
-        {"delay_spread_s": 0.0},
-        {"speed_range_mps": (math.nan, 10.0)},
-        {"speed_range_mps": (1.0, math.nan)},
-        {"speed_range_mps": (1.0, math.inf)},
-        {"speed_range_mps": (-1.0, 10.0)},
-        {"speed_range_mps": (10.0, 1.0)},
         {"n_rx": 1.5},
         {"n_rx": True},
         {"l_max": 2.5},
     ],
-    ids=["zero-carrier", "negative-carrier", "nan-carrier", "inf-carrier",
-         "nan-delay-spread", "inf-delay-spread", "zero-delay-spread", "nan-speed-lo",
-         "nan-speed-hi", "inf-speed", "negative-speed", "reversed-speeds",
-         "float-antennas", "bool-antennas", "float-path-count"],
+    ids=["float-antennas", "bool-antennas", "float-path-count"],
 )
 def test_synth_params_reject_each_invalid_field(field):
     with pytest.raises(ValueError):
@@ -273,8 +285,8 @@ def test_time_invariance_iff_zero_doppler(cfg_2p, rng):
 
 
 def test_doppler_free_pilot_columns_match_data_columns(cfg_2p, rng):
-    params = SynthParams(speed_range_mps=(0.0, 0.0))
-    ch = synth_channel(rng, params)
+    ch = synth_channel(rng, SynthParams())
+    ch = ChannelRealization(ch.gains, ch.delays, np.zeros_like(ch.dopplers))
     h = freq_response_grid(ch, cfg_2p)
     assert np.allclose(h[:, 2, :], h[:, 7, :])
     assert np.allclose(h[:, 12, :], h[:, 0, :])
@@ -436,7 +448,7 @@ def test_response_memo_is_shared_by_configs_on_one_lattice(
     ch = synth_channel(rng, SynthParams())
     h = freq_response_grid(ch, cfg_2p)
     assert freq_response_grid(ch, cfg_1p) is h
-    assert freq_response_grid(ch, GridConfig(guard_left=0, pilot_seed=3)) is h
+    assert freq_response_grid(ch, GridConfig(pilot_symbol_indices=(0, 7, 13))) is h
     assert evaluations() == 1
 
 
@@ -445,11 +457,9 @@ def test_response_memo_misses_on_another_realization_or_lattice(cfg_2p, rng, eva
     h = freq_response_grid(ch, cfg_2p)
     twin = ChannelRealization(ch.gains, ch.delays, ch.dopplers)
     assert np.array_equal(freq_response_grid(twin, cfg_2p), h)
-    for lattice in ({"n_symbols": 7, "pilot_symbol_indices": (2,)},
-                    {"n_subcarriers": 64}):
-        cfg = GridConfig(**lattice)
-        other = freq_response_grid(twin, cfg)
-        assert other.shape[1:] == (cfg.n_symbols, cfg.n_subcarriers)
+    for lattice in ((7, 128), (14, 64)):
+        other = apply(twin, np.ones(lattice, complex), None, rng)
+        assert other.shape[1:] == lattice
     assert freq_response_grid(ch, cfg_2p) is not h
     assert evaluations() == 5
     assert np.array_equal(freq_response_grid(ch, cfg_2p), h)

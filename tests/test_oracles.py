@@ -153,7 +153,7 @@ def test_perfect_csi_ber_on_flat_rayleigh_is_the_mrc_closed_form(qpsk, n_rx):
     # the fade, a grid's n_bits errors are independent with probability p,
     # so its error fraction has variance
     # E[p^2] - P^2 + (P - E[p^2]) / n_bits over the fades.
-    cfg = GridConfig(n_subcarriers=16, guard_left=0, guard_right=0)
+    cfg = GridConfig()
     n_grids = 1500
     n_bits = grid_capacity_bits(cfg, qpsk)
     rng = np.random.default_rng(20250310 + n_rx)

@@ -113,29 +113,19 @@ def test_interpolate_linear_in_time_2p(cfg_2p, rng):
 
 
 @pytest.mark.parametrize("pilots", [(12, 2), (9, 1, 4), (5,)])
-def test_interpolate_matches_np_interp_per_element(cfg_2p, pilots, rng):
-    import dataclasses
-
-    cfg = dataclasses.replace(cfg_2p, pilot_symbol_indices=pilots)
+def test_interpolate_matches_np_interp_per_element(pilots, rng):
+    # the estimates follow the config's sorted layout, whatever order it was given in
+    cfg = GridConfig(pilot_symbol_indices=pilots)
     est = rng.standard_normal((2, len(pilots), 117)) + 1j * rng.standard_normal(
         (2, len(pilots), 117)
     )
     full = interpolate(est, cfg)
-    order = np.argsort(pilots)
-    xs = np.asarray(pilots, float)[order]
+    xs = np.asarray(cfg.pilot_symbol_indices, float)
     for k in range(2):
         for n in (0, 58, 116):
             for part in (np.real, np.imag):
-                ref = np.interp(np.arange(14), xs, part(est[k, order, n]))
+                ref = np.interp(np.arange(14), xs, part(est[k, :, n]))
                 assert np.allclose(part(full[k, :, n]), ref, rtol=0, atol=1e-14)
-
-
-def test_interpolate_requires_pilots(cfg_2p):
-    import dataclasses
-
-    no_pilots = dataclasses.replace(cfg_2p, pilot_symbol_indices=())
-    with pytest.raises(ValueError):
-        interpolate(np.zeros((1, 0, 117), complex), no_pilots)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +358,7 @@ def test_perfect_csi_not_worse_than_ls_lmmse(cfg_2p, qpsk):
 
 def test_2p_beats_1p_under_doppler(cfg_2p, cfg_1p, qpsk):
     # common channel and noise realizations for both pilot configurations
-    params = SynthParams(n_rx=2, speed_range_mps=(13.6, 18.8))
+    params = SynthParams(n_rx=2)
     for ebn0 in (2.0, 8.0):
         errors = {}
         for cfg in (cfg_2p, cfg_1p):
@@ -463,18 +453,17 @@ def test_perfect_csi_rejects_a_response_without_an_antenna_axis(cfg_2p, qpsk):
 
 
 @pytest.mark.parametrize(
-    "n_subcarriers, shape",
-    [(64, (2, 14, 128)), (128, (2, 14, 64)), (128, (2, 7, 128)), (128, (14, 128)),
-     (128, (1, 2, 14, 128))],
-    ids=["128-against-64", "64-against-128", "fewer-symbols", "no-antenna-axis", "batched"],
+    "shape",
+    [(2, 14, 256), (2, 14, 64), (2, 7, 128), (14, 128), (1, 2, 14, 128)],
+    ids=["more-subcarriers", "fewer-subcarriers", "fewer-symbols", "no-antenna-axis",
+         "batched"],
 )
-def test_receivers_reject_a_grid_of_another_shape(qpsk, n_subcarriers, shape):
-    cfg = GridConfig(n_subcarriers=n_subcarriers)
+def test_receivers_reject_a_grid_of_another_shape(cfg_2p, qpsk, shape):
     y = np.ones(shape, complex)
-    with pytest.raises(ValueError, match=f"14x{n_subcarriers}"):
-        receive_classic(y, cfg, 0.1, qpsk)
-    with pytest.raises(ValueError, match=f"14x{n_subcarriers}"):
-        receive_perfect_csi(y, cfg, 0.1, qpsk, np.ones(shape, complex))
+    with pytest.raises(ValueError, match="14x128"):
+        receive_classic(y, cfg_2p, 0.1, qpsk)
+    with pytest.raises(ValueError, match="14x128"):
+        receive_perfect_csi(y, cfg_2p, 0.1, qpsk, np.ones(shape, complex))
 
 
 def test_overflowing_equalizer_output_is_rejected(cfg_1p, qpsk):
