@@ -5,12 +5,16 @@ import ast
 import dataclasses
 import math
 import re
+import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import telempose
+from telempose._checks import check_int, check_positive, check_range, check_real
 from telempose.channel import MAX_PATHS, NoiseSpec, SynthParams, flat_unit_channel
 from telempose.grid import GridConfig, two_pilot_config
 from telempose.modem import QuantizerConfig, qam
@@ -143,6 +147,121 @@ def test_a_range_takes_low_equal_to_high_and_a_list_equal_to_its_tuple(name, bui
     assert type(stored) is tuple and list(map(type, stored)) == [float, float]
     assert build([1, 2]) == build((1.0, 2.0))
     assert hash(build([1, 2])) == hash(build((1.0, 2.0)))
+
+
+# The rules themselves, called directly: each stays pinned whichever fields
+# use it, now that the numerology and the channel physics are constants.
+
+#: (lo, hi) of every check_int call in the package
+INT_BOUNDS = [(0, None), (1, None), (4, None), (1, 16), (0, 13), (1, MAX_PATHS)]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, np.bool_(True), 2.5, 8.0, np.float64(8), Fraction(3), Decimal(3),
+     "3", None, 1j],
+    ids=repr,
+)
+def test_check_int_rejects_anything_but_an_integer(bad):
+    with pytest.raises(ValueError, match=r"^size must be an integer, got "):
+        check_int("size", bad, 0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, bad, bounds",
+    [pytest.param(lo, hi, bad, bounds, id=f"{lo}..{hi}-{bad}")
+     for lo, hi in INT_BOUNDS
+     for bad, bounds in [(lo - 1, f">= {lo}" if hi is None else f"in {lo}..{hi}")]
+     + ([] if hi is None else [(hi + 1, f"in {lo}..{hi}")])]
+    + [pytest.param(0, 13, 10**400, "in 0..13", id="0..13-10**400")],
+)
+def test_check_int_rejects_a_value_out_of_its_bounds(lo, hi, bad, bounds):
+    with pytest.raises(ValueError, match=f"^size must be {re.escape(bounds)}, got {bad}$"):
+        check_int("size", bad, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "kind", [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+             np.uint64],
+)
+def test_check_int_takes_every_integer_type_at_both_bounds(kind):
+    for lo, hi in INT_BOUNDS:
+        for value in (lo, lo + 1 if hi is None else hi):
+            assert check_int("size", kind(value), lo, hi) is None
+
+
+#: Not finite real numbers beyond NOT_REAL: numpy scalars, containers, Decimal.
+NOT_REAL_EITHER = [np.bool_(True), np.float64(math.nan), np.float32(math.inf),
+                   np.complex128(1), b"1", [1.0], Decimal(1)]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL + NOT_REAL_EITHER, ids=lambda v: f"{v!r:.30}")
+def test_check_real_rejects_a_non_real_and_a_non_finite(bad):
+    with pytest.raises(ValueError, match=r"^level must be a finite real number, got "):
+        check_real("level", bad)
+
+
+@pytest.mark.parametrize(
+    "ok",
+    [0, -7, 10**300, np.int64(-3), np.uint8(200), np.float16(0.5), np.float32(-1.5),
+     np.float64(2.25), Fraction(1, 4), -0.0, 5e-324, sys.float_info.max],
+    ids=lambda v: f"{type(v).__name__}-{v!r:.20}",
+)
+def test_check_real_takes_any_finite_real_and_returns_a_float(ok):
+    stored = check_real("level", ok)
+    assert type(stored) is float and stored == float(ok)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [pytest.param(bad, "a finite real number", id=f"{bad!r:.30}") for bad in NOT_REAL]
+    + [pytest.param(bad, "> 0", id=f"{bad!r}")
+       for bad in (0, -0.0, -5e-324, -1, np.float32(-1e-3))],
+)
+def test_check_positive_rejects_a_non_real_zero_and_below(bad, message):
+    with pytest.raises(ValueError, match=f"^rate must be {re.escape(message)}, got "):
+        check_positive("rate", bad)
+
+
+@pytest.mark.parametrize("ok", [5e-324, 1, np.float32(0.5)], ids=repr)
+def test_check_positive_takes_any_value_above_zero_and_returns_a_float(ok):
+    stored = check_positive("rate", ok)
+    assert type(stored) is float and stored == float(ok)
+
+
+@pytest.mark.parametrize("bad", list(_bad_ranges()), ids=lambda v: f"{v!r:.30}")
+def test_check_range_rejects_anything_but_a_pair_of_finite_reals_low_to_high(bad):
+    with pytest.raises(ValueError, match="^span must"):
+        check_range("span", bad)
+
+
+@pytest.mark.parametrize(
+    "ok, stored",
+    [((3, 3), (3.0, 3.0)), ([1, 2], (1.0, 2.0)), (np.array([1.0, 2.0]), (1.0, 2.0)),
+     ((np.float32(1), 2), (1.0, 2.0)), ((-5, -1), (-5.0, -1.0))],
+    ids=["equal", "list", "array", "numpy-float", "negative"],
+)
+def test_check_range_takes_a_pair_low_to_high_and_returns_a_tuple_of_floats(ok, stored):
+    pair = check_range("span", ok)
+    assert type(pair) is tuple and list(map(type, pair)) == [float, float] and pair == stored
+
+
+#: The settings that became module constants, and the config that held each.
+REMOVED = [
+    *[(GridConfig, name) for name in ("n_symbols", "n_subcarriers", "guard_left",
+                                      "guard_right", "pilot_seed")],
+    *[(SynthParams, name) for name in ("delay_spread_s", "speed_range_mps", "carrier_hz")],
+    *[(NeuralRxConfig, name) for name in ("n_symbols", "n_subcarriers")],
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name", [pytest.param(cls, name, id=f"{cls.__name__}.{name}") for cls, name in REMOVED]
+)
+def test_a_setting_fixed_as_a_constant_is_no_longer_a_keyword(cls, name):
+    with pytest.raises(TypeError, match=name):
+        cls(**{name: 1})
+    assert name not in {f.name for f in dataclasses.fields(cls)}
 
 
 def test_every_config_field_has_a_row_in_a_settings_table():
