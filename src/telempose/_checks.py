@@ -1,4 +1,4 @@
-"""The integer and real-number rules of every config field and size argument.
+"""The integer and real-number rules of every config field, size and noise argument.
 
 It imports nothing from the package, so ``modem`` can use it as well as
 ``grid``: a rule kept in ``grid``, which imports ``modem``, would need an
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 def check_int(name: str, value, lo: int, hi: int | None = None):
@@ -51,3 +53,12 @@ def check_range(name: str, value) -> tuple[float, float]:
     if low > high:
         raise ValueError(f"{name} must have low <= high, got ({low}, {high})")
     return low, high
+
+
+def check_real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, scalar or not; ``ValueError``, naming ``name``,
+    for bool, str, bytes, complex or object entries. Finiteness is the caller's rule."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got {array.dtype} {value!r:.40}")
+    return array.astype(float, copy=False)

@@ -133,7 +133,6 @@ class FramingRecord:
 
     payload_bits: int
     n_grids: int
-    bits_per_symbol: int
 
 
 def grid_capacity_bits(cfg: GridConfig, constellation: Constellation) -> int:
@@ -151,11 +150,7 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
     data_index = _data_index(cfg)
     capacity = grid_capacity_bits(cfg, constellation)
     n_grids = -(-bits.size // capacity) if bits.size else 0
-    record = FramingRecord(
-        payload_bits=int(bits.size),
-        n_grids=n_grids,
-        bits_per_symbol=constellation.bits_per_symbol,
-    )
+    record = FramingRecord(payload_bits=int(bits.size), n_grids=n_grids)
     # in the caller's dtype: map_symbols must see a non-bit before a cast wraps it
     padded = np.zeros(n_grids * capacity, dtype=bits.dtype)
     padded[: bits.size] = bits
@@ -169,7 +164,7 @@ def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray
     """Invert :func:`pack_bits` on per-element LLRs.
 
     ``grid_llrs`` is a sequence of arrays shaped
-    [n_symbols, n_subcarriers, record.bits_per_symbol]; padding positions
+    [n_symbols, n_subcarriers, bits_per_symbol]; padding positions
     are dropped so the result has exactly ``record.payload_bits`` entries.
     """
     if len(grid_llrs) != record.n_grids:
@@ -179,13 +174,14 @@ def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray
     if record.n_grids == 0:
         return np.empty(0)
     grid_llrs = [np.asarray(llrs) for llrs in grid_llrs]
-    shape = (N_SYMBOLS, N_SUBCARRIERS, record.bits_per_symbol)
+    B = Constellation.bits_per_symbol
+    shape = (N_SYMBOLS, N_SUBCARRIERS, B)
     if any(llrs.shape != shape for llrs in grid_llrs):
         raise FramingError(
             f"grid LLRs need shape {list(shape)}, "
             f"got {sorted({llrs.shape for llrs in grid_llrs})}"
         )
-    stacked = np.stack(grid_llrs).reshape(record.n_grids, -1, record.bits_per_symbol)
+    stacked = np.stack(grid_llrs).reshape(record.n_grids, -1, B)
     stream = stacked.take(_data_index(cfg), axis=1).reshape(-1)
     if stream.size < record.payload_bits:
         raise FramingError(

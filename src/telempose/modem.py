@@ -1,18 +1,18 @@
-"""Uniform quantization of sensor features and QAM mapping / soft demapping.
+"""Uniform quantization of sensor features and Gray QPSK mapping / soft demapping.
 
 All functions are pure and operate on immutable inputs; they are safe to
-call concurrently. :func:`llr_maxlog` is the one max-log demapper entry;
-the classical receivers call it too.
+call concurrently. :func:`llr_maxlog` is the one demapper; the classical
+receivers call it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, check_real_array
 
 #: Features per sensor frame (17 sensors x 12 features each).
 FEATURES_PER_FRAME = 204
@@ -136,89 +136,26 @@ def dequantize_frame(bits, cfg: QuantizerConfig) -> np.ndarray:
     return values
 
 
-def _gray_decode(codes: np.ndarray) -> np.ndarray:
-    out = codes.copy()
-    shift = 1
-    while (out >> shift).any():
-        out = out ^ (out >> shift)
-        shift <<= 1
-    return out
-
-
-@dataclass(frozen=True, eq=False)
 class Constellation:
-    """Gray-labelled constellation with unit average energy.
+    """Gray QPSK at unit energy, the package's one constellation; :func:`qam` returns it.
 
-    The point order is the labelling: ``points[i]`` carries the B-bit
-    big-endian label of ``i``. ``order``, ``bit_labels`` and the demapping
-    metric's factors are derived from it. Equality and hashing are by identity.
+    ``points[i]`` carries the 2-bit big-endian label of ``i``: the first bit
+    selects the in-phase sign, the second the quadrature sign, so
+    (b0, b1) -> ((1 - 2 b0) + 1j (1 - 2 b1)) / sqrt(2).
     """
 
-    points: np.ndarray
+    bits_per_symbol = 2
+    points = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
+    points.flags.writeable = False
 
-    def __post_init__(self):
-        points = np.array(self.points, dtype=complex)
-        n = points.size
-        if points.ndim != 1 or n < 2 or n & (n - 1):
-            raise ValueError(f"point count {n} is not a power of two >= 2")
-        if not abs(np.mean(np.abs(points) ** 2) - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError("constellation is not normalized to unit energy")
-        points.flags.writeable = False
-        object.__setattr__(self, "points", points)
-        self._check_gray()
 
-    @property
-    def order(self) -> int:
-        return self.points.size
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.order.bit_length() - 1
-
-    @cached_property
-    def bit_labels(self) -> np.ndarray:
-        """[order, B] uint8: row i is the big-endian label of point i."""
-        labels = _levels_to_bits(np.arange(self.order), self.bits_per_symbol)
-        labels.flags.writeable = False
-        return labels
-
-    @cached_property
-    def _metric_terms(self):
-        """The metric's factors: ``-2 [Re p, Im p]`` [order, 2] and ``|p|^2`` [order, 1]."""
-        p = self.points
-        return -2.0 * np.stack([p.real, p.imag], axis=1), (p.real**2 + p.imag**2)[:, None]
-
-    def _check_gray(self):
-        """Nearest-neighbour points must differ in exactly one label bit."""
-        d = np.abs(self.points[:, None] - self.points[None, :])
-        np.fill_diagonal(d, np.inf)
-        dmin = d.min()
-        for i, j in zip(*np.nonzero(d < dmin * (1 + 1e-9))):
-            if np.sum(self.bit_labels[i] != self.bit_labels[j]) != 1:
-                raise ValueError("labelling violates the Gray property")
+_QPSK = Constellation()
 
 
 def qam(order: int = 4) -> Constellation:
-    """Build a Gray-coded square QAM constellation.
-
-    For order 4 the labelling is (b0, b1) -> ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2):
-    the first bit selects the in-phase sign, the second the quadrature sign.
-    """
-    check_int("order", order, 4)
-    b = int(round(np.log2(order)))
-    if 2**b != order or b % 2 != 0:
-        raise ValueError(f"order {order} is not a square QAM order (4, 16, 64, ...)")
-    m = b // 2  # bits per axis
-    labels_int = np.arange(order)
-    axis_bits_i = labels_int >> m
-    axis_bits_q = labels_int & ((1 << m) - 1)
-    # Gray-decode each axis word, then map rank k to amplitude (2^m-1) - 2k
-    # so the all-zeros label lands on the most positive amplitude.
-    amp_i = (2**m - 1) - 2 * _gray_decode(axis_bits_i)
-    amp_q = (2**m - 1) - 2 * _gray_decode(axis_bits_q)
-    raw = amp_i + 1j * amp_q
-    points = raw / np.sqrt(np.mean(np.abs(raw) ** 2))
-    return Constellation(points)
+    """The Gray QPSK constellation; ``order`` must be 4."""
+    check_int("order", order, 4, 4)
+    return _QPSK
 
 
 def map_symbols(bits, constellation: Constellation) -> np.ndarray:
@@ -233,7 +170,7 @@ def map_symbols(bits, constellation: Constellation) -> np.ndarray:
 def _demap_inputs(y_eq, noise_var):
     """Validate, and broadcast ``y_eq`` to the shape of the output LLRs."""
     y_eq = np.asarray(y_eq, dtype=complex)
-    noise_var = np.asarray(noise_var, dtype=float)
+    noise_var = check_real_array("noise_var", noise_var)
     if not (np.isfinite(noise_var) & (noise_var > 0)).all():
         raise ValueError("noise_var must be finite and positive")
     if not np.isfinite(y_eq).all():
@@ -245,61 +182,18 @@ def _demap_inputs(y_eq, noise_var):
     return y_eq, noise_var
 
 
-def _distance_metric(y_eq: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Points-first metric ``|y - p|^2 - |y|^2``, shape [order, *y_eq.shape].
-
-    ``|y|^2`` is the same for every point of an element, so it cancels in
-    every LLR; what is left, ``|p|^2 - 2 Re(y conj(p))``, is one real
-    [order, 2] @ [2, N] product.
-    """
-    scaled, norms = constellation._metric_terms
-    yf = np.ascontiguousarray(y_eq).reshape(-1).view(np.float64).reshape(-1, 2)
-    d = scaled @ yf.T
-    d += norms
-    return d.reshape(constellation.order, *y_eq.shape)
-
-
-def _bit_halves(d: np.ndarray, l: int) -> np.ndarray:
-    """View of points-first ``d`` as [2**l, 2, -1, N]; axis 1 is bit l.
-
-    Row i of ``d`` belongs to point i, which carries the big-endian label
-    i, so bit l of the label selects axis 1 of this view.
-    """
-    return d.reshape(1 << l, 2, -1, d[0].size)
-
-
-def llr_exact(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
-    """Exact per-bit log-likelihood ratios, positive means bit 0 more likely.
+def llr_maxlog(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
+    """Per-bit log-likelihood ratios of Gray QPSK, positive means bit 0 more likely.
 
     ``y_eq`` may be a scalar or any-shaped array; ``noise_var`` must be
-    finite, positive and broadcastable against it. Output gains a trailing axis of
-    length B.
+    finite, positive and broadcastable against it. Output gains a trailing
+    axis of length 2: ``2 sqrt(2) (Re y, Im y) / noise_var``. Each bit sets
+    the sign of one axis, so the sums over the in-phase and quadrature
+    points factor, and this max-log value is also the exact LLR.
     """
     y_eq, noise_var = _demap_inputs(y_eq, noise_var)
-    metric = _distance_metric(y_eq, constellation)
-    metric /= -noise_var
-    B = constellation.bits_per_symbol
-    llrs = np.empty(y_eq.shape + (B,))
-    flat = llrs.reshape(-1, B)
-    for l in range(B):
-        halves = _bit_halves(metric, l)
-        n = halves.shape[-1]
-        lse0 = np.logaddexp.reduce(halves[:, 0].reshape(-1, n), axis=0)
-        lse1 = np.logaddexp.reduce(halves[:, 1].reshape(-1, n), axis=0)
-        np.subtract(lse0, lse1, out=flat[:, l])
-    return llrs
-
-
-def llr_maxlog(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
-    """Max-log approximation of :func:`llr_exact` (same inputs and sign convention)."""
-    y_eq, noise_var = _demap_inputs(y_eq, noise_var)
-    d = _distance_metric(y_eq, constellation)
-    B = constellation.bits_per_symbol
-    llrs = np.empty(y_eq.shape + (B,))
-    flat = llrs.reshape(-1, B)
-    for l in range(B):
-        dmin = _bit_halves(d, l).min(axis=(0, 2))  # [bit value, N]
-        np.subtract(dmin[1], dmin[0], out=flat[:, l])
+    llrs = np.stack((y_eq.real, y_eq.imag), axis=-1)
+    llrs *= 2 * np.sqrt(2)
     llrs /= noise_var[..., None]
     return llrs
 
@@ -307,9 +201,9 @@ def llr_maxlog(y_eq, noise_var, constellation: Constellation) -> np.ndarray:
 def hard_decide(llrs) -> np.ndarray:
     """LLR -> bit decision: 0 when the LLR is >= 0 (ties decide 0).
 
-    ±inf are certain decisions; a NaN LLR raises ``ValueError``.
+    ±inf are certain decisions; a NaN, complex, bool or str LLR raises ``ValueError``.
     """
-    llrs = np.asarray(llrs)
+    llrs = check_real_array("llrs", llrs)
     if np.isnan(llrs).any():
         raise ValueError("cannot decide a NaN LLR")
     return (llrs < 0).astype(np.uint8)

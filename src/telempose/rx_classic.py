@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import check_real_array
 from .grid import GridConfig, pilot_value_grid
 from .modem import Constellation, llr_maxlog
 
@@ -101,14 +102,16 @@ def lmmse_equalize(y: np.ndarray, h_est: np.ndarray, noise_var: float):
     ``post_noise_var`` by its square gives the unbiased pair used for
     demapping. Elements with a zero-norm estimate are flagged by
     bias == 0 and must be treated as erasures. ``noise_var`` is one
-    finite, non-negative value: a number, a numpy scalar or a 0-d array.
+    finite, non-negative real value: a number, a numpy scalar or a 0-d array.
     """
     if h_est.shape != y.shape:
         # a broadcast would equalize against the wrong antennas or elements
         raise ValueError(f"channel estimate {h_est.shape} does not match received {y.shape}")
+    nv = check_real_array("noise_var", noise_var)
     # an array's truth value would be ambiguous, and one value per element is not supported
-    if np.ndim(noise_var) != 0 or not (np.isfinite(noise_var) and noise_var >= 0):
+    if nv.ndim != 0 or not (np.isfinite(nv) and nv >= 0):
         raise ValueError(f"noise_var must be one finite, non-negative value, got {noise_var}")
+    noise_var = float(nv)
     sq = np.square(h_est.real)
     sq += np.square(h_est.imag)
     h_norm2 = sq.sum(axis=0)

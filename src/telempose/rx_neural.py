@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from ._checks import check_int, check_positive, check_range
+from ._checks import check_int, check_positive, check_range, check_real_array
 from .channel import NoiseSpec, apply
 from .grid import (
     DATA, N_SUBCARRIERS, N_SYMBOLS, GridConfig, build_mask, grid_capacity_bits, pack_bits,
@@ -35,15 +35,15 @@ class NeuralRxConfig:
     n_rx: int = 2
     n_blocks: int = 4
     filters: int = 128
-    bits_per_symbol: int = 2
 
-    # class attributes, not fields: every grid has this shape
+    # class attributes, not fields: every grid has this shape, every symbol is Gray QPSK
     n_symbols = N_SYMBOLS
     n_subcarriers = N_SUBCARRIERS
+    bits_per_symbol = Constellation.bits_per_symbol
 
     def __post_init__(self):
         check_int("n_blocks", self.n_blocks, 0)
-        for name in ("n_rx", "filters", "bits_per_symbol"):
+        for name in ("n_rx", "filters"):
             check_int(name, getattr(self, name), 1)
 
     @property
@@ -85,11 +85,11 @@ def build_input_planes(y: np.ndarray, noise_var) -> np.ndarray:
     """Stack [re..., im..., log noise] planes for a batch of received grids.
 
     ``y`` is [batch, n_rx, n_symbols, n_subcarriers] complex and must be
-    finite in float32; ``noise_var`` is a scalar or per-sample vector,
+    finite in float32; ``noise_var`` is a real scalar or per-sample vector,
     positive and finite in float32 so that its log plane is finite.
     """
     batch, n_rx, n_sym, n_sc = y.shape
-    nv = np.broadcast_to(np.asarray(noise_var, dtype=np.float32), (batch,))
+    nv = np.broadcast_to(check_real_array("noise_var", noise_var).astype(np.float32), (batch,))
     if not np.all(np.isfinite(nv) & (nv > 0)):
         raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
     planes = np.empty((batch, 2 * n_rx + 1, n_sym, n_sc), dtype=np.float32)
@@ -226,12 +226,6 @@ def train(
             raise ValueError(
                 f"channel has {ch.n_rx} antennas, receiver expects {receiver.cfg.n_rx}"
             )
-    rc = receiver.cfg
-    if rc.bits_per_symbol != constellation.bits_per_symbol:
-        raise nn.ShapeError(
-            f"receiver emits {rc.bits_per_symbol} bits per symbol, "
-            f"constellation carries {constellation.bits_per_symbol}"
-        )
     B = constellation.bits_per_symbol
     # the noise variance falls as Eb/N0 rises, so both ends bound every draw
     for end in hyper.ebn0_range_db:

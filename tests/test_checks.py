@@ -14,12 +14,17 @@ import numpy as np
 import pytest
 
 import telempose
-from telempose._checks import check_int, check_positive, check_range, check_real
+from telempose._checks import (
+    check_int, check_positive, check_range, check_real, check_real_array,
+)
 from telempose.channel import MAX_PATHS, NoiseSpec, SynthParams, flat_unit_channel
 from telempose.grid import GridConfig, two_pilot_config
-from telempose.modem import QuantizerConfig, qam
+from telempose.modem import QuantizerConfig, hard_decide, llr_maxlog, qam
 from telempose.nn import AdamState
-from telempose.rx_neural import NeuralReceiver, NeuralRxConfig, TrainConfig, train
+from telempose.rx_classic import lmmse_equalize, receive_classic, receive_perfect_csi
+from telempose.rx_neural import (
+    NeuralReceiver, NeuralRxConfig, TrainConfig, build_input_planes, train,
+)
 
 #: Every config whose fields the tables below must cover.
 CONFIGS = [GridConfig, SynthParams, NoiseSpec, QuantizerConfig, NeuralRxConfig, TrainConfig]
@@ -46,9 +51,9 @@ SETTINGS = [
     _field(SynthParams, "l_max", 1, MAX_PATHS, 8),
     _field(SynthParams, "n_rx", 1, None, 2),
     _field(QuantizerConfig, "q", 1, 16, 8),
-    ("order", None, qam, 4, None, 4),
+    ("order", None, qam, 4, 4, 4),
     *[_field(NeuralRxConfig, name, lo, None, 2)
-      for name, lo in (("n_blocks", 0), ("n_rx", 1), ("filters", 1), ("bits_per_symbol", 1))],
+      for name, lo in (("n_blocks", 0), ("n_rx", 1), ("filters", 1))],
     *[_field(TrainConfig, name, 1, None, 3) for name in ("iterations", "batch", "log_every")],
     ("checkpoint_every", None, _train, 1, None, 1),
     ("n_rx", None, flat_unit_channel, 1, None, 2),
@@ -153,7 +158,7 @@ def test_a_range_takes_low_equal_to_high_and_a_list_equal_to_its_tuple(name, bui
 # use it, now that the numerology and the channel physics are constants.
 
 #: (lo, hi) of every check_int call in the package
-INT_BOUNDS = [(0, None), (1, None), (4, None), (1, 16), (0, 13), (1, MAX_PATHS)]
+INT_BOUNDS = [(0, None), (1, None), (4, 4), (1, 16), (0, 13), (1, MAX_PATHS)]
 
 
 @pytest.mark.parametrize(
@@ -246,12 +251,58 @@ def test_check_range_takes_a_pair_low_to_high_and_returns_a_tuple_of_floats(ok, 
     assert type(pair) is tuple and list(map(type, pair)) == [float, float] and pair == stored
 
 
+#: A noise variance or an LLR that is not a real number, each of them: a
+#: bool, a str, bytes or a complex, as a scalar, a 0-d array or a vector.
+NOT_REAL_SCALARS = [True, np.bool_(True), "1", b"1", 1j, np.complex128(1 + 1j),
+                    np.array(True), np.array("1"), np.array(1 + 1j)]
+NOT_REAL_VECTORS = [np.array([True, True]), np.array(["1", "2"]), np.array([1 + 1j, 2 + 0j])]
+
+_GRID = np.ones((2, 14, 128), complex)
+_NOISE_TAKERS = [
+    ("llr_maxlog", lambda v: llr_maxlog([0.5 + 0.5j, -1j], v, qam(4)), True),
+    ("lmmse_equalize", lambda v: lmmse_equalize(_GRID, _GRID, v), False),
+    ("receive_classic", lambda v: receive_classic(_GRID, two_pilot_config(), v, qam(4)), False),
+    ("receive_perfect_csi",
+     lambda v: receive_perfect_csi(_GRID, two_pilot_config(), v, qam(4), _GRID), False),
+    ("build_input_planes", lambda v: build_input_planes(np.stack([_GRID, _GRID]), v), True),
+    ("receive", lambda v: NeuralReceiver(NeuralRxConfig(n_blocks=0, filters=2),
+                                         np.random.default_rng(0)).receive(_GRID, v), False),
+]
+NOT_REAL_ARGUMENTS = [
+    *[(f"{name}-{bad!r}", "noise_var", call, bad) for name, call, vectors in _NOISE_TAKERS
+      for bad in NOT_REAL_SCALARS + (NOT_REAL_VECTORS if vectors else [])],
+    *[(f"hard_decide-{bad!r}", "llrs", hard_decide, bad)
+      for bad in ([1 + 1j], np.array([1 + 1j, -1 + 0j]), [True, False], ["1"])],
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, bad",
+    [pytest.param(name, call, bad, id=row_id) for row_id, name, call, bad in NOT_REAL_ARGUMENTS],
+)
+def test_a_noise_variance_or_llr_that_is_not_real_is_rejected_by_name(name, call, bad):
+    # bools and strs were taken as numbers and complex values raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "ok", [0.25, np.float64(0.25), np.float32(0.25), np.array([0.5, 2.0]), 3, np.int8(3)],
+    ids=repr,
+)
+def test_check_real_array_returns_a_float_array_and_leaves_a_float64_array_alone(ok):
+    array = check_real_array("noise_var", ok)
+    assert array.dtype == np.float64 and np.array_equal(array, np.asarray(ok, dtype=float))
+    if isinstance(ok, np.ndarray):
+        assert array is ok
+
+
 #: The settings that became module constants, and the config that held each.
 REMOVED = [
     *[(GridConfig, name) for name in ("n_symbols", "n_subcarriers", "guard_left",
                                       "guard_right", "pilot_seed")],
     *[(SynthParams, name) for name in ("delay_spread_s", "speed_range_mps", "carrier_hz")],
-    *[(NeuralRxConfig, name) for name in ("n_symbols", "n_subcarriers")],
+    *[(NeuralRxConfig, name) for name in ("n_symbols", "n_subcarriers", "bits_per_symbol")],
 ]
 
 

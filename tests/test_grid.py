@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from telempose.grid import (
     pilot_value_grid,
     unpack_llrs,
 )
-from telempose.modem import qam
+from test_modem import LABELS
 
 
 def test_mask_counts_2p(cfg_2p):
@@ -164,7 +166,7 @@ def _identity_llrs(grids, qpsk):
     for g in grids:
         d2 = np.abs(g[..., None] - qpsk.points) ** 2
         llr = np.empty(g.shape + (2,))
-        for l, labels in enumerate(qpsk.bit_labels.T):
+        for l, labels in enumerate(LABELS.T):
             mask0 = labels == 0
             llr[..., l] = d2[..., ~mask0].min(-1) - d2[..., mask0].min(-1)
         out.append(llr)
@@ -202,7 +204,7 @@ def test_unpack_grid_count_mismatch(cfg_2p, qpsk, rng):
 
 def test_unpack_rejects_a_record_whose_payload_exceeds_its_grids(cfg_2p, qpsk):
     capacity = grid_capacity_bits(cfg_2p, qpsk)
-    record = FramingRecord(payload_bits=capacity + 1, n_grids=1, bits_per_symbol=2)
+    record = FramingRecord(payload_bits=capacity + 1, n_grids=1)
     with pytest.raises(FramingError, match=f"carry {capacity} LLRs"):
         unpack_llrs([np.zeros((14, 128, 2))], record, cfg_2p)
 
@@ -222,44 +224,52 @@ def test_unpack_rejects_a_record_whose_payload_exceeds_its_grids(cfg_2p, qpsk):
 )
 def test_unpack_rejects_misshaped_llrs(cfg_2p, qpsk, rng, reshape):
     grids, record = pack_bits(rng.integers(0, 2, size=2809), cfg_2p, qpsk)
-    assert record.bits_per_symbol == 2
     with pytest.raises(FramingError):
         unpack_llrs(reshape(_identity_llrs(grids, qpsk)), record, cfg_2p)
 
 
-@pytest.mark.parametrize("order", [4, 16])
 @pytest.mark.parametrize("pilots", ["1p", "2p"])
-def test_unpack_matches_a_per_grid_mask_gather(cfg_1p, cfg_2p, rng, pilots, order):
+def test_unpack_matches_a_per_grid_mask_gather(cfg_1p, cfg_2p, qpsk, rng, pilots):
     cfg = cfg_1p if pilots == "1p" else cfg_2p
-    const = qam(order)
-    grids, record = pack_bits(rng.integers(0, 2, size=9000), cfg, const)
+    grids, record = pack_bits(rng.integers(0, 2, size=9000), cfg, qpsk)
     assert record.n_grids > 1
-    llrs = [rng.standard_normal(g.shape + (const.bits_per_symbol,)) for g in grids]
+    llrs = [rng.standard_normal(g.shape + (2,)) for g in grids]
     data_pos = build_mask(cfg) == DATA
     expected = np.concatenate([l[data_pos].reshape(-1) for l in llrs])[: record.payload_bits]
     assert np.array_equal(unpack_llrs(llrs, record, cfg), expected)
 
 
-@pytest.mark.parametrize("order", [4, 16, 64])
 @pytest.mark.parametrize("pilots", ["1p", "2p"])
-def test_pack_matches_integer_labels_scattered_through_the_mask(
-    cfg_1p, cfg_2p, rng, pilots, order
-):
+def test_pack_matches_integer_labels_scattered_through_the_mask(cfg_1p, cfg_2p, qpsk, rng, pilots):
     cfg = cfg_1p if pilots == "1p" else cfg_2p
-    const = qam(order)
-    B = const.bits_per_symbol
-    capacity = grid_capacity_bits(cfg, const)
+    capacity = grid_capacity_bits(cfg, qpsk)
     bits = rng.integers(0, 2, size=2 * capacity - 5, dtype=np.uint8)
-    grids, _ = pack_bits(bits, cfg, const)
+    grids, _ = pack_bits(bits, cfg, qpsk)
     padded = np.zeros(2 * capacity, dtype=np.uint8)
     padded[: bits.size] = bits
-    weights = 1 << np.arange(B - 1, -1, -1, dtype=np.int64)
     data_pos = build_mask(cfg) == DATA
     assert len(grids) == 2
     for g, chunk in zip(grids, padded.reshape(2, capacity)):
         expected = pilot_value_grid(cfg).copy()
-        expected[data_pos] = const.points[chunk.reshape(-1, B).astype(np.int64) @ weights]
+        expected[data_pos] = qpsk.points[chunk.reshape(-1, 2).astype(np.int64) @ [2, 1]]
         assert np.array_equal(g, expected)
+
+
+def test_seeded_payloads_pack_to_the_pinned_grids(cfg_1p, cfg_2p, qpsk):
+    # the symbol mapping, the DATA layout and the padding: a change to any of
+    # them moves the benchmark's BER reference and LLR fingerprint, so it must
+    # be deliberate. DATA elements hash at full precision (QPSK points are
+    # correctly rounded), the rest in single precision, so that a last-ulp
+    # difference between two libms' pilot exp does not count as a change.
+    h = hashlib.sha256()
+    for cfg in (cfg_1p, cfg_2p):
+        size = 5 * grid_capacity_bits(cfg, qpsk) // 2
+        bits = np.random.default_rng(0x9A1D).integers(0, 2, size=size, dtype=np.uint8)
+        grids, _ = pack_bits(bits, cfg, qpsk)
+        data = build_mask(cfg) == DATA
+        h.update(grids[:, data].tobytes())
+        h.update(grids[:, ~data].astype(np.complex64).tobytes())
+    assert h.hexdigest() == "3039e9d05ba5ba606faa74efccd9da6cd728eeccc8bdae47c47c2678f1edf8e9"
 
 
 

@@ -1,16 +1,15 @@
 """Seeded invariant sweep over the quantizer, the link and the neural receiver.
 
-Most tests pin the paper's layout: QPSK, 2 RX antennas and 2 pilot
-columns on the fixed 14x128 grid. This module draws configurations from
-one fixed seed, crossing 1-3 pilot columns given in any order, QAM order
-and antenna count, and checks on each one invariants that hold whatever
-the configuration. It also round-trips the quantizer at every bit width,
+Most tests pin the paper's layout: 2 RX antennas and 2 pilot columns on
+the fixed 14x128 grid, which carries Gray QPSK. This module draws
+configurations from one fixed seed, crossing 1-3 pilot columns given in
+any order with the antenna count, and checks on each one invariants that
+hold whatever the configuration. It also round-trips the quantizer at every bit width,
 runs tiny neural receivers on drawn grids, and checks the gradients of
 the receiver's layer chain at drawn shapes.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from telempose.modem import (
 )
 from telempose.rx_classic import receive_classic, receive_perfect_csi
 from telempose.rx_neural import NeuralReceiver, NeuralRxConfig, TrainConfig, train
+from test_modem import LABELS
 from test_nn import check_grad
 
 SEED = 20_250_306
@@ -48,72 +48,62 @@ N_COMBOS = 40
 
 
 def _draw_combos(rng, n):
-    """``n`` valid (GridConfig, QAM order, n_rx) combinations."""
+    """``n`` valid (GridConfig, n_rx) combinations."""
     combos = []
     for _ in range(n):
         n_pilots = int(rng.integers(1, 4))
         pilots = tuple(int(i) for i in rng.permutation(14)[:n_pilots])
         cfg = GridConfig(pilot_symbol_indices=pilots)
-        combos.append((pilots, cfg, int(rng.choice([4, 16, 64])), int(rng.integers(1, 5))))
+        combos.append((pilots, cfg, int(rng.integers(1, 5))))
     return combos
 
 
 DRAWS = _draw_combos(np.random.default_rng(SEED), N_COMBOS)
 COMBOS = [combo for _, *combo in DRAWS]
-IDS = [
-    f"{i}-p{'.'.join(map(str, pilots))}-qam{order}-rx{n_rx}"
-    for i, (pilots, _, order, n_rx) in enumerate(DRAWS)
-]
+IDS = [f"{i}-p{'.'.join(map(str, pilots))}-rx{n_rx}" for i, (pilots, _, n_rx) in enumerate(DRAWS)]
+QPSK = qam(4)
 
 
 def test_the_sweep_covers_every_axis():
-    pilots = [p for p, _, _, _ in DRAWS]
-    assert {order for _, order, _ in COMBOS} == {4, 16, 64}
-    assert {n_rx for _, _, n_rx in COMBOS} == {1, 2, 3, 4}
+    pilots = [p for p, _, _ in DRAWS]
+    assert {n_rx for _, n_rx in COMBOS} == {1, 2, 3, 4}
     assert {len(p) for p in pilots} == {1, 2, 3}
     assert any(list(p) != sorted(p) for p in pilots)
     # symbols before the first pilot and after the last, so both extrapolate
     assert any(1 < len(p) and 0 < min(p) and max(p) < 13 for p in pilots)
 
 
-@lru_cache(maxsize=None)
-def _qam(order):
-    return qam(order)
-
-
-def _payload(case, cfg, order, n_grids=2.5):
+def _payload(case, cfg, n_grids=2.5):
     """Seeded bits for about ``n_grids`` grids, so the last grid is padded."""
     rng = np.random.default_rng([SEED, case])
-    n = int(n_grids * grid_capacity_bits(cfg, _qam(order)))
+    n = int(n_grids * grid_capacity_bits(cfg, QPSK))
     return rng, rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
 def test_unpack_inverts_pack(case):
-    cfg, order, _ = COMBOS[case]
-    const = _qam(order)
-    _, bits = _payload(case, cfg, order)
-    symbols, record = pack_bits(bits, cfg, const)
+    cfg, _ = COMBOS[case]
+    _, bits = _payload(case, cfg)
+    symbols, record = pack_bits(bits, cfg, QPSK)
     assert symbols.shape == (record.n_grids, cfg.n_symbols, cfg.n_subcarriers)
     # +-1 LLRs of the nearest point's label at every element; pilot and guard
     # elements decide whatever their value is nearest to, and must be dropped
-    nearest = np.abs(symbols[..., None] - const.points).argmin(axis=-1)
-    llrs = 1.0 - 2.0 * const.bit_labels[nearest]
+    nearest = np.abs(symbols[..., None] - QPSK.points).argmin(axis=-1)
+    llrs = 1.0 - 2.0 * LABELS[nearest]
     assert np.array_equal(hard_decide(unpack_llrs(llrs, record, cfg)), bits)
 
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
 def test_both_receivers_decode_a_noiseless_flat_channel(case):
-    cfg, order, n_rx = COMBOS[case]
-    const = _qam(order)
-    rng, bits = _payload(case, cfg, order)
-    symbols, record = pack_bits(bits, cfg, const)
+    cfg, n_rx = COMBOS[case]
+    rng, bits = _payload(case, cfg)
+    symbols, record = pack_bits(bits, cfg, QPSK)
     ch = flat_unit_channel(n_rx)
     h = freq_response_grid(ch, cfg)
     ys = [apply(ch, s, None, rng) for s in symbols]
     for receive in (
-        lambda y: receive_classic(y, cfg, 0.0, const),
-        lambda y: receive_perfect_csi(y, cfg, 0.0, const, h),
+        lambda y: receive_classic(y, cfg, 0.0, QPSK),
+        lambda y: receive_perfect_csi(y, cfg, 0.0, QPSK, h),
     ):
         llrs = [receive(y) for y in ys]
         assert np.array_equal(hard_decide(unpack_llrs(llrs, record, cfg)), bits)
@@ -121,9 +111,9 @@ def test_both_receivers_decode_a_noiseless_flat_channel(case):
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
 def test_noiseless_apply_is_the_response_times_the_grid(case):
-    cfg, order, n_rx = COMBOS[case]
-    rng, bits = _payload(case, cfg, order)
-    symbols, _ = pack_bits(bits, cfg, _qam(order))
+    cfg, n_rx = COMBOS[case]
+    rng, bits = _payload(case, cfg)
+    symbols, _ = pack_bits(bits, cfg, QPSK)
     ch = synth_channel(rng, SynthParams(n_rx=n_rx))
     for s in symbols:
         assert np.array_equal(apply(ch, s, None, rng), freq_response_grid(ch, cfg) * s)
@@ -131,21 +121,20 @@ def test_noiseless_apply_is_the_response_times_the_grid(case):
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
 def test_perfect_csi_at_60_db_decodes_every_bit_the_channel_carries(case):
-    cfg, order, n_rx = COMBOS[case]
-    const = _qam(order)
-    rng, bits = _payload(case, cfg, order)
-    symbols, record = pack_bits(bits, cfg, const)
+    cfg, n_rx = COMBOS[case]
+    rng, bits = _payload(case, cfg)
+    symbols, record = pack_bits(bits, cfg, QPSK)
     ch = synth_channel(rng, SynthParams(n_rx=n_rx))
     h = freq_response_grid(ch, cfg)
-    spec = NoiseSpec(60.0, const.bits_per_symbol)
+    spec = NoiseSpec(60.0)
     llrs = [
-        receive_perfect_csi(apply(ch, s, spec, rng), cfg, spec.noise_variance, const, h)
+        receive_perfect_csi(apply(ch, s, spec, rng), cfg, spec.noise_variance, QPSK, h)
         for s in symbols
     ]
     decided = hard_decide(unpack_llrs(llrs, record, cfg))
     # |h|^2 summed over the antennas, per payload bit
     gain = np.square(np.abs(h)).sum(axis=0).reshape(-1)[_data_index(cfg)]
-    strong = np.tile(np.repeat(gain, const.bits_per_symbol), record.n_grids) > 1e-3
+    strong = np.tile(np.repeat(gain, 2), record.n_grids) > 1e-3
     strong = strong[: bits.size]
     assert strong.mean() > 0.5
     assert np.array_equal(decided[strong], bits[strong])
@@ -177,29 +166,22 @@ NEURAL = COMBOS[:N_NEURAL]
 
 @pytest.mark.parametrize("case", range(N_NEURAL), ids=IDS[:N_NEURAL])
 def test_neural_receiver_shape_and_first_loss_at_chance(case):
-    cfg, order, n_rx = NEURAL[case]
-    const = _qam(order)
+    cfg, n_rx = NEURAL[case]
     rng = np.random.default_rng([SEED, 2, case])
-    net = NeuralRxConfig(
-        n_rx=n_rx,
-        n_blocks=int(rng.integers(0, 3)),
-        filters=int(rng.integers(1, 5)),
-        bits_per_symbol=const.bits_per_symbol,
-    )
+    net = NeuralRxConfig(n_rx=n_rx, n_blocks=int(rng.integers(0, 3)),
+                         filters=int(rng.integers(1, 5)))
     rx = NeuralReceiver(net, rng)
     ch = synth_channel(rng, SynthParams(n_rx=n_rx))
-    y = apply(ch, np.zeros((cfg.n_symbols, cfg.n_subcarriers), complex),
-              NoiseSpec(10.0, const.bits_per_symbol), rng)
+    y = apply(ch, np.zeros((cfg.n_symbols, cfg.n_subcarriers), complex), NoiseSpec(10.0), rng)
     llr = rx.receive(y, 0.1)
-    assert llr.shape == (cfg.n_symbols, cfg.n_subcarriers, const.bits_per_symbol)
+    assert llr.shape == (cfg.n_symbols, cfg.n_subcarriers, 2)
     # the zero-initialised output conv emits logit 0, whose BCE is ln 2
-    log = train(rx, cfg, const, [ch], TrainConfig(iterations=1, batch=2), rng)
+    log = train(rx, cfg, QPSK, [ch], TrainConfig(iterations=1, batch=2), rng)
     assert abs(log[0].loss - math.log(2)) <= 1e-6
 
 
-def test_the_neural_sweep_covers_every_order_and_antenna_count():
-    assert {order for _, order, _ in NEURAL} == {4, 16, 64}
-    assert {n_rx for _, _, n_rx in NEURAL} == {1, 2, 3, 4}
+def test_the_neural_sweep_covers_every_antenna_count():
+    assert {n_rx for _, n_rx in NEURAL} == {1, 2, 3, 4}
 
 
 @pytest.mark.parametrize("draw", range(3))

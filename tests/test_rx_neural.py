@@ -97,8 +97,8 @@ def test_paper_config_hash_is_stable():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("n_blocks", -1), ("n_rx", 0), ("filters", 0), ("bits_per_symbol", 0),
-     ("filters", 4.5), ("n_blocks", 2.5), ("n_rx", True)],
+    [("n_blocks", -1), ("n_rx", 0), ("filters", 0), ("filters", 4.5), ("n_blocks", 2.5),
+     ("n_rx", True)],
 )
 def test_config_rejects_an_empty_or_fractional_network(field, value):
     with pytest.raises(ValueError, match=field):
@@ -155,16 +155,6 @@ def test_invalid_training_settings_change_nothing(tmp_path, cfg_2p, qpsk, bad):
     for name, p in rx.named_params().items():
         assert np.array_equal(p.data, before[name]), name
     assert not (tmp_path / "rx.tpwt").exists()
-
-
-def test_a_receiver_of_another_constellation_is_rejected_before_any_draw(cfg_2p, qpsk):
-    cfg = NeuralRxConfig(n_blocks=1, filters=4, bits_per_symbol=4)
-    rx = NeuralReceiver(cfg, np.random.default_rng(0))
-    rng = np.random.default_rng(1)
-    state = rng.bit_generator.state
-    with pytest.raises(nn.ShapeError, match="receiver"):
-        train(rx, cfg_2p, qpsk, _channels(), TrainConfig(iterations=1, batch=1), rng)
-    assert rng.bit_generator.state == state
 
 
 def test_an_empty_channel_set_is_rejected(cfg_2p, qpsk, rng):
