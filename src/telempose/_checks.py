@@ -43,18 +43,6 @@ def check_positive(name: str, value) -> float:
     return value
 
 
-def check_range(name: str, value) -> tuple[float, float]:
-    """``value`` as a (low, high) pair of :func:`check_real` floats with low <= high."""
-    try:
-        low, high = value
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a (low, high) pair, got {value!r}") from None
-    low, high = check_real(name, low), check_real(name, high)
-    if low > high:
-        raise ValueError(f"{name} must have low <= high, got ({low}, {high})")
-    return low, high
-
-
 def check_real_array(name: str, value) -> np.ndarray:
     """``value`` as a float array, scalar or not; ``ValueError``, naming ``name``,
     for bool, str, bytes, complex or object entries. Finiteness is the caller's rule."""

@@ -93,13 +93,13 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise level derived from Eb/N0 for unit-energy symbols, uncoded."""
+    """Noise level derived from Eb/N0 for unit-energy Gray QPSK (2-bit) symbols, uncoded."""
 
     ebn0_db: float
     bits_per_symbol: int = 2
 
     def __post_init__(self):
-        check_int("bits_per_symbol", self.bits_per_symbol, 1)
+        check_int("bits_per_symbol", self.bits_per_symbol, 2, 2)
         # a Python float overflows with an exception; a numpy scalar would warn first
         object.__setattr__(self, "ebn0_db", check_real("ebn0_db", self.ebn0_db))
         try:

@@ -8,8 +8,8 @@ holds nothing else. Every element is data, pilot, or guard. Pilot columns
 span all effective (non-guard) subcarriers; payload bits stream across
 grids in row-major (symbol-major) order with zero-bit padding in the
 final grid. The layout and the pilot values are functions of the config
-alone, so transmitter and receiver derive them independently and nothing
-but the symbols needs to travel.
+alone, so transmitter and receiver derive them independently; besides the
+symbols, only the payload bit count travels, and it fixes the grid count.
 """
 
 from __future__ import annotations
@@ -127,14 +127,6 @@ def pilot_value_grid(cfg: GridConfig) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FramingRecord:
-    """Bookkeeping needed to invert stream packing."""
-
-    payload_bits: int
-    n_grids: int
-
-
 def grid_capacity_bits(cfg: GridConfig, constellation: Constellation) -> int:
     return _data_index(cfg).size * constellation.bits_per_symbol
 
@@ -144,47 +136,46 @@ def pack_bits(bits, cfg: GridConfig, constellation: Constellation):
 
     ``bits`` holds 0s and 1s. Data elements fill grid by grid in row-major
     order; the last grid is padded with zero bits. Returns (symbols
-    [n_grids, n_symbols, n_subcarriers] complex, framing record).
+    [n_grids, n_symbols, n_subcarriers] complex, payload bit count), the
+    count that :func:`unpack_llrs` needs to drop the padding.
     """
     bits = np.asarray(bits).reshape(-1)
     data_index = _data_index(cfg)
     capacity = grid_capacity_bits(cfg, constellation)
-    n_grids = -(-bits.size // capacity) if bits.size else 0
-    record = FramingRecord(payload_bits=int(bits.size), n_grids=n_grids)
+    n_grids = -(-bits.size // capacity)
     # in the caller's dtype: map_symbols must see a non-bit before a cast wraps it
     padded = np.zeros(n_grids * capacity, dtype=bits.dtype)
     padded[: bits.size] = bits
     symbols = np.empty((n_grids, N_SYMBOLS * N_SUBCARRIERS), dtype=complex)
     symbols[:] = pilot_value_grid(cfg).reshape(-1)
     symbols[:, data_index] = map_symbols(padded, constellation).reshape(-1, data_index.size)
-    return symbols.reshape(n_grids, N_SYMBOLS, N_SUBCARRIERS), record
+    return symbols.reshape(n_grids, N_SYMBOLS, N_SUBCARRIERS), int(bits.size)
 
 
-def unpack_llrs(grid_llrs, record: FramingRecord, cfg: GridConfig) -> np.ndarray:
+def unpack_llrs(grid_llrs, payload_bits: int, cfg: GridConfig) -> np.ndarray:
     """Invert :func:`pack_bits` on per-element LLRs.
 
     ``grid_llrs`` is a sequence of arrays shaped
-    [n_symbols, n_subcarriers, bits_per_symbol]; padding positions
-    are dropped so the result has exactly ``record.payload_bits`` entries.
+    [n_symbols, n_subcarriers, bits_per_symbol], one per grid of a
+    ``payload_bits`` payload: ceil(payload_bits / capacity) of them, or
+    ``FramingError``. Padding positions are dropped so the result has
+    exactly ``payload_bits`` entries.
     """
-    if len(grid_llrs) != record.n_grids:
+    check_int("payload_bits", payload_bits, 0)
+    B = Constellation.bits_per_symbol
+    n_grids = -(-payload_bits // (_data_index(cfg).size * B))
+    if len(grid_llrs) != n_grids:
         raise FramingError(
-            f"framing record expects {record.n_grids} grids, got {len(grid_llrs)}"
+            f"a payload of {payload_bits} bits takes {n_grids} grid(s), got {len(grid_llrs)}"
         )
-    if record.n_grids == 0:
+    if n_grids == 0:
         return np.empty(0)
     grid_llrs = [np.asarray(llrs) for llrs in grid_llrs]
-    B = Constellation.bits_per_symbol
     shape = (N_SYMBOLS, N_SUBCARRIERS, B)
     if any(llrs.shape != shape for llrs in grid_llrs):
         raise FramingError(
             f"grid LLRs need shape {list(shape)}, "
             f"got {sorted({llrs.shape for llrs in grid_llrs})}"
         )
-    stacked = np.stack(grid_llrs).reshape(record.n_grids, -1, B)
-    stream = stacked.take(_data_index(cfg), axis=1).reshape(-1)
-    if stream.size < record.payload_bits:
-        raise FramingError(
-            f"grids carry {stream.size} LLRs, framing record expects {record.payload_bits}"
-        )
-    return stream[: record.payload_bits]
+    stacked = np.stack(grid_llrs).reshape(n_grids, -1, B)
+    return stacked.take(_data_index(cfg), axis=1).reshape(-1)[:payload_bits]

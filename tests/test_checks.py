@@ -14,16 +14,14 @@ import numpy as np
 import pytest
 
 import telempose
-from telempose._checks import (
-    check_int, check_positive, check_range, check_real, check_real_array,
-)
+from telempose._checks import check_int, check_positive, check_real, check_real_array
 from telempose.channel import MAX_PATHS, NoiseSpec, SynthParams, flat_unit_channel
-from telempose.grid import GridConfig, two_pilot_config
+from telempose.grid import GridConfig, two_pilot_config, unpack_llrs
 from telempose.modem import QuantizerConfig, hard_decide, llr_maxlog, qam
 from telempose.nn import AdamState
 from telempose.rx_classic import lmmse_equalize, receive_classic, receive_perfect_csi
 from telempose.rx_neural import (
-    NeuralReceiver, NeuralRxConfig, TrainConfig, build_input_planes, train,
+    NeuralReceiver, NeuralRxConfig, TrainConfig, bits_to_target_grid, build_input_planes, train,
 )
 
 #: Every config whose fields the tables below must cover.
@@ -47,7 +45,7 @@ def _field(cls, field, *rest, **fixed):
 SETTINGS = [
     ("pilot symbol index", (GridConfig, "pilot_symbol_indices"),
      lambda v: GridConfig(pilot_symbol_indices=(v,)), 0, 13, 2),
-    _field(NoiseSpec, "bits_per_symbol", 1, None, 2, ebn0_db=10.0),
+    _field(NoiseSpec, "bits_per_symbol", 2, 2, 2, ebn0_db=10.0),
     _field(SynthParams, "l_max", 1, MAX_PATHS, 8),
     _field(SynthParams, "n_rx", 1, None, 2),
     _field(QuantizerConfig, "q", 1, 16, 8),
@@ -57,6 +55,8 @@ SETTINGS = [
     *[_field(TrainConfig, name, 1, None, 3) for name in ("iterations", "batch", "log_every")],
     ("checkpoint_every", None, _train, 1, None, 1),
     ("n_rx", None, flat_unit_channel, 1, None, 2),
+    ("B", None, lambda v: bits_to_target_grid(np.zeros(2808), two_pilot_config(), v), 2, 2, 2),
+    ("payload_bits", None, lambda v: unpack_llrs([], v, two_pilot_config()), 0, None, 0),
 ]
 
 # (name, (config, field), build from one value, values below its bound, a valid value)
@@ -64,11 +64,6 @@ REALS = [
     _field(NoiseSpec, "ebn0_db", (), 2),
     _field(TrainConfig, "lr", (0, -1e-3), 2),
     _field(AdamState, "lr", (0, -1e-3), 2, params=[]),
-]
-
-# (name, (config, field), build from one (low, high) value)
-RANGES = [
-    _field(TrainConfig, "ebn0_range_db"),
 ]
 
 #: Not a finite real number, each of them; ±10**400 overflow a float.
@@ -123,42 +118,11 @@ def test_a_real_setting_takes_an_int_or_a_numpy_float_and_stores_a_float(name, b
     assert type(stored) is float and stored == ok
 
 
-def _bad_ranges():
-    yield 5.0
-    yield (5.0,)
-    yield (1.0, 2.0, 3.0)
-    yield (6.0, 5.0)
-    for bad in NOT_REAL:
-        yield (bad, 5.0)
-        yield (5.0, bad)
-
-
-@pytest.mark.parametrize(
-    "name, build, bad",
-    [pytest.param(name, build, bad, id=f"{name}-{bad!r:.30}")
-     for name, _, build in RANGES for bad in _bad_ranges()],
-)
-def test_a_range_rejects_anything_but_a_pair_of_finite_reals_low_to_high(name, build, bad):
-    with pytest.raises(ValueError, match=f"^{name} must"):
-        build(bad)
-
-
-@pytest.mark.parametrize(
-    "name, build", [pytest.param(name, build, id=name) for name, _, build in RANGES]
-)
-def test_a_range_takes_low_equal_to_high_and_a_list_equal_to_its_tuple(name, build):
-    assert getattr(build((3, np.float32(3))), name) == (3.0, 3.0)
-    stored = getattr(build([np.float32(1), 2]), name)
-    assert type(stored) is tuple and list(map(type, stored)) == [float, float]
-    assert build([1, 2]) == build((1.0, 2.0))
-    assert hash(build([1, 2])) == hash(build((1.0, 2.0)))
-
-
 # The rules themselves, called directly: each stays pinned whichever fields
 # use it, now that the numerology and the channel physics are constants.
 
 #: (lo, hi) of every check_int call in the package
-INT_BOUNDS = [(0, None), (1, None), (4, 4), (1, 16), (0, 13), (1, MAX_PATHS)]
+INT_BOUNDS = [(0, None), (1, None), (2, 2), (4, 4), (1, 16), (0, 13), (1, MAX_PATHS)]
 
 
 @pytest.mark.parametrize(
@@ -234,23 +198,6 @@ def test_check_positive_takes_any_value_above_zero_and_returns_a_float(ok):
     assert type(stored) is float and stored == float(ok)
 
 
-@pytest.mark.parametrize("bad", list(_bad_ranges()), ids=lambda v: f"{v!r:.30}")
-def test_check_range_rejects_anything_but_a_pair_of_finite_reals_low_to_high(bad):
-    with pytest.raises(ValueError, match="^span must"):
-        check_range("span", bad)
-
-
-@pytest.mark.parametrize(
-    "ok, stored",
-    [((3, 3), (3.0, 3.0)), ([1, 2], (1.0, 2.0)), (np.array([1.0, 2.0]), (1.0, 2.0)),
-     ((np.float32(1), 2), (1.0, 2.0)), ((-5, -1), (-5.0, -1.0))],
-    ids=["equal", "list", "array", "numpy-float", "negative"],
-)
-def test_check_range_takes_a_pair_low_to_high_and_returns_a_tuple_of_floats(ok, stored):
-    pair = check_range("span", ok)
-    assert type(pair) is tuple and list(map(type, pair)) == [float, float] and pair == stored
-
-
 #: A noise variance or an LLR that is not a real number, each of them: a
 #: bool, a str, bytes or a complex, as a scalar, a 0-d array or a vector.
 NOT_REAL_SCALARS = [True, np.bool_(True), "1", b"1", 1j, np.complex128(1 + 1j),
@@ -303,6 +250,7 @@ REMOVED = [
                                       "guard_right", "pilot_seed")],
     *[(SynthParams, name) for name in ("delay_spread_s", "speed_range_mps", "carrier_hz")],
     *[(NeuralRxConfig, name) for name in ("n_symbols", "n_subcarriers", "bits_per_symbol")],
+    (TrainConfig, "ebn0_range_db"),
 ]
 
 
@@ -316,7 +264,7 @@ def test_a_setting_fixed_as_a_constant_is_no_longer_a_keyword(cls, name):
 
 
 def test_every_config_field_has_a_row_in_a_settings_table():
-    covered = {key for _, key, *_ in SETTINGS + REALS + RANGES}
+    covered = {key for _, key, *_ in SETTINGS + REALS}
     missing = [f"{cls.__name__}.{f.name}" for cls in CONFIGS
                for f in dataclasses.fields(cls) if (cls, f.name) not in covered]
     assert missing == []

@@ -9,7 +9,6 @@ from telempose.grid import (
     PILOT,
     PILOT_SEED,
     FramingError,
-    FramingRecord,
     GridConfig,
     build_mask,
     grid_capacity_bits,
@@ -126,28 +125,27 @@ def test_capacity_arithmetic(cfg_2p, cfg_1p, qpsk):
 
 def test_pack_exactly_one_grid(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=2808)
-    grids, record = pack_bits(bits, cfg_2p, qpsk)
+    grids, payload = pack_bits(bits, cfg_2p, qpsk)
     assert len(grids) == 1
-    assert record.payload_bits == 2808
-    assert record.n_grids == 1
+    assert payload == 2808 and type(payload) is int
     assert grid_capacity_bits(cfg_2p, qpsk) == 2808
 
 
 def test_pack_overflow_spills_to_second_grid(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=2809)
-    grids, record = pack_bits(bits, cfg_2p, qpsk)
+    grids, payload = pack_bits(bits, cfg_2p, qpsk)
     assert len(grids) == 2
-    assert record.payload_bits == 2809
+    assert payload == 2809
     # 2 * 2808 - 2809 = 2807 zero padding bits live in grid 2
     capacity = grid_capacity_bits(cfg_2p, qpsk)
-    assert record.n_grids * capacity - record.payload_bits == 2807
+    assert len(grids) * capacity - payload == 2807
 
 
 def test_pack_empty_stream(cfg_2p, qpsk):
-    grids, record = pack_bits(np.empty(0, dtype=np.uint8), cfg_2p, qpsk)
+    grids, payload = pack_bits(np.empty(0, dtype=np.uint8), cfg_2p, qpsk)
     assert grids.shape == (0, 14, 128) and grids.dtype == complex
-    assert record.n_grids == 0
-    assert unpack_llrs([], record, cfg_2p).size == 0
+    assert payload == 0
+    assert unpack_llrs([], payload, cfg_2p).size == 0
 
 
 def test_grid_contents(cfg_2p, qpsk, rng):
@@ -176,8 +174,8 @@ def _identity_llrs(grids, qpsk):
 def test_pack_unpack_loopback(cfg_2p, qpsk, rng):
     for n in (1, 2807, 2808, 2809, 10_000):
         bits = rng.integers(0, 2, size=n)
-        grids, record = pack_bits(bits, cfg_2p, qpsk)
-        llrs = unpack_llrs(_identity_llrs(grids, qpsk), record, cfg_2p)
+        grids, payload = pack_bits(bits, cfg_2p, qpsk)
+        llrs = unpack_llrs(_identity_llrs(grids, qpsk), payload, cfg_2p)
         assert llrs.shape == (n,)
         assert np.array_equal((llrs < 0).astype(np.uint8), bits)
 
@@ -190,23 +188,22 @@ def test_pack_unpack_loopback_random_lengths(cfg_1p, qpsk, rng):
     )
     for n in lengths:
         bits = rng.integers(0, 2, size=int(n))
-        grids, record = pack_bits(bits, cfg_1p, qpsk)
-        llrs = unpack_llrs(_identity_llrs(grids, qpsk), record, cfg_1p)
+        grids, payload = pack_bits(bits, cfg_1p, qpsk)
+        llrs = unpack_llrs(_identity_llrs(grids, qpsk), payload, cfg_1p)
         assert np.array_equal((llrs < 0).astype(np.uint8), bits)
 
 
 def test_unpack_grid_count_mismatch(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=2808)
-    grids, record = pack_bits(bits, cfg_2p, qpsk)
+    grids, payload = pack_bits(bits, cfg_2p, qpsk)
+    llrs = _identity_llrs(grids, qpsk)
     with pytest.raises(FramingError):
-        unpack_llrs([], record, cfg_2p)
-
-
-def test_unpack_rejects_a_record_whose_payload_exceeds_its_grids(cfg_2p, qpsk):
-    capacity = grid_capacity_bits(cfg_2p, qpsk)
-    record = FramingRecord(payload_bits=capacity + 1, n_grids=1)
-    with pytest.raises(FramingError, match=f"carry {capacity} LLRs"):
-        unpack_llrs([np.zeros((14, 128, 2))], record, cfg_2p)
+        unpack_llrs([], payload, cfg_2p)
+    with pytest.raises(FramingError, match=r"2808 bits takes 1 grid\(s\), got 2"):
+        unpack_llrs(llrs + llrs, payload, cfg_2p)
+    # one bit beyond a grid's capacity needs a second grid
+    with pytest.raises(FramingError, match=r"2809 bits takes 2 grid\(s\), got 1"):
+        unpack_llrs(llrs, payload + 1, cfg_2p)
 
 
 @pytest.mark.parametrize(
@@ -223,20 +220,20 @@ def test_unpack_rejects_a_record_whose_payload_exceeds_its_grids(cfg_2p, qpsk):
          "subcarrier-short", "extra-axis", "four-bits-per-symbol"],
 )
 def test_unpack_rejects_misshaped_llrs(cfg_2p, qpsk, rng, reshape):
-    grids, record = pack_bits(rng.integers(0, 2, size=2809), cfg_2p, qpsk)
+    grids, payload = pack_bits(rng.integers(0, 2, size=2809), cfg_2p, qpsk)
     with pytest.raises(FramingError):
-        unpack_llrs(reshape(_identity_llrs(grids, qpsk)), record, cfg_2p)
+        unpack_llrs(reshape(_identity_llrs(grids, qpsk)), payload, cfg_2p)
 
 
 @pytest.mark.parametrize("pilots", ["1p", "2p"])
 def test_unpack_matches_a_per_grid_mask_gather(cfg_1p, cfg_2p, qpsk, rng, pilots):
     cfg = cfg_1p if pilots == "1p" else cfg_2p
-    grids, record = pack_bits(rng.integers(0, 2, size=9000), cfg, qpsk)
-    assert record.n_grids > 1
+    grids, payload = pack_bits(rng.integers(0, 2, size=9000), cfg, qpsk)
+    assert len(grids) > 1
     llrs = [rng.standard_normal(g.shape + (2,)) for g in grids]
     data_pos = build_mask(cfg) == DATA
-    expected = np.concatenate([l[data_pos].reshape(-1) for l in llrs])[: record.payload_bits]
-    assert np.array_equal(unpack_llrs(llrs, record, cfg), expected)
+    expected = np.concatenate([l[data_pos].reshape(-1) for l in llrs])[:payload]
+    assert np.array_equal(unpack_llrs(llrs, payload, cfg), expected)
 
 
 @pytest.mark.parametrize("pilots", ["1p", "2p"])

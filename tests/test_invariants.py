@@ -84,20 +84,21 @@ def _payload(case, cfg, n_grids=2.5):
 def test_unpack_inverts_pack(case):
     cfg, _ = COMBOS[case]
     _, bits = _payload(case, cfg)
-    symbols, record = pack_bits(bits, cfg, QPSK)
-    assert symbols.shape == (record.n_grids, cfg.n_symbols, cfg.n_subcarriers)
+    symbols, payload = pack_bits(bits, cfg, QPSK)
+    # 2.5 grids of bits fill three grids, the last one padded
+    assert symbols.shape == (3, cfg.n_symbols, cfg.n_subcarriers) and payload == bits.size
     # +-1 LLRs of the nearest point's label at every element; pilot and guard
     # elements decide whatever their value is nearest to, and must be dropped
     nearest = np.abs(symbols[..., None] - QPSK.points).argmin(axis=-1)
     llrs = 1.0 - 2.0 * LABELS[nearest]
-    assert np.array_equal(hard_decide(unpack_llrs(llrs, record, cfg)), bits)
+    assert np.array_equal(hard_decide(unpack_llrs(llrs, payload, cfg)), bits)
 
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
 def test_both_receivers_decode_a_noiseless_flat_channel(case):
     cfg, n_rx = COMBOS[case]
     rng, bits = _payload(case, cfg)
-    symbols, record = pack_bits(bits, cfg, QPSK)
+    symbols, payload = pack_bits(bits, cfg, QPSK)
     ch = flat_unit_channel(n_rx)
     h = freq_response_grid(ch, cfg)
     ys = [apply(ch, s, None, rng) for s in symbols]
@@ -106,7 +107,7 @@ def test_both_receivers_decode_a_noiseless_flat_channel(case):
         lambda y: receive_perfect_csi(y, cfg, 0.0, QPSK, h),
     ):
         llrs = [receive(y) for y in ys]
-        assert np.array_equal(hard_decide(unpack_llrs(llrs, record, cfg)), bits)
+        assert np.array_equal(hard_decide(unpack_llrs(llrs, payload, cfg)), bits)
 
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
@@ -123,7 +124,7 @@ def test_noiseless_apply_is_the_response_times_the_grid(case):
 def test_perfect_csi_at_60_db_decodes_every_bit_the_channel_carries(case):
     cfg, n_rx = COMBOS[case]
     rng, bits = _payload(case, cfg)
-    symbols, record = pack_bits(bits, cfg, QPSK)
+    symbols, payload = pack_bits(bits, cfg, QPSK)
     ch = synth_channel(rng, SynthParams(n_rx=n_rx))
     h = freq_response_grid(ch, cfg)
     spec = NoiseSpec(60.0)
@@ -131,10 +132,10 @@ def test_perfect_csi_at_60_db_decodes_every_bit_the_channel_carries(case):
         receive_perfect_csi(apply(ch, s, spec, rng), cfg, spec.noise_variance, QPSK, h)
         for s in symbols
     ]
-    decided = hard_decide(unpack_llrs(llrs, record, cfg))
+    decided = hard_decide(unpack_llrs(llrs, payload, cfg))
     # |h|^2 summed over the antennas, per payload bit
     gain = np.square(np.abs(h)).sum(axis=0).reshape(-1)[_data_index(cfg)]
-    strong = np.tile(np.repeat(gain, 2), record.n_grids) > 1e-3
+    strong = np.tile(np.repeat(gain, 2), len(symbols)) > 1e-3
     strong = strong[: bits.size]
     assert strong.mean() > 0.5
     assert np.array_equal(decided[strong], bits[strong])

@@ -160,7 +160,7 @@ def test_perfect_csi_ber_on_flat_rayleigh_is_the_mrc_closed_form(qpsk, n_rx):
     for ebn0_db in (0.0, 6.0):
         spec = NoiseSpec(ebn0_db, qpsk.bits_per_symbol)
         bits = rng.integers(0, 2, size=n_grids * n_bits, dtype=np.uint8)
-        symbols, record = pack_bits(bits, cfg, qpsk)
+        symbols, payload = pack_bits(bits, cfg, qpsk)
         llrs = []
         for grid_symbols in symbols:
             gains = rng.standard_normal((1, n_rx)) + 1j * rng.standard_normal((1, n_rx))
@@ -168,7 +168,7 @@ def test_perfect_csi_ber_on_flat_rayleigh_is_the_mrc_closed_form(qpsk, n_rx):
             y = apply(ch, grid_symbols, spec, rng)
             h = freq_response_grid(ch, cfg)
             llrs.append(receive_perfect_csi(y, cfg, spec.noise_variance, qpsk, h))
-        measured = np.mean(hard_decide(unpack_llrs(llrs, record, cfg)) != bits)
+        measured = np.mean(hard_decide(unpack_llrs(llrs, payload, cfg)) != bits)
         g = 10 ** (ebn0_db / 10)
         expected = mrc_ber(g, n_rx)
         p2 = fade_error_moments(g, n_rx)[1]

@@ -228,7 +228,7 @@ def test_equalizer_phase_correctness(rng):
 
 
 def _run_link(bits, cfg, qpsk, ch, ebn0_db, rng, receiver):
-    grids, record = pack_bits(bits, cfg, qpsk)
+    grids, payload = pack_bits(bits, cfg, qpsk)
     spec = NoiseSpec(ebn0_db, qpsk.bits_per_symbol)
     llr_grids = []
     for g in grids:
@@ -239,7 +239,7 @@ def _run_link(bits, cfg, qpsk, ch, ebn0_db, rng, receiver):
         else:
             llr = receive_classic(y, cfg, spec.noise_variance, qpsk)
         llr_grids.append(llr)
-    llrs = unpack_llrs(llr_grids, record, cfg)
+    llrs = unpack_llrs(llr_grids, payload, cfg)
     return hard_decide(llrs)
 
 
@@ -268,11 +268,11 @@ def test_perfect_csi_matches_qpsk_closed_form(cfg_2p, qpsk):
 
 def test_receive_classic_accepts_zero_noise_variance(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=2808)
-    grids, record = pack_bits(bits, cfg_2p, qpsk)
+    grids, payload = pack_bits(bits, cfg_2p, qpsk)
     y = apply(flat_unit_channel(2), grids[0], None, rng)
     llr = receive_classic(y, cfg_2p, 0.0, qpsk)
     assert np.all(np.isfinite(llr))
-    assert np.array_equal(hard_decide(unpack_llrs([llr], record, cfg_2p)), bits)
+    assert np.array_equal(hard_decide(unpack_llrs([llr], payload, cfg_2p)), bits)
 
 
 @pytest.mark.parametrize("noise_var", [np.nan, np.inf, -np.inf, -0.5])
@@ -337,7 +337,7 @@ def test_perfect_csi_not_worse_than_ls_lmmse(cfg_2p, qpsk):
         spec = NoiseSpec(ebn0, 2)
         for _ in range(40):
             bits = rng_bits.integers(0, 2, size=2808)
-            grids, record = pack_bits(bits, cfg_2p, qpsk)
+            grids, payload = pack_bits(bits, cfg_2p, qpsk)
             ch = synth_channel(rng_ch, params)
             y = apply(ch, grids[0], spec, rng_noise)
             h = freq_response_grid(ch, cfg_2p)
@@ -345,7 +345,7 @@ def test_perfect_csi_not_worse_than_ls_lmmse(cfg_2p, qpsk):
                 ("p", receive_perfect_csi(y, cfg_2p, spec.noise_variance, qpsk, h)),
                 ("c", receive_classic(y, cfg_2p, spec.noise_variance, qpsk)),
             ):
-                out = hard_decide(unpack_llrs([llr], record, cfg_2p))
+                out = hard_decide(unpack_llrs([llr], payload, cfg_2p))
                 errs = int(np.count_nonzero(out != bits))
                 if which == "p":
                     err_p += errs
@@ -369,11 +369,11 @@ def test_2p_beats_1p_under_doppler(cfg_2p, cfg_1p, qpsk):
             for _ in range(60):
                 capacity = int(np.count_nonzero(build_mask(cfg) == DATA)) * 2
                 bits = rng_bits.integers(0, 2, size=capacity)
-                grids, record = pack_bits(bits, cfg, qpsk)
+                grids, payload = pack_bits(bits, cfg, qpsk)
                 ch = synth_channel(rng_ch, params)
                 y = apply(ch, grids[0], spec, rng_noise)
                 llr = receive_classic(y, cfg, spec.noise_variance, qpsk)
-                out = hard_decide(unpack_llrs([llr], record, cfg))
+                out = hard_decide(unpack_llrs([llr], payload, cfg))
                 err += int(np.count_nonzero(out != bits))
                 total += bits.size
             errors[len(cfg.pilot_symbol_indices)] = err / total

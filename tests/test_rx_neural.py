@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from telempose import nn
-from telempose.grid import DATA, build_mask, grid_capacity_bits
+from telempose.grid import DATA, build_mask, grid_capacity_bits, pack_bits
 from telempose.modem import FramingError
 from telempose.channel import (
     ChannelRealization,
+    NoiseSpec,
     SynthParams,
+    apply,
     flat_unit_channel,
     synth_channel,
 )
@@ -130,10 +132,7 @@ def test_forward_rejects_a_grid_of_another_shape(shape):
     "bad",
     [
         {"iterations": 0}, {"batch": 0}, {"log_every": 0}, {"lr": 0.0}, {"lr": -1e-3},
-        {"lr": np.nan}, {"lr": np.inf}, {"ebn0_range_db": (5.0, -5.0)},
-        {"ebn0_range_db": (-5.0, np.inf)}, {"ebn0_range_db": (np.nan, 5.0)},
-        {"ebn0_range_db": (1.0, 2.0, 3.0)}, {"ebn0_range_db": (0.0, 4000.0)},
-        {"ebn0_range_db": (-4000.0, 0.0)}, {"checkpoint_every": 0},
+        {"lr": np.nan}, {"lr": np.inf}, {"checkpoint_every": 0},
         {"checkpoint_every": -1}, {"batch": 2.5}, {"iterations": 1.5},
         {"log_every": True}, {"checkpoint_every": 2.5}, {"checkpoint_every": True},
     ],
@@ -146,8 +145,7 @@ def test_invalid_training_settings_change_nothing(tmp_path, cfg_2p, qpsk, bad):
     state = rng.bit_generator.state
     settings = {"iterations": 1, "batch": 1, **bad}
     every = settings.pop("checkpoint_every", 1)
-    # the message names the setting; a range end beyond the noise model is
-    # caught before the first draw, not after Adam steps have run
+    # the message names the setting, and nothing is drawn or stepped first
     with pytest.raises(ValueError, match=f"^{next(iter(bad))}"):
         train(rx, cfg_2p, qpsk, _channels(), TrainConfig(**settings), rng,
               checkpoint_path=tmp_path / "rx.tpwt", checkpoint_every=every)
@@ -181,8 +179,7 @@ def test_five_tiny_training_steps_give_the_pinned_losses(cfg_2p, qpsk):
 
 def test_training_lowers_the_loss_on_a_flat_channel(cfg_2p, qpsk):
     rx = NeuralReceiver(NeuralRxConfig(filters=8, n_blocks=1), np.random.default_rng(2))
-    hyper = TrainConfig(iterations=30, batch=2, lr=1e-2, ebn0_range_db=(10.0, 10.0),
-                        log_every=10)
+    hyper = TrainConfig(iterations=30, batch=2, lr=1e-2, log_every=10)
     log = train(rx, cfg_2p, qpsk, [flat_unit_channel(2)], hyper, np.random.default_rng(3))
     assert [e.iteration for e in log] == [10, 20, 30]
     assert log[-1].loss < 0.2  # ln 2 ~ 0.693 before training
@@ -235,6 +232,15 @@ def test_target_grid_puts_each_data_element_s_bits_on_the_bit_axis(cfg_2p, qpsk,
 def test_target_grid_needs_exactly_one_grid_of_bits(cfg_2p, size):
     with pytest.raises(FramingError, match=f"payload of {size} bits does not fill 1404"):
         bits_to_target_grid(np.zeros(size, np.uint8), cfg_2p, 2)
+
+
+def test_a_symbol_of_other_than_two_bits_is_rejected(cfg_2p):
+    # NoiseSpec(10.0, 4) gave a noise variance of 0.025, 3 dB below 10 dB's 0.05
+    # for the QPSK symbols every grid carries
+    with pytest.raises(ValueError, match="^bits_per_symbol must be in 2..2"):
+        NoiseSpec(10.0, 4)
+    with pytest.raises(ValueError, match="^B must be in 2..2"):
+        bits_to_target_grid(np.zeros(1404 * 4, np.uint8), cfg_2p, 4)
 
 
 @pytest.mark.parametrize(
@@ -382,6 +388,70 @@ def test_receive_equals_the_recorded_forward(rng):
     expected = np.moveaxis(-logits.data[0].astype(float), 0, -1)
     assert np.any(expected != 0.0)
     assert np.array_equal(rx.receive(y, 0.3), expected)
+
+
+def _loss_and_grads(rx, logits, targets):
+    nn.zero_grads(rx.params())
+    loss = nn.bce_with_logits(logits, nn.Tensor(targets))
+    loss.backward()
+    return float(loss.data), [p.grad.copy() for p in rx.params()]
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 2])
+def test_forward_logits_equals_its_layers_composed_with_recording_on(rng, n_blocks):
+    rx = NeuralReceiver(NeuralRxConfig(n_blocks=n_blocks, filters=4), np.random.default_rng(0))
+    rx.out.k.data = nn.kaiming_uniform(rng, rx.out.k.data.shape, 36)
+    y, noise_var = _received(rng, batch=2), np.array([0.3, 1.5])
+    h = rx.stem(nn.Tensor(build_input_planes(y, noise_var)))
+    for block in rx.blocks:
+        t = h
+        for ln, conv in ((block.ln1, block.conv1), (block.ln2, block.conv2)):
+            t = nn.relu(conv(ln(t)))
+        h = nn.add(h, t)
+    composed = rx.out(h)
+    logits = rx.forward_logits(y, noise_var)
+    assert np.any(composed.data != 0.0)
+    assert np.array_equal(logits.data, composed.data)
+    targets = (rng.random(logits.shape) < 0.5).astype(np.float32)
+    loss, grads = _loss_and_grads(rx, logits, targets)
+    expected_loss, expected_grads = _loss_and_grads(rx, composed, targets)
+    assert loss == expected_loss
+    for g, expected in zip(grads, expected_grads):
+        assert np.array_equal(g, expected)
+
+
+@pytest.mark.parametrize("layout", ["cfg_1p", "cfg_2p"])
+def test_one_training_iteration_equals_its_public_calls(qpsk, layout, request):
+    cfg, channels = request.getfixturevalue(layout), _channels()
+    hyper = TrainConfig(iterations=1, batch=3)
+    trained = NeuralReceiver(TINY, np.random.default_rng(2))
+    log = train(trained, cfg, qpsk, channels, hyper, np.random.default_rng(3))
+
+    rx, rng, B = NeuralReceiver(TINY, np.random.default_rng(2)), np.random.default_rng(3), 2
+    data_mask = (build_mask(cfg) == DATA).astype(np.float32)
+    y = np.empty((hyper.batch, TINY.n_rx, 14, 128), complex)
+    targets = np.empty((hyper.batch, B) + data_mask.shape, np.float32)
+    noise_vars = np.empty(hyper.batch)
+    for s in range(hyper.batch):
+        bits = rng.integers(0, 2, size=grid_capacity_bits(cfg, qpsk), dtype=np.uint8)
+        symbols, _ = pack_bits(bits, cfg, qpsk)
+        ch = channels[rng.integers(len(channels))]
+        spec = NoiseSpec(rng.uniform(*hyper.ebn0_range_db), B)
+        y[s] = apply(ch, symbols[0], spec, rng)
+        targets[s] = bits_to_target_grid(bits, cfg, B)
+        noise_vars[s] = spec.noise_variance
+    params = rx.params()
+    before = [p.data.copy() for p in params]
+    mask = np.broadcast_to(data_mask, targets.shape)
+    loss = nn.bce_with_logits(rx.forward_logits(y, noise_vars), nn.Tensor(targets), mask=mask)
+    nn.zero_grads(params)
+    loss.backward()
+    nn.adam_step(params, nn.AdamState(params, lr=hyper.lr))
+
+    assert log[-1].loss == float(loss.data)
+    assert any(np.any(p.data != b) for p, b in zip(params, before))
+    for (name, p), q in zip(trained.named_params().items(), params):
+        assert np.array_equal(p.data, q.data), name
 
 
 def test_training_under_no_grad_raises_instead_of_not_learning(cfg_2p, qpsk):
