@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -191,6 +192,54 @@ def test_pack_unpack_loopback_random_lengths(cfg_1p, qpsk, rng):
         grids, payload = pack_bits(bits, cfg_1p, qpsk)
         llrs = unpack_llrs(_identity_llrs(grids, qpsk), payload, cfg_1p)
         assert np.array_equal((llrs < 0).astype(np.uint8), bits)
+
+
+#: Payload lengths at and beside the grid boundaries, from one grid's capacity.
+BOUNDARY_PAYLOADS = {
+    "empty": lambda cap: 0,
+    "one-bit": lambda cap: 1,
+    "one-short": lambda cap: cap - 1,
+    "one-grid": lambda cap: cap,
+    "one-over": lambda cap: cap + 1,
+    "two-short": lambda cap: 2 * cap - 1,
+    "two-grids": lambda cap: 2 * cap,
+    "two-over": lambda cap: 2 * cap + 1,
+}
+
+
+@pytest.mark.parametrize("payload", list(BOUNDARY_PAYLOADS))
+@pytest.mark.parametrize("pilots", ["1p", "2p"])
+def test_pack_returns_the_bit_count_and_one_grid_per_started_capacity(
+    cfg_1p, cfg_2p, qpsk, rng, pilots, payload
+):
+    cfg = cfg_1p if pilots == "1p" else cfg_2p
+    capacity = grid_capacity_bits(cfg, qpsk)
+    n = BOUNDARY_PAYLOADS[payload](capacity)
+    bits = rng.integers(0, 2, size=n)
+    grids, count = pack_bits(bits, cfg, qpsk)
+    assert type(count) is int and count == n
+    assert len(grids) == math.ceil(n / capacity)
+    llrs = _identity_llrs(grids, qpsk)
+    assert np.array_equal((unpack_llrs(llrs, count, cfg) < 0).astype(np.uint8), bits)
+    # the whole of the last grid, read as payload: the bits, then zero-bit padding
+    padded = unpack_llrs(llrs, len(grids) * capacity, cfg)
+    assert np.array_equal((padded < 0).astype(np.uint8)[:n], bits)
+    assert not np.any(padded[n:] < 0)
+
+
+@pytest.mark.parametrize("payload", list(BOUNDARY_PAYLOADS))
+@pytest.mark.parametrize("pilots", ["1p", "2p"])
+def test_unpack_rejects_one_grid_too_few_or_too_many(cfg_1p, cfg_2p, qpsk, rng, pilots, payload):
+    cfg = cfg_1p if pilots == "1p" else cfg_2p
+    n = BOUNDARY_PAYLOADS[payload](grid_capacity_bits(cfg, qpsk))
+    grids, count = pack_bits(rng.integers(0, 2, size=n), cfg, qpsk)
+    llrs, k = _identity_llrs(grids, qpsk), len(grids)
+    extra = np.zeros((14, 128, 2))
+    with pytest.raises(FramingError, match=rf"^a payload of {n} bits takes {k} grid\(s\), got {k + 1}$"):
+        unpack_llrs(llrs + [extra], count, cfg)
+    if k:
+        with pytest.raises(FramingError, match=rf"takes {k} grid\(s\), got {k - 1}$"):
+            unpack_llrs(llrs[:-1], count, cfg)
 
 
 def test_unpack_grid_count_mismatch(cfg_2p, qpsk, rng):

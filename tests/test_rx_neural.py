@@ -185,6 +185,34 @@ def test_training_lowers_the_loss_on_a_flat_channel(cfg_2p, qpsk):
     assert log[-1].loss < 0.2  # ln 2 ~ 0.693 before training
 
 
+@pytest.mark.parametrize(
+    "ebn0_db, noise_variance", [(-5.0, 1.5811388300841898), (16.0, 0.012559432157547901)],
+    ids=["low-end", "high-end"],
+)
+def test_each_end_of_the_training_range_gives_its_qpsk_noise_variance(ebn0_db, noise_variance):
+    # train draws from the constant and checks neither end before its first draw
+    assert ebn0_db in TrainConfig.ebn0_range_db
+    assert NoiseSpec(ebn0_db).noise_variance == pytest.approx(noise_variance, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_training_draws_each_eb_n0_uniform_over_the_constant_range(cfg_2p, qpsk, seed, monkeypatch):
+    specs = []
+
+    def recording_spec(*args):
+        specs.append(NoiseSpec(*args))
+        return specs[-1]
+
+    monkeypatch.setattr("telempose.rx_neural.NoiseSpec", recording_spec)
+    hyper = TrainConfig(iterations=2, batch=4)
+    assert hyper.ebn0_range_db == TrainConfig.ebn0_range_db == (-5.0, 16.0)
+    rx = NeuralReceiver(TINY, np.random.default_rng(seed))
+    train(rx, cfg_2p, qpsk, _channels(), hyper, np.random.default_rng(seed))
+    assert len(specs) == hyper.iterations * hyper.batch
+    assert all(s.bits_per_symbol == 2 and -5.0 <= s.ebn0_db < 16.0 for s in specs)
+    assert len({s.ebn0_db for s in specs}) == len(specs)
+
+
 def test_training_is_deterministic_under_a_seed(cfg_2p, qpsk):
     log_a, rx_a = _trained_log(cfg_2p, qpsk)
     log_b, rx_b = _trained_log(cfg_2p, qpsk)
