@@ -1,19 +1,20 @@
-"""Multipath MIMO channel synthesis and application.
+"""Multipath single-TX / N_RX-antenna channel synthesis and application.
 
 A channel realization is a channel impulse response held as per-path
-arrays: a complex gain per path and RX antenna, a delay and a Doppler
-shift per path. A transmit grid is a complex array [n_symbols,
-n_subcarriers]; its lattice is its shape at ``grid.SUBCARRIER_SPACING_HZ``.
-The grid-facing operations evaluate the frequency response on it (block
+arrays: a complex gain per path and each of the :data:`N_RX` = 2 RX
+antennas, a delay and a Doppler shift per path. A transmit grid is a
+complex array [grid.N_SYMBOLS, grid.N_SUBCARRIERS] = [14, 128] at
+``grid.SUBCARRIER_SPACING_HZ``, the one lattice every grid shares. The
+grid-facing operations evaluate the frequency response on it (block
 fading within a symbol, Doppler advancing phase between symbols) and add
 circular complex Gaussian noise at a configured Eb/N0.
 
 Carrier-phase terms are folded into the stored gains at synthesis or
 import time, so the per-path gain is the only spatial/attenuation state.
 
-The synthetic scenario is fixed: a :data:`DELAY_SPREAD_S` delay spread
-and a receiver moving at a speed uniform in :data:`SPEED_RANGE_MPS` at a
-:data:`CARRIER_HZ` carrier.
+The synthetic scenario is fixed: up to :data:`L_MAX` paths, a
+:data:`DELAY_SPREAD_S` delay spread and a receiver moving at a speed
+uniform in :data:`SPEED_RANGE_MPS` at a :data:`CARRIER_HZ` carrier.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import check_int, check_real, check_real_array
 from ._reader import Reader, replacing
-from .grid import SUBCARRIER_SPACING_HZ, GridConfig
+from .grid import N_SUBCARRIERS, N_SYMBOLS, SUBCARRIER_SPACING_HZ, GridConfig
 
 SPEED_OF_LIGHT = 299_792_458.0
+N_RX = 2
+#: Most paths a synthetic draw has; :data:`MAX_PATHS` bounds imported files.
+L_MAX = 8
 MAX_PATHS = 75
 DELAY_SPREAD_S = 1e-6
 SPEED_RANGE_MPS = (13.6, 18.8)
@@ -47,8 +51,8 @@ class ChannelFileError(ValueError):
 class ChannelRealization:
     """One multipath realization.
 
-    ``gains`` is [L, n_rx] complex, ``delays`` (seconds) and ``dopplers``
-    (Hz) are [L]. The constructor stores its own contiguous, read-only
+    ``gains`` is [L, N_RX] complex, ``delays`` (seconds) and ``dopplers``
+    (Hz) are [L] real. The constructor stores its own contiguous, read-only
     copies. Equality and hashing are by identity.
     """
 
@@ -57,16 +61,17 @@ class ChannelRealization:
     dopplers: np.ndarray
 
     def __post_init__(self):
-        gains = np.array(self.gains, dtype=complex, order="C")
-        delays = np.array(self.delays, dtype=float, order="C")
-        dopplers = np.array(self.dopplers, dtype=float, order="C")
-        if gains.ndim != 2:
-            raise ValueError(f"gains must be [paths, n_rx], got shape {gains.shape}")
-        L, n_rx = gains.shape
+        gains = np.asarray(self.gains)
+        if gains.dtype.kind not in "iufc":
+            raise ValueError(f"gains must be numbers, got {gains.dtype} {self.gains!r:.40}")
+        gains = np.array(gains, dtype=complex, order="C")
+        delays = np.array(check_real_array("delays", self.delays), order="C")
+        dopplers = np.array(check_real_array("dopplers", self.dopplers), order="C")
+        if gains.ndim != 2 or gains.shape[1] != N_RX:
+            raise ValueError(f"gains must be [paths, {N_RX}], got shape {gains.shape}")
+        L = len(gains)
         if not 1 <= L <= MAX_PATHS:
             raise ValueError(f"path count {L} outside 1..{MAX_PATHS}")
-        if n_rx < 1:
-            raise ValueError("need at least one RX antenna")
         if delays.shape != (L,) or dopplers.shape != (L,):
             raise ValueError(
                 f"{L} path gains but delays {delays.shape} and dopplers {dopplers.shape}"
@@ -85,10 +90,6 @@ class ChannelRealization:
         # pickle and deepcopy rebuild through the validating constructor, which
         # stores read-only copies; the response memo relies on that immutability
         return type(self), (self.gains, self.delays, self.dopplers)
-
-    @property
-    def n_rx(self) -> int:
-        return self.gains.shape[1]
 
 
 @dataclass(frozen=True)
@@ -118,32 +119,32 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SynthParams:
-    """The most paths and the antenna count of a synthetic tapped-delay-line draw."""
+    """A tapped-delay-line draw's path budget and antenna count; each accepts only its constant."""
 
-    l_max: int = 8
-    n_rx: int = 2
+    l_max: int = L_MAX
+    n_rx: int = N_RX
 
     def __post_init__(self):
-        check_int("l_max", self.l_max, 1, MAX_PATHS)
-        check_int("n_rx", self.n_rx, 1)
+        check_int("l_max", self.l_max, L_MAX, L_MAX)
+        check_int("n_rx", self.n_rx, N_RX, N_RX)
 
 
-def flat_unit_channel(n_rx: int = 1) -> ChannelRealization:
-    """Single path, zero delay, zero Doppler, unit gain on every antenna."""
-    check_int("n_rx", n_rx, 1)
-    return ChannelRealization(np.ones((1, n_rx), complex), np.zeros(1), np.zeros(1))
+def flat_unit_channel(n_rx: int = N_RX) -> ChannelRealization:
+    """Single path, zero delay, zero Doppler, unit gain; ``n_rx`` must be :data:`N_RX`."""
+    check_int("n_rx", n_rx, N_RX, N_RX)
+    return ChannelRealization(np.ones((1, N_RX), complex), np.zeros(1), np.zeros(1))
 
 
 def synth_channel(rng: np.random.Generator, params: SynthParams) -> ChannelRealization:
     """Draw one random multipath realization.
 
-    Path count is uniform on 1..l_max; delays follow an exponential
+    Path count is uniform on 1..L_MAX; delays follow an exponential
     profile truncated to :data:`DELAY_SPREAD_S`; per-path Rayleigh gains decay
     exponentially in delay and are normalized so the expected total power
     per antenna is one. Antenna phases come from a half-wavelength
     uniform-linear-array response at a random angle of arrival.
     """
-    L = int(rng.integers(1, params.l_max + 1))
+    L = int(rng.integers(1, L_MAX + 1))
     scale = DELAY_SPREAD_S / 3.0
     delays = np.minimum(rng.exponential(scale=scale, size=L), DELAY_SPREAD_S)
     delays.sort()
@@ -151,9 +152,7 @@ def synth_channel(rng: np.random.Generator, params: SynthParams) -> ChannelReali
     power = weights / weights.sum()
     fading = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2)
     aoa = rng.uniform(0, 2 * np.pi, size=L)
-    steering = np.exp(
-        1j * np.pi * np.outer(np.sin(aoa), np.arange(params.n_rx))
-    )  # [L, n_rx]
+    steering = np.exp(1j * np.pi * np.outer(np.sin(aoa), np.arange(N_RX)))  # [L, N_RX]
     gains = np.sqrt(power)[:, None] * fading[:, None] * steering
     speed = rng.uniform(*SPEED_RANGE_MPS)
     wavelength = SPEED_OF_LIGHT / CARRIER_HZ
@@ -162,31 +161,31 @@ def synth_channel(rng: np.random.Generator, params: SynthParams) -> ChannelReali
 
 
 def freq_response_grid(ch: ChannelRealization, cfg: GridConfig) -> np.ndarray:
-    """Frequency response at every OFDM symbol, shape [n_rx, n_symbols, n_sc].
+    """Frequency response at every OFDM symbol, shape [N_RX, N_SYMBOLS, N_SUBCARRIERS].
 
     Subcarrier n runs over centered indices -N/2 .. N/2-1; symbol i sits at
     time i / SUBCARRIER_SPACING_HZ (no cyclic prefix is modelled). The sum
-    over paths is one [n_rx * n_symbols, L] @ [L, n_sc] product.
+    over paths is one [N_RX * N_SYMBOLS, L] @ [L, N_SUBCARRIERS] product.
 
-    The response depends on ``cfg`` only through the grid shape, so the
-    last one computed is memoized by realization identity and shape: every
-    grid of a link, and a perfect-CSI receiver on the same channel, share
-    one evaluation. The returned array is read-only.
+    Every grid shares one lattice, so ``cfg`` is unused and the last
+    response computed is memoized by realization identity alone: every grid
+    of a link, and a perfect-CSI receiver on the same channel, share one
+    evaluation. The returned array is read-only.
     """
-    return _memo_response(ch, cfg.n_symbols, cfg.n_subcarriers)
+    return _memo_response(ch)
 
 
 # One entry: a link walks one channel at a time, and a larger memo would keep
 # a 56 KiB response alive for every realization of a training set.
 @lru_cache(maxsize=1)
-def _memo_response(ch, n_symbols, n_subcarriers) -> np.ndarray:
-    t = np.arange(n_symbols) * (1.0 / SUBCARRIER_SPACING_HZ)
-    offsets = (np.arange(n_subcarriers) - n_subcarriers // 2) * SUBCARRIER_SPACING_HZ
+def _memo_response(ch) -> np.ndarray:
+    t = np.arange(N_SYMBOLS) * (1.0 / SUBCARRIER_SPACING_HZ)
+    offsets = (np.arange(N_SUBCARRIERS) - N_SUBCARRIERS // 2) * SUBCARRIER_SPACING_HZ
     rotation = np.exp(2j * np.pi * np.outer(t, ch.dopplers))  # [n_sym, L]
     delay_ramp = np.exp(-2j * np.pi * np.outer(ch.delays, offsets))  # [L, n_sc]
-    weights = ch.gains.T[:, None, :] * rotation  # [n_rx, n_sym, L]
+    weights = ch.gains.T[:, None, :] * rotation  # [N_RX, n_sym, L]
     h = weights.reshape(-1, len(ch.delays)) @ delay_ramp
-    h = h.reshape(ch.n_rx, n_symbols, n_subcarriers)
+    h = h.reshape(N_RX, N_SYMBOLS, N_SUBCARRIERS)
     h.flags.writeable = False
     return h
 
@@ -199,18 +198,18 @@ def apply(
 ) -> np.ndarray:
     """Pass one transmit grid through the channel, adding complex AWGN.
 
-    ``symbols`` is one grid [n_symbols, n_subcarriers]: a stack of grids
-    would broadcast against the antenna axis. Returns a fresh, writeable
-    received array [n_rx, n_symbols, n_subcarriers]; the channel response
+    ``symbols`` is one grid [N_SYMBOLS, N_SUBCARRIERS]; any other shape
+    raises ``ValueError``. Returns a fresh, writeable received array
+    [N_RX, N_SYMBOLS, N_SUBCARRIERS]; the channel response
     comes from the memo of :func:`freq_response_grid` and is not modified.
     The total complex noise variance per element is
     ``noise.noise_variance``; guard elements come out as noise only.
     ``noise=None`` means noiseless. The generator draws every real part of
     the noise, then every imaginary part.
     """
-    if symbols.ndim != 2:
-        raise ValueError(f"need one grid [n_symbols, n_subcarriers], got {symbols.shape}")
-    y = _memo_response(ch, *symbols.shape) * symbols
+    if symbols.shape != (N_SYMBOLS, N_SUBCARRIERS):
+        raise ValueError(f"need one grid [{N_SYMBOLS}, {N_SUBCARRIERS}], got {symbols.shape}")
+    y = _memo_response(ch) * symbols
     if noise is not None:
         n = rng.standard_normal((2,) + y.shape)
         n *= math.sqrt(noise.noise_variance / 2.0)
@@ -223,24 +222,20 @@ def apply(
 # channel-realization files
 #
 # Little-endian layout: magic "TPCR", u32 version, u32 realization count,
-# u32 n_rx; then per realization a u32 path count L followed by an [L,
-# 2 + 2 n_rx] f64 record block whose rows are delay, doppler and n_rx
-# (re, im) gain pairs.
+# u32 antenna count (always N_RX); then per realization a u32 path count L
+# followed by an [L, 2 + 2 N_RX] f64 record block whose rows are delay,
+# doppler and N_RX (re, im) gain pairs.
 # ---------------------------------------------------------------------------
 
 
 def export_cirs(realizations, path):
-    """Write realizations of one antenna count; a failed write keeps the old file."""
+    """Write realizations; a failed write keeps the old file."""
     realizations = list(realizations)
-    n_rx = realizations[0].n_rx if realizations else 0
-    for r, ch in enumerate(realizations):
-        if ch.n_rx != n_rx:
-            raise ChannelFileError(f"realization {r} has n_rx={ch.n_rx}, file uses {n_rx}")
     with replacing(path) as f:
         f.write(_CIR_MAGIC)
-        f.write(struct.pack("<III", _CIR_VERSION, len(realizations), n_rx))
+        f.write(struct.pack("<III", _CIR_VERSION, len(realizations), N_RX))
         for ch in realizations:
-            records = np.empty((len(ch.delays), 2 + 2 * n_rx), dtype="<f8")
+            records = np.empty((len(ch.delays), 2 + 2 * N_RX), dtype="<f8")
             records[:, 0] = ch.delays
             records[:, 1] = ch.dopplers
             records[:, 2::2] = ch.gains.real
@@ -259,7 +254,9 @@ def import_cirs(path):
     version, count, n_rx = struct.unpack("<III", rd.take(12, "header"))
     if version != _CIR_VERSION:
         raise ChannelFileError(f"unsupported channel file version {version}")
-    width = 2 + 2 * n_rx
+    if n_rx != N_RX:
+        raise ChannelFileError(f"channel file has {n_rx} RX antennas, need {N_RX}")
+    width = 2 + 2 * N_RX
     out = []
     for r in range(count):
         (n_paths,) = struct.unpack("<I", rd.take(4, f"path count of realization {r}"))

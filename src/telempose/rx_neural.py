@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from ._checks import check_int, check_positive, check_real_array
-from .channel import NoiseSpec, apply
+from .channel import N_RX, NoiseSpec, apply
 from .grid import (
     DATA, N_SUBCARRIERS, N_SYMBOLS, GridConfig, build_mask, grid_capacity_bits, pack_bits,
 )
@@ -30,26 +30,22 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class NeuralRxConfig:
-    """The network's size; it reads grids of the fixed ``grid`` numerology."""
+    """The network's size; it reads N_RX = 2 antenna grids of the fixed ``grid`` numerology."""
 
-    n_rx: int = 2
     n_blocks: int = 4
     filters: int = 128
 
-    # class attributes, not fields: every grid has this shape, every symbol is Gray QPSK
+    # class attributes, not fields: every link has N_RX antennas, every grid
+    # this shape, every symbol is Gray QPSK
+    n_rx = N_RX
+    input_channels = 2 * N_RX + 1  # re/im per antenna plus the noise plane
     n_symbols = N_SYMBOLS
     n_subcarriers = N_SUBCARRIERS
     bits_per_symbol = Constellation.bits_per_symbol
 
     def __post_init__(self):
         check_int("n_blocks", self.n_blocks, 0)
-        for name in ("n_rx", "filters"):
-            check_int(name, getattr(self, name), 1)
-
-    @property
-    def input_channels(self) -> int:
-        # re/im per antenna plus the noise plane
-        return 2 * self.n_rx + 1
+        check_int("filters", self.filters, 1)
 
     def describe(self) -> str:
         # every conv is 3x3; "kernel=3" stays so existing checkpoints still match
@@ -87,11 +83,18 @@ def build_input_planes(y: np.ndarray, noise_var) -> np.ndarray:
     """Stack [re..., im..., log noise] planes for a batch of received grids.
 
     ``y`` is [batch, n_rx, n_symbols, n_subcarriers] complex and must be
-    finite in float32; ``noise_var`` is a real scalar or per-sample vector,
-    positive and finite in float32 so that its log plane is finite.
+    finite in float32; ``noise_var`` is a real scalar or a vector of one
+    value per grid, positive and finite in float32 so that its log plane is
+    finite.
     """
     batch, n_rx, n_sym, n_sc = y.shape
-    nv = np.broadcast_to(check_real_array("noise_var", noise_var).astype(np.float32), (batch,))
+    nv = check_real_array("noise_var", noise_var).astype(np.float32)
+    if nv.shape not in ((), (1,), (batch,)):
+        raise ValueError(
+            f"noise_var must be a scalar or one value per grid, got shape {nv.shape} "
+            f"for {batch} grid(s)"
+        )
+    nv = np.broadcast_to(nv, (batch,))
     if not np.all(np.isfinite(nv) & (nv > 0)):
         raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
     planes = np.empty((batch, 2 * n_rx + 1, n_sym, n_sc), dtype=np.float32)
@@ -211,24 +214,21 @@ def train(
     hyper: TrainConfig,
     rng: np.random.Generator,
     checkpoint_path=None,
-    checkpoint_every: int = 5000,
 ):
     """Joint detection training loop.
 
     Every iteration draws fresh payload bits, a channel realization from
     the training set, and an Eb/N0 uniform in dB across
     ``TrainConfig.ebn0_range_db``; the masked binary cross entropy over
-    data elements is followed by one Adam step. Returns the training log.
+    data elements is followed by one Adam step. A log record is written
+    every ``hyper.log_every`` iterations and at the last one; with a
+    ``checkpoint_path``, the weights are saved alongside each record, so
+    the file and the last record describe the same step. Returns the
+    training log.
     """
-    check_int("checkpoint_every", checkpoint_every, 1)
     channels = list(channels)
     if not channels:
         raise ValueError("empty channel training set")
-    for ch in channels:
-        if ch.n_rx != receiver.cfg.n_rx:
-            raise ValueError(
-                f"channel has {ch.n_rx} antennas, receiver expects {receiver.cfg.n_rx}"
-            )
     B = constellation.bits_per_symbol
     capacity = grid_capacity_bits(grid_cfg, constellation)
     data_mask = (build_mask(grid_cfg) == DATA).astype(np.float32)
@@ -275,8 +275,6 @@ def train(
             log.append(LogEntry(it, loss_acc / acc_n, ber_acc / acc_n))
             loss_acc = ber_acc = 0.0
             acc_n = 0
-        if checkpoint_path is not None and (
-            it % checkpoint_every == 0 or it == hyper.iterations
-        ):
-            receiver.save(checkpoint_path)
+            if checkpoint_path is not None:
+                receiver.save(checkpoint_path)
     return log

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 
 from telempose import channel
 from telempose.channel import (
+    L_MAX,
     MAX_PATHS,
+    N_RX,
     ChannelFileError,
     ChannelRealization,
     NoiseSpec,
@@ -33,10 +36,10 @@ from telempose.rx_classic import receive_perfect_csi
 
 
 def test_flat_unit_channel_response(cfg_2p):
-    h_all = freq_response_grid(flat_unit_channel(n_rx=1), cfg_2p)
+    h_all = freq_response_grid(flat_unit_channel(), cfg_2p)
     for i in (0, 7, 13):
         h = h_all[:, i, :]
-        assert h.shape == (1, 128)
+        assert h.shape == (2, 128)
         assert np.allclose(h, 1.0)
 
 
@@ -44,7 +47,7 @@ def test_single_path_delay_phase_ramp(cfg_2p):
     # delay of one sample period gives exp(-2j pi n / N) across subcarriers
     N = cfg_2p.n_subcarriers
     tau = 1.0 / (N * SUBCARRIER_SPACING_HZ)
-    ch = ChannelRealization(gains=[[1.0 + 0j]], delays=[tau], dopplers=[0.0])
+    ch = ChannelRealization(gains=[[1.0 + 0j, 1.0 + 0j]], delays=[tau], dopplers=[0.0])
     h = freq_response_grid(ch, cfg_2p)[0, 0, :]
     assert np.allclose(np.abs(h), 1.0)
     centered = np.arange(N) - N // 2
@@ -58,7 +61,7 @@ def test_two_path_comb_nulls(cfg_2p):
     # equal paths spaced 1/(4 df) apart null every fourth subcarrier
     df = SUBCARRIER_SPACING_HZ
     ch = ChannelRealization(
-        gains=[[1.0 + 0j], [1.0 + 0j]], delays=[0.0, 1.0 / (4 * df)], dopplers=[0.0, 0.0]
+        gains=np.ones((2, 2), complex), delays=[0.0, 1.0 / (4 * df)], dopplers=[0.0, 0.0]
     )
     h = freq_response_grid(ch, cfg_2p)[0, 0, :]
     centered = np.arange(128) - 64
@@ -68,32 +71,37 @@ def test_two_path_comb_nulls(cfg_2p):
 
 
 def test_freq_response_matches_dft_oracle():
-    # taps on the sample grid of an 8-subcarrier system vs. a direct DFT;
-    # apply evaluates the response at the shape of the grid it is given
-    N, df = 8, SUBCARRIER_SPACING_HZ
+    # taps on the sample grid of the 128-subcarrier lattice vs. a direct DFT,
+    # read through apply on an all-ones grid, on each antenna
+    N, df = 128, SUBCARRIER_SPACING_HZ
     rng = np.random.default_rng(5)
-    tap_positions = [0, 2, 5]
-    tap_gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    tap_positions = [0, 2, 5, 37]
+    tap_gains = rng.standard_normal((4, N_RX)) + 1j * rng.standard_normal((4, N_RX))
     ch = ChannelRealization(
-        gains=tap_gains[:, None],
+        gains=tap_gains,
         delays=np.array(tap_positions) / (N * df),
-        dopplers=np.zeros(3),
+        dopplers=np.zeros(4),
     )
-    h = apply(ch, np.ones((2, N), complex), None, rng)[0, 0, :]
+    h = apply(ch, np.ones((14, N), complex), None, rng)[:, 0, :]
     centered = np.arange(N) - N // 2
-    dft = np.zeros(N, complex)
+    dft = np.zeros((N_RX, N), complex)
     for g, m in zip(tap_gains, tap_positions):
-        dft += g * np.exp(-2j * np.pi * centered * m / N)
+        dft += g[:, None] * np.exp(-2j * np.pi * centered * m / N)
     assert np.max(np.abs(h - dft)) < 1e-10
 
 
 def test_freq_response_matches_per_path_loop(cfg_2p):
     rng = np.random.default_rng(11)
-    for n_rx, l_max in ((1, 1), (2, 8), (3, 75)):
-        ch = synth_channel(rng, SynthParams(n_rx=n_rx, l_max=l_max))
+    # two synthetic draws and a realization at the imported-file path limit
+    L = MAX_PATHS
+    most = ChannelRealization(
+        rng.standard_normal((L, N_RX)) + 1j * rng.standard_normal((L, N_RX)),
+        rng.uniform(0, 1e-6, L), rng.uniform(-200, 200, L),
+    )
+    for ch in (synth_channel(rng, SynthParams()), synth_channel(rng, SynthParams()), most):
         t = np.arange(cfg_2p.n_symbols) / SUBCARRIER_SPACING_HZ
         f = (np.arange(cfg_2p.n_subcarriers) - 64) * SUBCARRIER_SPACING_HZ
-        ref = np.zeros((n_rx, cfg_2p.n_symbols, cfg_2p.n_subcarriers), complex)
+        ref = np.zeros((N_RX, cfg_2p.n_symbols, cfg_2p.n_subcarriers), complex)
         for g, tau, nu in zip(ch.gains, ch.delays, ch.dopplers):
             ref += (
                 g[:, None, None]
@@ -138,13 +146,16 @@ def test_the_scenario_constants_give_the_pinned_draws_and_pilots():
 
 
 def test_synth_shapes_and_limits(rng):
-    params = SynthParams(l_max=8, n_rx=4)
-    for _ in range(50):
+    params = SynthParams()
+    path_counts = set()
+    for _ in range(200):
         ch = synth_channel(rng, params)
-        assert 1 <= len(ch.delays) <= 8
-        assert ch.gains.shape == (len(ch.delays), 4)
+        path_counts.add(len(ch.delays))
+        assert ch.gains.shape == (len(ch.delays), N_RX)
         assert ch.dopplers.shape == ch.delays.shape
         assert np.all(ch.delays >= 0) and np.all(ch.delays <= channel.DELAY_SPREAD_S)
+    # every path count of the budget, and no other
+    assert path_counts == set(range(1, L_MAX + 1))
 
 
 def test_synth_power_normalization(rng):
@@ -163,12 +174,27 @@ def test_synth_power_normalization(rng):
         {"n_rx": 1.5},
         {"n_rx": True},
         {"l_max": 2.5},
+        # each accepts only its constant: 2 antennas, up to 8 paths
+        {"n_rx": 1},
+        {"n_rx": 3},
+        {"l_max": 3},
+        {"l_max": MAX_PATHS},
     ],
-    ids=["float-antennas", "bool-antennas", "float-path-count"],
+    ids=["float-antennas", "bool-antennas", "float-path-count", "1-antenna", "3-antennas",
+         "3-paths", "75-paths"],
 )
 def test_synth_params_reject_each_invalid_field(field):
-    with pytest.raises(ValueError):
+    assert (SynthParams().n_rx, SynthParams().l_max) == (N_RX, L_MAX) == (2, 8)
+    [name] = field
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         SynthParams(**field)
+
+
+@pytest.mark.parametrize("n_rx", [1, 3])
+def test_flat_unit_channel_takes_only_the_constant_antenna_count(n_rx):
+    assert flat_unit_channel(2).gains.shape == flat_unit_channel().gains.shape == (1, 2)
+    with pytest.raises(ValueError, match=f"n_rx must be in 2..2, got {n_rx}"):
+        flat_unit_channel(n_rx)
 
 
 def test_noise_spec_variance():
@@ -206,8 +232,8 @@ def test_noise_spec_rejects_a_non_integer_bits_per_symbol(bits_per_symbol):
 def test_apply_noiseless_flat_is_identity(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=2808)
     grids, _ = pack_bits(bits, cfg_2p, qpsk)
-    y = apply(flat_unit_channel(1), grids[0], noise=None, rng=rng)
-    assert np.array_equal(y[0], grids[0])
+    y = apply(flat_unit_channel(), grids[0], noise=None, rng=rng)
+    assert np.array_equal(y, np.stack([grids[0]] * N_RX))
 
 
 def test_apply_adds_noise_from_the_generator_in_order(cfg_2p, qpsk, rng):
@@ -247,12 +273,14 @@ def test_apply_linearity(cfg_2p, qpsk, rng):
 
 
 @pytest.mark.parametrize(
-    "shape", [(2, 14, 128), (1, 14, 128), (14 * 128,), (1, 1, 14, 128)],
-    ids=["stack-of-n_rx-grids", "stack-of-one", "flat", "4-d"],
+    "shape",
+    [(2, 14, 128), (1, 14, 128), (14 * 128,), (1, 1, 14, 128), (7, 128), (14, 64), (128, 14)],
+    ids=["stack-of-n_rx-grids", "stack-of-one", "flat", "4-d", "7x128", "14x64", "transposed"],
 )
-def test_apply_rejects_anything_but_one_grid(rng, shape):
-    # a [G, S, N] stack with G == n_rx would otherwise broadcast silently
-    with pytest.raises(ValueError, match="one grid"):
+def test_apply_rejects_anything_but_one_14_by_128_grid(rng, shape):
+    # a [G, S, N] stack with G == N_RX would otherwise broadcast silently,
+    # and every grid shares the one 14 x 128 lattice
+    with pytest.raises(ValueError, match=re.escape(f"one grid [14, 128], got {shape}")):
         apply(flat_unit_channel(2), np.ones(shape, complex), None, rng)
 
 
@@ -293,7 +321,7 @@ def test_doppler_free_pilot_columns_match_data_columns(cfg_2p, rng):
 
 
 def test_cir_round_trip(tmp_path, rng):
-    params = SynthParams(n_rx=3)
+    params = SynthParams()
     chans = [synth_channel(rng, params) for _ in range(7)]
     path = tmp_path / "set.cir"
     export_cirs(chans, path)
@@ -308,6 +336,8 @@ def test_cir_round_trip(tmp_path, rng):
 def test_cir_empty_file(tmp_path):
     path = tmp_path / "empty.cir"
     export_cirs([], path)
+    # version 1, no realizations, and still the antenna count
+    assert path.read_bytes() == b"TPCR" + struct.pack("<III", 1, 0, N_RX)
     assert import_cirs(path) == []
 
 
@@ -330,34 +360,55 @@ def test_cir_bad_magic(tmp_path):
 
 def test_realization_validation():
     with pytest.raises(ValueError):
-        ChannelRealization(gains=np.empty((0, 1)), delays=[], dopplers=[])
+        ChannelRealization(gains=np.empty((0, 2)), delays=[], dopplers=[])
     with pytest.raises(ValueError):
-        ChannelRealization(gains=[[np.inf]], delays=[0.0], dopplers=[0.0])
+        ChannelRealization(gains=[[np.inf, 1.0]], delays=[0.0], dopplers=[0.0])
     with pytest.raises(ValueError):
-        ChannelRealization(gains=[[1.0]], delays=[-1e-9], dopplers=[0.0])
+        ChannelRealization(gains=[[1.0, 1.0]], delays=[-1e-9], dopplers=[0.0])
 
 
 @pytest.mark.parametrize(
     "gains, delays, dopplers, match",
     [
-        ([1.0], [0.0], [0.0], "paths, n_rx"),
+        ([1.0, 1.0], [0.0], [0.0], r"paths, 2\], got shape \(2,\)"),
         (np.empty((0, 2)), [], [], "path count 0"),
-        (np.ones((MAX_PATHS + 1, 1)), np.zeros(MAX_PATHS + 1), np.zeros(MAX_PATHS + 1),
+        (np.ones((MAX_PATHS + 1, 2)), np.zeros(MAX_PATHS + 1), np.zeros(MAX_PATHS + 1),
          f"path count {MAX_PATHS + 1}"),
-        (np.empty((1, 0)), [0.0], [0.0], "RX antenna"),
-        ([[1.0], [1.0]], [0.0], [0.0, 0.0], "delays"),
-        ([[1.0], [1.0]], [0.0, 0.0], [0.0], "dopplers"),
+        (np.empty((1, 0)), [0.0], [0.0], r"paths, 2\], got shape \(1, 0\)"),
+        (np.ones((1, 1)), [0.0], [0.0], r"paths, 2\], got shape \(1, 1\)"),
+        (np.ones((1, 3)), [0.0], [0.0], r"paths, 2\], got shape \(1, 3\)"),
+        ([[1.0, 1.0], [1.0, 1.0]], [0.0], [0.0, 0.0], "delays"),
+        ([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], [0.0], "dopplers"),
         ([[1.0, np.nan]], [0.0], [0.0], "gains must be finite"),
-        ([[1.0]], [-1e-9], [0.0], "non-negative"),
-        ([[1.0]], [np.nan], [0.0], "non-negative"),
-        ([[1.0]], [0.0], [np.inf], "Doppler"),
+        ([[1.0, 1.0]], [-1e-9], [0.0], "non-negative"),
+        ([[1.0, 1.0]], [np.nan], [0.0], "non-negative"),
+        ([[1.0, 1.0]], [0.0], [np.inf], "Doppler"),
     ],
-    ids=["not-2d", "no-paths", "too-many-paths", "no-antennas", "delay-count",
-         "doppler-count", "nan-gain", "negative-delay", "nan-delay", "inf-doppler"],
+    ids=["not-2d", "no-paths", "too-many-paths", "no-antennas", "one-antenna",
+         "three-antennas", "delay-count", "doppler-count", "nan-gain", "negative-delay",
+         "nan-delay", "inf-doppler"],
 )
 def test_realization_rejects_each_invalid_field(gains, delays, dopplers, match):
     with pytest.raises(ValueError, match=match):
         ChannelRealization(gains=gains, delays=delays, dopplers=dopplers)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("delays", [1e-7 + 1e-9j]), ("dopplers", np.array([5.0 + 0j])),
+     ("delays", np.array(["0"])), ("delays", [True]), ("dopplers", [b"0"]),
+     ("dopplers", np.array([0.0], dtype=object)),
+     ("gains", [[True, False]]), ("gains", [["1", "1"]]), ("gains", [[b"1", b"1"]]),
+     ("gains", np.array([[1.0, 1.0]], dtype=object))],
+    ids=["complex-delay", "complex-doppler", "str-delay", "bool-delay", "bytes-doppler",
+         "object-doppler", "bool-gains", "str-gains", "bytes-gains", "object-gains"],
+)
+def test_realization_rejects_a_field_of_the_wrong_number_type(field, value):
+    # a complex delay or Doppler used to lose its imaginary part with only a
+    # ComplexWarning; a str, bool or object field used to be cast silently
+    fields = {"gains": [[1.0, 1.0]], "delays": [0.0], "dopplers": [0.0], field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ChannelRealization(**fields)
 
 
 def test_realization_equality_is_identity():
@@ -367,13 +418,12 @@ def test_realization_equality_is_identity():
 
 
 def test_realization_owns_read_only_arrays():
-    gains = np.ones((2, 3), complex)
+    gains = np.ones((2, 2), complex)
     delays = np.array([0.0, 1e-7])
     ch = ChannelRealization(gains=gains, delays=delays, dopplers=[5.0, -5.0])
     gains[0, 0] = 7.0
     delays[1] = 9.0
     assert ch.gains[0, 0] == 1.0 and ch.delays[1] == 1e-7
-    assert ch.n_rx == 3
     for a in (ch.gains, ch.delays, ch.dopplers):
         assert a.flags.c_contiguous and not a.flags.writeable
         with pytest.raises(ValueError):
@@ -396,15 +446,19 @@ def _tpcr(n_rx, path_counts):
     return out
 
 
-@pytest.mark.parametrize(
-    "n_rx, path_counts, match",
-    [(1, [1, 0], "realization 1: path count 0"), (0, [1], "realization 0: .*RX antenna")],
-    ids=["zero-paths", "zero-antennas"],
-)
-def test_cir_invalid_realization_is_a_file_error(tmp_path, n_rx, path_counts, match):
+def test_cir_invalid_realization_is_a_file_error(tmp_path):
     path = tmp_path / "bad.cir"
+    path.write_bytes(_tpcr(2, [1, 0]))
+    with pytest.raises(ChannelFileError, match="realization 1: path count 0"):
+        import_cirs(path)
+
+
+@pytest.mark.parametrize("n_rx", [0, 1, 3])
+@pytest.mark.parametrize("path_counts", [[], [1]], ids=["empty", "one-realization"])
+def test_cir_header_of_another_antenna_count_is_a_file_error(tmp_path, n_rx, path_counts):
+    path = tmp_path / "other.cir"
     path.write_bytes(_tpcr(n_rx, path_counts))
-    with pytest.raises(ChannelFileError, match=match):
+    with pytest.raises(ChannelFileError, match=f"channel file has {n_rx} RX antennas, need 2"):
         import_cirs(path)
 
 
@@ -452,16 +506,17 @@ def test_response_memo_is_shared_by_configs_on_one_lattice(
     assert evaluations() == 1
 
 
-def test_response_memo_misses_on_another_realization_or_lattice(cfg_2p, rng, evaluations):
+def test_response_memo_misses_on_another_realization_only(cfg_2p, rng, evaluations):
     ch = synth_channel(rng, SynthParams())
     h = freq_response_grid(ch, cfg_2p)
     twin = ChannelRealization(ch.gains, ch.delays, ch.dopplers)
-    assert np.array_equal(freq_response_grid(twin, cfg_2p), h)
-    for lattice in ((7, 128), (14, 64)):
-        other = apply(twin, np.ones(lattice, complex), None, rng)
-        assert other.shape[1:] == lattice
+    h_twin = freq_response_grid(twin, cfg_2p)
+    assert np.array_equal(h_twin, h)
+    # apply on the twin reads the twin's entry
+    assert np.array_equal(apply(twin, np.ones((14, 128), complex), None, rng), h_twin)
+    assert freq_response_grid(twin, cfg_2p) is h_twin
     assert freq_response_grid(ch, cfg_2p) is not h
-    assert evaluations() == 5
+    assert evaluations() == 3
     assert np.array_equal(freq_response_grid(ch, cfg_2p), h)
 
 

@@ -15,24 +15,17 @@ import pytest
 
 import telempose
 from telempose._checks import check_int, check_positive, check_real, check_real_array
-from telempose.channel import MAX_PATHS, NoiseSpec, SynthParams, flat_unit_channel
+from telempose.channel import L_MAX, N_RX, NoiseSpec, SynthParams, flat_unit_channel
 from telempose.grid import GridConfig, two_pilot_config, unpack_llrs
 from telempose.modem import QuantizerConfig, hard_decide, llr_maxlog, qam
 from telempose.nn import AdamState
 from telempose.rx_classic import lmmse_equalize, receive_classic, receive_perfect_csi
 from telempose.rx_neural import (
-    NeuralReceiver, NeuralRxConfig, TrainConfig, bits_to_target_grid, build_input_planes, train,
+    NeuralReceiver, NeuralRxConfig, TrainConfig, bits_to_target_grid, build_input_planes,
 )
 
 #: Every config whose fields the tables below must cover.
 CONFIGS = [GridConfig, SynthParams, NoiseSpec, QuantizerConfig, NeuralRxConfig, TrainConfig]
-
-
-def _train(checkpoint_every):
-    rx = NeuralReceiver(NeuralRxConfig(n_blocks=0, filters=2), np.random.default_rng(0))
-    hyper = TrainConfig(iterations=1, batch=1)
-    return train(rx, two_pilot_config(), qam(4), [flat_unit_channel(2)], hyper,
-                 np.random.default_rng(1), checkpoint_every=checkpoint_every)
 
 
 def _field(cls, field, *rest, **fixed):
@@ -46,15 +39,14 @@ SETTINGS = [
     ("pilot symbol index", (GridConfig, "pilot_symbol_indices"),
      lambda v: GridConfig(pilot_symbol_indices=(v,)), 0, 13, 2),
     _field(NoiseSpec, "bits_per_symbol", 2, 2, 2, ebn0_db=10.0),
-    _field(SynthParams, "l_max", 1, MAX_PATHS, 8),
-    _field(SynthParams, "n_rx", 1, None, 2),
+    _field(SynthParams, "l_max", L_MAX, L_MAX, L_MAX),
+    _field(SynthParams, "n_rx", N_RX, N_RX, N_RX),
     _field(QuantizerConfig, "q", 1, 16, 8),
     ("order", None, qam, 4, 4, 4),
     *[_field(NeuralRxConfig, name, lo, None, 2)
-      for name, lo in (("n_blocks", 0), ("n_rx", 1), ("filters", 1))],
+      for name, lo in (("n_blocks", 0), ("filters", 1))],
     *[_field(TrainConfig, name, 1, None, 3) for name in ("iterations", "batch", "log_every")],
-    ("checkpoint_every", None, _train, 1, None, 1),
-    ("n_rx", None, flat_unit_channel, 1, None, 2),
+    ("n_rx", None, flat_unit_channel, N_RX, N_RX, N_RX),
     ("B", None, lambda v: bits_to_target_grid(np.zeros(2808), two_pilot_config(), v), 2, 2, 2),
     ("payload_bits", None, lambda v: unpack_llrs([], v, two_pilot_config()), 0, None, 0),
 ]
@@ -122,7 +114,7 @@ def test_a_real_setting_takes_an_int_or_a_numpy_float_and_stores_a_float(name, b
 # use it, now that the numerology and the channel physics are constants.
 
 #: (lo, hi) of every check_int call in the package
-INT_BOUNDS = [(0, None), (1, None), (2, 2), (4, 4), (1, 16), (0, 13), (1, MAX_PATHS)]
+INT_BOUNDS = [(0, None), (1, None), (2, 2), (4, 4), (1, 16), (0, 13), (8, 8)]
 
 
 @pytest.mark.parametrize(
@@ -249,7 +241,8 @@ REMOVED = [
     *[(GridConfig, name) for name in ("n_symbols", "n_subcarriers", "guard_left",
                                       "guard_right", "pilot_seed")],
     *[(SynthParams, name) for name in ("delay_spread_s", "speed_range_mps", "carrier_hz")],
-    *[(NeuralRxConfig, name) for name in ("n_symbols", "n_subcarriers", "bits_per_symbol")],
+    *[(NeuralRxConfig, name)
+      for name in ("n_rx", "n_symbols", "n_subcarriers", "bits_per_symbol")],
     (TrainConfig, "ebn0_range_db"),
 ]
 

@@ -2,9 +2,9 @@
 
 Most tests pin the paper's layout: 2 RX antennas and 2 pilot columns on
 the fixed 14x128 grid, which carries Gray QPSK. This module draws
-configurations from one fixed seed, crossing 1-3 pilot columns given in
-any order with the antenna count, and checks on each one invariants that
-hold whatever the configuration. It also round-trips the quantizer at every bit width,
+pilot layouts from one fixed seed, 1-3 pilot columns given in any order,
+and checks on each one, at the 2 antennas of every link, invariants that
+hold whatever the layout. It also round-trips the quantizer at every bit width,
 runs tiny neural receivers on drawn grids, and checks the gradients of
 the receiver's layer chain at drawn shapes.
 """
@@ -47,30 +47,26 @@ SEED = 20_250_306
 N_COMBOS = 40
 
 
-def _draw_combos(rng, n):
-    """``n`` valid (GridConfig, n_rx) combinations."""
-    combos = []
+def _draw_layouts(rng, n):
+    """``n`` pilot layouts, each in the order it was drawn."""
+    layouts = []
     for _ in range(n):
         n_pilots = int(rng.integers(1, 4))
-        pilots = tuple(int(i) for i in rng.permutation(14)[:n_pilots])
-        cfg = GridConfig(pilot_symbol_indices=pilots)
-        combos.append((pilots, cfg, int(rng.integers(1, 5))))
-    return combos
+        layouts.append(tuple(int(i) for i in rng.permutation(14)[:n_pilots]))
+    return layouts
 
 
-DRAWS = _draw_combos(np.random.default_rng(SEED), N_COMBOS)
-COMBOS = [combo for _, *combo in DRAWS]
-IDS = [f"{i}-p{'.'.join(map(str, pilots))}-rx{n_rx}" for i, (pilots, _, n_rx) in enumerate(DRAWS)]
+DRAWS = _draw_layouts(np.random.default_rng(SEED), N_COMBOS)
+COMBOS = [GridConfig(pilot_symbol_indices=pilots) for pilots in DRAWS]
+IDS = [f"{i}-p{'.'.join(map(str, pilots))}" for i, pilots in enumerate(DRAWS)]
 QPSK = qam(4)
 
 
 def test_the_sweep_covers_every_axis():
-    pilots = [p for p, _, _ in DRAWS]
-    assert {n_rx for _, n_rx in COMBOS} == {1, 2, 3, 4}
-    assert {len(p) for p in pilots} == {1, 2, 3}
-    assert any(list(p) != sorted(p) for p in pilots)
+    assert {len(p) for p in DRAWS} == {1, 2, 3}
+    assert any(list(p) != sorted(p) for p in DRAWS)
     # symbols before the first pilot and after the last, so both extrapolate
-    assert any(1 < len(p) and 0 < min(p) and max(p) < 13 for p in pilots)
+    assert any(1 < len(p) and 0 < min(p) and max(p) < 13 for p in DRAWS)
 
 
 def _payload(case, cfg, n_grids=2.5):
@@ -82,7 +78,7 @@ def _payload(case, cfg, n_grids=2.5):
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
 def test_unpack_inverts_pack(case):
-    cfg, _ = COMBOS[case]
+    cfg = COMBOS[case]
     _, bits = _payload(case, cfg)
     symbols, payload = pack_bits(bits, cfg, QPSK)
     # 2.5 grids of bits fill three grids, the last one padded
@@ -96,10 +92,10 @@ def test_unpack_inverts_pack(case):
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
 def test_both_receivers_decode_a_noiseless_flat_channel(case):
-    cfg, n_rx = COMBOS[case]
+    cfg = COMBOS[case]
     rng, bits = _payload(case, cfg)
     symbols, payload = pack_bits(bits, cfg, QPSK)
-    ch = flat_unit_channel(n_rx)
+    ch = flat_unit_channel()
     h = freq_response_grid(ch, cfg)
     ys = [apply(ch, s, None, rng) for s in symbols]
     for receive in (
@@ -112,20 +108,20 @@ def test_both_receivers_decode_a_noiseless_flat_channel(case):
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
 def test_noiseless_apply_is_the_response_times_the_grid(case):
-    cfg, n_rx = COMBOS[case]
+    cfg = COMBOS[case]
     rng, bits = _payload(case, cfg)
     symbols, _ = pack_bits(bits, cfg, QPSK)
-    ch = synth_channel(rng, SynthParams(n_rx=n_rx))
+    ch = synth_channel(rng, SynthParams())
     for s in symbols:
         assert np.array_equal(apply(ch, s, None, rng), freq_response_grid(ch, cfg) * s)
 
 
 @pytest.mark.parametrize("case", range(N_COMBOS), ids=IDS)
 def test_perfect_csi_at_60_db_decodes_every_bit_the_channel_carries(case):
-    cfg, n_rx = COMBOS[case]
+    cfg = COMBOS[case]
     rng, bits = _payload(case, cfg)
     symbols, payload = pack_bits(bits, cfg, QPSK)
-    ch = synth_channel(rng, SynthParams(n_rx=n_rx))
+    ch = synth_channel(rng, SynthParams())
     h = freq_response_grid(ch, cfg)
     spec = NoiseSpec(60.0)
     llrs = [
@@ -167,12 +163,11 @@ NEURAL = COMBOS[:N_NEURAL]
 
 @pytest.mark.parametrize("case", range(N_NEURAL), ids=IDS[:N_NEURAL])
 def test_neural_receiver_shape_and_first_loss_at_chance(case):
-    cfg, n_rx = NEURAL[case]
+    cfg = NEURAL[case]
     rng = np.random.default_rng([SEED, 2, case])
-    net = NeuralRxConfig(n_rx=n_rx, n_blocks=int(rng.integers(0, 3)),
-                         filters=int(rng.integers(1, 5)))
+    net = NeuralRxConfig(n_blocks=int(rng.integers(0, 3)), filters=int(rng.integers(1, 5)))
     rx = NeuralReceiver(net, rng)
-    ch = synth_channel(rng, SynthParams(n_rx=n_rx))
+    ch = synth_channel(rng, SynthParams())
     y = apply(ch, np.zeros((cfg.n_symbols, cfg.n_subcarriers), complex), NoiseSpec(10.0), rng)
     llr = rx.receive(y, 0.1)
     assert llr.shape == (cfg.n_symbols, cfg.n_subcarriers, 2)
@@ -181,8 +176,8 @@ def test_neural_receiver_shape_and_first_loss_at_chance(case):
     assert abs(log[0].loss - math.log(2)) <= 1e-6
 
 
-def test_the_neural_sweep_covers_every_antenna_count():
-    assert {n_rx for _, n_rx in NEURAL} == {1, 2, 3, 4}
+def test_the_neural_sweep_covers_every_pilot_count():
+    assert {len(cfg.pilot_symbol_indices) for cfg in NEURAL} == {1, 2, 3}
 
 
 @pytest.mark.parametrize("draw", range(3))

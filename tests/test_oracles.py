@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from telempose.channel import (
+    N_RX,
     ChannelRealization,
     NoiseSpec,
     SynthParams,
@@ -101,7 +102,7 @@ def test_ls_interpolation_error_variance(qpsk, pilots):
         h_hat = interpolate(ls_estimate(y[:, rows, eff], pilot_values), cfg)
         err = h_hat - 1  # the flat channel's response is 1 everywhere
         err2 += (err.real**2 + err.imag**2).sum(axis=(0, 2))
-    m = n_grids * ch.n_rx * (eff.stop - eff.start)
+    m = n_grids * N_RX * (eff.stop - eff.start)
     measured = err2 / m / spec.noise_variance
     s = np.arange(cfg.n_symbols)
     if len(pilots) == 1:
@@ -148,8 +149,10 @@ def test_mrc_ber_closed_form_matches_quadrature(ebn0, n_rx):
 
 @pytest.mark.parametrize("n_rx", [1, 2])
 def test_perfect_csi_ber_on_flat_rayleigh_is_the_mrc_closed_form(qpsk, n_rx):
-    # Each grid draws one CN(0, 1) gain per antenna on a single path with no
-    # delay and no Doppler, so the grids are the independent fades. Given
+    # Each grid draws one CN(0, 1) gain per branch on a single path with no
+    # delay and no Doppler, so the grids are the independent fades. One
+    # branch is the 2-antenna link with a second gain of 0: that antenna
+    # receives noise only, which combining weights by its zero gain. Given
     # the fade, a grid's n_bits errors are independent with probability p,
     # so its error fraction has variance
     # E[p^2] - P^2 + (P - E[p^2]) / n_bits over the fades.
@@ -163,7 +166,8 @@ def test_perfect_csi_ber_on_flat_rayleigh_is_the_mrc_closed_form(qpsk, n_rx):
         symbols, payload = pack_bits(bits, cfg, qpsk)
         llrs = []
         for grid_symbols in symbols:
-            gains = rng.standard_normal((1, n_rx)) + 1j * rng.standard_normal((1, n_rx))
+            gains = np.zeros((1, N_RX), complex)
+            gains[:, :n_rx] = rng.standard_normal((1, n_rx)) + 1j * rng.standard_normal((1, n_rx))
             ch = ChannelRealization(gains / math.sqrt(2), np.zeros(1), np.zeros(1))
             y = apply(ch, grid_symbols, spec, rng)
             h = freq_response_grid(ch, cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from telempose.channel import (
+    ChannelRealization,
     NoiseSpec,
     SynthParams,
     apply,
@@ -245,18 +246,19 @@ def _run_link(bits, cfg, qpsk, ch, ebn0_db, rng, receiver):
 
 def test_receive_classic_high_snr_flat_is_error_free(cfg_2p, qpsk, rng):
     bits = rng.integers(0, 2, size=2808)
-    out = _run_link(bits, cfg_2p, qpsk, flat_unit_channel(1), 16.0, rng, "classic")
+    out = _run_link(bits, cfg_2p, qpsk, flat_unit_channel(), 16.0, rng, "classic")
     assert np.array_equal(out, bits)
 
 
 def test_perfect_csi_matches_qpsk_closed_form(cfg_2p, qpsk):
-    # Eb/N0 = 4 dB: Q(sqrt(2*10^0.4)) = 0.0125
+    # Eb/N0 = 4 dB on one unit branch: Q(sqrt(2*10^0.4)) = 0.0125. The second
+    # antenna's gain is 0, so it receives noise only and combining ignores it.
     rng = np.random.default_rng(42)
     target = qfunc(np.sqrt(2 * 10 ** (4.0 / 10)))
     n_bits = 1_200_000
     errors = 0
     sent = 0
-    ch = flat_unit_channel(1)
+    ch = ChannelRealization([[1.0, 0.0]], [0.0], [0.0])
     while sent < n_bits:
         bits = rng.integers(0, 2, size=2808 * 10)
         out = _run_link(bits, cfg_2p, qpsk, ch, 4.0, rng, "perfect-csi")

@@ -40,9 +40,9 @@ def _received(rng, n_rx=2, batch=None):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _channels(n_rx=2, n=4):
+def _channels(n=4):
     rng = np.random.default_rng(31)
-    return [synth_channel(rng, SynthParams(n_rx=n_rx)) for _ in range(n)]
+    return [synth_channel(rng, SynthParams()) for _ in range(n)]
 
 
 def _trained_log(cfg_2p, qpsk, iterations=3):
@@ -99,8 +99,7 @@ def test_paper_config_hash_is_stable():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("n_blocks", -1), ("n_rx", 0), ("filters", 0), ("filters", 4.5), ("n_blocks", 2.5),
-     ("n_rx", True)],
+    [("n_blocks", -1), ("filters", 0), ("filters", 4.5), ("n_blocks", 2.5)],
 )
 def test_config_rejects_an_empty_or_fractional_network(field, value):
     with pytest.raises(ValueError, match=field):
@@ -112,13 +111,20 @@ def test_config_allows_no_residual_blocks():
     assert rx.receive(_received(np.random.default_rng(1)), 0.1).shape == (14, 128, 2)
 
 
-def test_antenna_count_mismatch_is_rejected(cfg_2p, qpsk, rng):
+def test_the_receiver_reads_two_antennas_and_five_input_planes():
+    assert (TINY.n_rx, TINY.input_channels) == (NeuralRxConfig.n_rx, 5) == (2, 5)
     rx = NeuralReceiver(TINY, np.random.default_rng(0))
-    hyper = TrainConfig(iterations=1, batch=1)
-    with pytest.raises(ValueError, match="antennas"):
-        train(rx, cfg_2p, qpsk, _channels(n_rx=1), hyper, rng)
-    with pytest.raises(nn.ShapeError):
-        rx.forward_logits(_received(rng, n_rx=1, batch=1), 0.1)
+    assert rx.stem.k.data.shape[1] == 5
+    assert "rx=2 " in TINY.describe()
+
+
+@pytest.mark.parametrize("n_rx", [1, 3])
+def test_a_received_grid_of_another_antenna_count_is_rejected(rng, n_rx):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    with pytest.raises(nn.ShapeError, match=r"receiver grid \(2, 14, 128\)"):
+        rx.forward_logits(_received(rng, n_rx=n_rx, batch=1), 0.1)
+    with pytest.raises(nn.ShapeError, match=r"receiver grid \(2, 14, 128\)"):
+        rx.receive(_received(rng, n_rx=n_rx), 0.1)
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 12, 128), (1, 2, 14, 64)])
@@ -132,9 +138,8 @@ def test_forward_rejects_a_grid_of_another_shape(shape):
     "bad",
     [
         {"iterations": 0}, {"batch": 0}, {"log_every": 0}, {"lr": 0.0}, {"lr": -1e-3},
-        {"lr": np.nan}, {"lr": np.inf}, {"checkpoint_every": 0},
-        {"checkpoint_every": -1}, {"batch": 2.5}, {"iterations": 1.5},
-        {"log_every": True}, {"checkpoint_every": 2.5}, {"checkpoint_every": True},
+        {"lr": np.nan}, {"lr": np.inf}, {"batch": 2.5}, {"iterations": 1.5},
+        {"log_every": True},
     ],
     ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
 )
@@ -144,11 +149,10 @@ def test_invalid_training_settings_change_nothing(tmp_path, cfg_2p, qpsk, bad):
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
     settings = {"iterations": 1, "batch": 1, **bad}
-    every = settings.pop("checkpoint_every", 1)
     # the message names the setting, and nothing is drawn or stepped first
     with pytest.raises(ValueError, match=f"^{next(iter(bad))}"):
         train(rx, cfg_2p, qpsk, _channels(), TrainConfig(**settings), rng,
-              checkpoint_path=tmp_path / "rx.tpwt", checkpoint_every=every)
+              checkpoint_path=tmp_path / "rx.tpwt")
     assert rng.bit_generator.state == state
     for name, p in rx.named_params().items():
         assert np.array_equal(p.data, before[name]), name
@@ -225,15 +229,64 @@ def test_training_is_deterministic_under_a_seed(cfg_2p, qpsk):
 def test_training_checkpoint_holds_the_trained_weights(tmp_path, cfg_2p, qpsk):
     path = tmp_path / "rx.tpwt"
     rx = NeuralReceiver(TINY, np.random.default_rng(2))
-    hyper = TrainConfig(iterations=3, batch=2)
-    train(rx, cfg_2p, qpsk, _channels(), hyper, np.random.default_rng(3),
-          checkpoint_path=path, checkpoint_every=2)
+    hyper = TrainConfig(iterations=3, batch=2, log_every=2)
+    train(rx, cfg_2p, qpsk, _channels(), hyper, np.random.default_rng(3), checkpoint_path=path)
     fresh = NeuralReceiver(TINY, np.random.default_rng(4))
     fresh.load(path)
     trained, loaded = rx.named_params(), fresh.named_params()
     assert list(loaded) == list(trained)
     for name, p in trained.items():
         assert np.array_equal(loaded[name].data, p.data), name
+
+
+def test_the_checkpoint_is_written_with_each_log_record(tmp_path, cfg_2p, qpsk, monkeypatch):
+    # records at iterations 2, 4 and 5, and a checkpoint of that step's weights with each
+    saved = []
+    monkeypatch.setattr(NeuralReceiver, "save", lambda rx, path: saved.append(
+        [p.data.copy() for p in rx.params()]))
+    rx = NeuralReceiver(TINY, np.random.default_rng(2))
+    log = train(rx, cfg_2p, qpsk, _channels(), TrainConfig(iterations=5, batch=2, log_every=2),
+                np.random.default_rng(3), checkpoint_path=tmp_path / "rx.tpwt")
+    assert [e.iteration for e in log] == [2, 4, 5] and len(saved) == 3
+    for record, weights in zip(log, saved):
+        # the same seeds, stopped at the record's iteration
+        short = NeuralReceiver(TINY, np.random.default_rng(2))
+        hyper = TrainConfig(iterations=record.iteration, batch=2, log_every=2)
+        short_log = train(short, cfg_2p, qpsk, _channels(), hyper, np.random.default_rng(3))
+        assert short_log[-1] == record
+        for p, w in zip(short.params(), weights):
+            assert np.array_equal(p.data, w)
+
+
+def test_checkpoint_every_is_no_longer_a_keyword(tmp_path, cfg_2p, qpsk):
+    rx = NeuralReceiver(TINY, np.random.default_rng(2))
+    with pytest.raises(TypeError, match="checkpoint_every"):
+        train(rx, cfg_2p, qpsk, _channels(), TrainConfig(iterations=1, batch=1),
+              np.random.default_rng(3), checkpoint_path=tmp_path / "rx.tpwt", checkpoint_every=1)
+    assert not (tmp_path / "rx.tpwt").exists()
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_a_noise_variance_vector_of_another_length_than_the_batch_is_rejected(rng, length):
+    # numpy's bare "operands could not be broadcast" used to escape
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    noise_var = np.full(length, 0.1)
+    message = rf"^noise_var must be a scalar or one value per grid, got shape \({length},\) for "
+    with pytest.raises(ValueError, match=message + r"3 grid\(s\)"):
+        build_input_planes(_received(rng, batch=3), noise_var)
+    with pytest.raises(ValueError, match=message + r"3 grid\(s\)"):
+        rx.forward_logits(_received(rng, batch=3), noise_var)
+    with pytest.raises(ValueError, match=message + r"1 grid\(s\)"):
+        rx.receive(_received(rng), noise_var)
+    with pytest.raises(ValueError, match=r"got shape \(3, 1\)"):
+        build_input_planes(_received(rng, batch=3), np.full((3, 1), 0.1))
+
+
+def test_a_noise_variance_scalar_one_value_or_one_per_grid_gives_the_same_planes(rng):
+    y = _received(rng, batch=3)
+    expected = build_input_planes(y, 0.1)
+    for noise_var in (np.float32(0.1), [0.1], np.full(3, 0.1)):
+        assert np.array_equal(build_input_planes(y, noise_var), expected)
 
 
 def test_non_finite_loss_raises_training_diverged(cfg_2p, qpsk):
