@@ -1,4 +1,4 @@
-"""The integer and real-number rules of every config field, size and noise argument.
+"""The integer, real-number and bit rules of every config field, size, noise argument and payload.
 
 It imports nothing from the package, so ``modem`` can use it as well as
 ``grid``: a rule kept in ``grid``, which imports ``modem``, would need an
@@ -21,6 +21,18 @@ def check_int(name: str, value, lo: int, hi: int | None = None):
     if value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
+def check_bits(bits: np.ndarray):
+    """Raise ``ValueError`` unless every entry of ``bits`` is 0 or 1."""
+    # bool and unsigned values are never negative, so the maximum decides,
+    # in about a third of the time of the two comparisons
+    if bits.dtype.kind in "bu":
+        ok = bits.max(initial=0) <= 1
+    else:
+        ok = ((bits == 0) | (bits == 1)).all()
+    if not ok:
+        raise ValueError("bits must be 0 or 1")
 
 
 def check_real(name: str, value) -> float:

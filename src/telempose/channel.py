@@ -129,6 +129,18 @@ class SynthParams:
         check_int("n_rx", self.n_rx, N_RX, N_RX)
 
 
+def check_realizations(realizations) -> list:
+    """``realizations`` as a list; ``ValueError``, naming its index and type,
+    for the first entry that is not a :class:`ChannelRealization`."""
+    realizations = list(realizations)
+    for i, ch in enumerate(realizations):
+        if not isinstance(ch, ChannelRealization):
+            raise ValueError(
+                f"channel set entry {i} is a {type(ch).__name__}, not a ChannelRealization"
+            )
+    return realizations
+
+
 def flat_unit_channel(n_rx: int = N_RX) -> ChannelRealization:
     """Single path, zero delay, zero Doppler, unit gain; ``n_rx`` must be :data:`N_RX`."""
     check_int("n_rx", n_rx, N_RX, N_RX)
@@ -229,8 +241,8 @@ def apply(
 
 
 def export_cirs(realizations, path):
-    """Write realizations; a failed write keeps the old file."""
-    realizations = list(realizations)
+    """Write :class:`ChannelRealization` entries; a failed write keeps the old file."""
+    realizations = check_realizations(realizations)
     with replacing(path) as f:
         f.write(_CIR_MAGIC)
         f.write(struct.pack("<III", _CIR_VERSION, len(realizations), N_RX))

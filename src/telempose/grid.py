@@ -3,8 +3,8 @@
 Every transmit grid is a complex array [N_SYMBOLS, N_SUBCARRIERS] =
 [14, 128] at SUBCARRIER_SPACING_HZ = 30 kHz, with GUARD_LEFT = 5 and
 GUARD_RIGHT = 6 guard subcarriers: the grid of the neural-receiver setup
-the paper follows. Only the pilot layout varies, so a :class:`GridConfig`
-holds nothing else. Every element is data, pilot, or guard. Pilot columns
+the paper follows. A :class:`GridConfig` holds only the pilot layout:
+1P or 2P. Every element is data, pilot, or guard. Pilot columns
 span all effective (non-guard) subcarriers; payload bits stream across
 grids in row-major (symbol-major) order with zero-bit padding in the
 final grid. The layout and the pilot values are functions of the config
@@ -31,6 +31,8 @@ GUARD_LEFT = 5
 GUARD_RIGHT = 6
 #: Seed of the pilot values, agreed between transmitter and receiver.
 PILOT_SEED = 0x5EED
+#: Symbol indices of the pilot columns: 1P uses the first, 2P both.
+PILOT_SYMBOLS = (2, 12)
 
 DATA = np.int8(0)
 PILOT = np.int8(1)
@@ -39,12 +41,14 @@ GUARD = np.int8(2)
 
 @dataclass(frozen=True)
 class GridConfig:
-    """A pilot layout: the symbol indices of the pilot columns, stored sorted.
+    """A pilot layout: 1P, a pilot column at symbol 2, or 2P, columns at symbols 2 and 12.
 
-    The numerology is read from the config as class attributes, not fields.
+    ``n_pilot_symbols`` is the one field; ``pilot_symbol_indices``, derived
+    from it, are the first that many of :data:`PILOT_SYMBOLS`. The
+    numerology is read from the config as class attributes, not fields.
     """
 
-    pilot_symbol_indices: tuple = (2, 12)
+    n_pilot_symbols: int = 2
 
     n_symbols = N_SYMBOLS
     n_subcarriers = N_SUBCARRIERS
@@ -52,38 +56,18 @@ class GridConfig:
     effective_slice = slice(GUARD_LEFT, N_SUBCARRIERS - GUARD_RIGHT)
 
     def __post_init__(self):
-        try:
-            pilots = tuple(self.pilot_symbol_indices)
-        except TypeError:
-            raise ValueError(
-                "pilot_symbol_indices must be a sequence of symbol indices, "
-                f"got {self.pilot_symbol_indices!r}"
-            ) from None
-        for i in pilots:
-            check_int("pilot symbol index", i, 0, N_SYMBOLS - 1)
-        if not pilots:
-            raise ValueError("pilot_symbol_indices must name at least one pilot symbol")
-        if len(set(pilots)) != len(pilots):
-            raise ValueError(f"repeated pilot symbol index in {pilots}")
-        # guards always leave effective subcarriers, so only a pilot in
-        # every symbol leaves no DATA element, and no grid could carry a bit
-        if len(pilots) == N_SYMBOLS:
-            raise ValueError(
-                f"pilots {pilots} fill all {N_SYMBOLS} symbols and leave no DATA element"
-            )
-        # a sorted tuple makes one config of every spelling of a layout, and
-        # keeps it hashable, so it can key the per-config caches
-        object.__setattr__(self, "pilot_symbol_indices", tuple(sorted(pilots)))
+        check_int("n_pilot_symbols", self.n_pilot_symbols, 1, len(PILOT_SYMBOLS))
+        object.__setattr__(self, "pilot_symbol_indices", PILOT_SYMBOLS[: self.n_pilot_symbols])
 
 
 def two_pilot_config() -> GridConfig:
     """Two pilot columns at symbol indices 2 and 12 ("2P")."""
-    return GridConfig(pilot_symbol_indices=(2, 12))
+    return GridConfig(2)
 
 
 def one_pilot_config() -> GridConfig:
     """Single pilot column at symbol index 2 ("1P")."""
-    return GridConfig(pilot_symbol_indices=(2,))
+    return GridConfig(1)
 
 
 @lru_cache(maxsize=None)
@@ -95,8 +79,7 @@ def build_mask(cfg: GridConfig) -> np.ndarray:
     mask = np.full((N_SYMBOLS, N_SUBCARRIERS), DATA, dtype=np.int8)
     mask[:, :GUARD_LEFT] = GUARD
     mask[:, N_SUBCARRIERS - GUARD_RIGHT :] = GUARD
-    for i in cfg.pilot_symbol_indices:
-        mask[i, cfg.effective_slice] = PILOT
+    mask[list(cfg.pilot_symbol_indices), cfg.effective_slice] = PILOT
     mask.flags.writeable = False
     return mask
 
@@ -120,7 +103,7 @@ def pilot_value_grid(cfg: GridConfig) -> np.ndarray:
     """
     mask = build_mask(cfg)
     rng = np.random.default_rng(PILOT_SEED)
-    quadrants = rng.integers(0, 4, size=len(cfg.pilot_symbol_indices) * cfg.n_effective)
+    quadrants = rng.integers(0, 4, size=cfg.n_pilot_symbols * cfg.n_effective)
     out = np.zeros((N_SYMBOLS, N_SUBCARRIERS), dtype=complex)
     out[mask == PILOT] = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
     out.flags.writeable = False

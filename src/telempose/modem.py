@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_int, check_real_array
+from ._checks import check_bits, check_int, check_real_array
 
 #: Features per sensor frame (17 sensors x 12 features each).
 FEATURES_PER_FRAME = 204
@@ -95,14 +95,7 @@ def _bits_to_levels(bits: np.ndarray, q: int) -> np.ndarray:
     A float product runs on BLAS; the int64 one does not. It is exact:
     each level is a sum of at most q powers of two.
     """
-    # bool and unsigned values are never negative, so the maximum decides,
-    # in about a third of the time of the two comparisons
-    if bits.dtype.kind in "bu":
-        ok = bits.max(initial=0) <= 1
-    else:
-        ok = ((bits == 0) | (bits == 1)).all()
-    if not ok:
-        raise ValueError("bits must be 0 or 1")
+    check_bits(bits)
     return (bits @ _place_values(q).astype(np.float64)).astype(np.int64)
 
 

@@ -37,7 +37,7 @@ def ls_estimate(y_pilots: np.ndarray, pilot_values: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pilot_conj(cfg: GridConfig) -> np.ndarray:
-    """Conjugate pilot values [n_pilot_columns, n_effective], cached per config, read-only.
+    """Conjugate pilot values [n_pilot_symbols, n_effective], cached per config, read-only.
 
     Rows follow ``cfg.pilot_symbol_indices``; multiplying the received pilot
     columns by it is :func:`ls_estimate`, with the unit-power check made once.
@@ -51,25 +51,19 @@ def _pilot_conj(cfg: GridConfig) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _interp_weights(cfg: GridConfig) -> np.ndarray:
-    """[n_symbols, n_pilot_columns] time-interpolation weights, read-only.
+    """[n_symbols, n_pilot_symbols] time-interpolation weights, read-only.
 
-    Columns follow ``cfg.pilot_symbol_indices``, which the config keeps
-    sorted and non-empty. Each row is linear between the two pilot columns
-    around its symbol, constant outside them, and all ones for a single
-    column.
+    Columns follow ``cfg.pilot_symbol_indices``. 1P copies its one column
+    to every symbol: all ones. 2P weighs its columns at symbols 2 and 12
+    by (1 - w, w), w = (s - 2) / 10 clipped to [0, 1]: linear between
+    them, constant outside.
     """
-    times = np.asarray(cfg.pilot_symbol_indices, dtype=float)
-    weights = np.zeros((cfg.n_symbols, times.size))
-    if times.size == 1:
-        weights[:] = 1.0
+    if cfg.n_pilot_symbols == 1:
+        weights = np.ones((cfg.n_symbols, 1))
     else:
-        targets = np.arange(cfg.n_symbols, dtype=float)
-        idx = np.clip(np.searchsorted(times, targets, side="right"), 1, times.size - 1)
-        t0, t1 = times[idx - 1], times[idx]
-        w = np.clip((targets - t0) / (t1 - t0), 0.0, 1.0)
-        rows = np.arange(cfg.n_symbols)
-        weights[rows, idx - 1] = 1.0 - w
-        weights[rows, idx] = w
+        first, last = cfg.pilot_symbol_indices
+        w = np.clip((np.arange(cfg.n_symbols) - first) / (last - first), 0.0, 1.0)
+        weights = np.stack([1.0 - w, w], axis=1)
     weights.flags.writeable = False
     return weights
 
@@ -77,14 +71,17 @@ def _interp_weights(cfg: GridConfig) -> np.ndarray:
 def interpolate(pilot_estimates: np.ndarray, cfg: GridConfig) -> np.ndarray:
     """Fill the time axis from per-pilot-column estimates.
 
-    ``pilot_estimates`` is [n_rx, n_pilot_columns, n_effective], ordered
-    like ``cfg.pilot_symbol_indices``. Pilot columns cover every effective
-    subcarrier, so only time interpolation is needed: linear between pilot
-    columns, constant extrapolation outside, plain copy for a single
-    column.
+    ``pilot_estimates`` is [n_rx, n_pilot_symbols, n_effective], ordered
+    like ``cfg.pilot_symbol_indices``; any other shape raises
+    ``ValueError``. Pilot columns cover every effective subcarrier, so
+    only time interpolation is needed: linear between the 2P columns,
+    constant extrapolation outside, plain copy of the 1P column.
     """
     weights = _interp_weights(cfg)
     est = np.ascontiguousarray(pilot_estimates, dtype=complex)
+    if est.ndim != 3 or est.shape[1:] != (cfg.n_pilot_symbols, cfg.n_effective):
+        need = f"[n_rx, {cfg.n_pilot_symbols}, {cfg.n_effective}]"
+        raise ValueError(f"pilot estimates need shape {need}, got {list(est.shape)}")
     # real and imaginary parts interpolate alike: one real product per antenna
     n_rx, n_cols, n_eff = est.shape
     out = weights @ est.view(np.float64).reshape(n_rx, n_cols, 2 * n_eff)

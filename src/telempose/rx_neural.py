@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from ._checks import check_int, check_positive, check_real_array
-from .channel import N_RX, NoiseSpec, apply
+from ._checks import check_bits, check_int, check_positive, check_real_array
+from .channel import N_RX, NoiseSpec, apply, check_realizations
 from .grid import (
     DATA, N_SUBCARRIERS, N_SYMBOLS, GridConfig, build_mask, grid_capacity_bits, pack_bits,
 )
@@ -190,8 +190,8 @@ class NeuralReceiver:
 def bits_to_target_grid(bits: np.ndarray, cfg: GridConfig, B: int) -> np.ndarray:
     """Scatter one grid's payload bits to their [B, n_symbols, n_subcarriers] positions.
 
-    ``B`` must be 2 (Gray QPSK), and ``bits`` must hold exactly B bits per
-    DATA element; any other count raises ``FramingError``.
+    ``B`` must be 2 (Gray QPSK). ``bits`` must be B bits of 0 or 1 per DATA
+    element: another count raises ``FramingError``, another value ``ValueError``.
     """
     check_int("B", B, 2, 2)
     data = build_mask(cfg) == DATA
@@ -201,6 +201,7 @@ def bits_to_target_grid(bits: np.ndarray, cfg: GridConfig, B: int) -> np.ndarray
         raise FramingError(
             f"payload of {bits.size} bits does not fill {n_data} DATA elements at {B} bits each"
         )
+    check_bits(bits)
     target = np.zeros((B, cfg.n_symbols, cfg.n_subcarriers), dtype=np.float32)
     target[:, data] = bits.reshape(-1, B).T
     return target
@@ -226,7 +227,8 @@ def train(
     the file and the last record describe the same step. Returns the
     training log.
     """
-    channels = list(channels)
+    # before the first draw, so a rejected set changes no weight and no generator
+    channels = check_realizations(channels)
     if not channels:
         raise ValueError("empty channel training set")
     B = constellation.bits_per_symbol

@@ -3,6 +3,7 @@ import hashlib
 import pickle
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from telempose.channel import (
 )
 from telempose.grid import (
     SUBCARRIER_SPACING_HZ,
-    GridConfig,
     build_mask,
     one_pilot_config,
     pack_bits,
@@ -341,6 +341,16 @@ def test_cir_empty_file(tmp_path):
     assert import_cirs(path) == []
 
 
+@pytest.mark.parametrize("entry", [None, "lookalike"])
+def test_cir_export_of_an_entry_that_is_not_a_realization_writes_nothing(tmp_path, rng, entry):
+    ch = synth_channel(rng, SynthParams())
+    if entry == "lookalike":  # the fields of a realization, none of its checks
+        entry = SimpleNamespace(gains=ch.gains, delays=ch.delays, dopplers=ch.dopplers)
+    with pytest.raises(ValueError, match=f"entry 1 is a {type(entry).__name__}, not a"):
+        export_cirs([ch, entry], tmp_path / "set.cir")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cir_truncation_names_offset(tmp_path, rng):
     chans = [synth_channel(rng, SynthParams(n_rx=2)) for _ in range(3)]
     path = tmp_path / "set.cir"
@@ -502,7 +512,6 @@ def test_response_memo_is_shared_by_configs_on_one_lattice(
     ch = synth_channel(rng, SynthParams())
     h = freq_response_grid(ch, cfg_2p)
     assert freq_response_grid(ch, cfg_1p) is h
-    assert freq_response_grid(ch, GridConfig(pilot_symbol_indices=(0, 7, 13))) is h
     assert evaluations() == 1
 
 

@@ -36,8 +36,7 @@ def _field(cls, field, *rest, **fixed):
 # (name in the message, (config, field) or None for an argument, build from
 # one value, lo, hi or None, a valid value)
 SETTINGS = [
-    ("pilot symbol index", (GridConfig, "pilot_symbol_indices"),
-     lambda v: GridConfig(pilot_symbol_indices=(v,)), 0, 13, 2),
+    _field(GridConfig, "n_pilot_symbols", 1, 2, 2),
     _field(NoiseSpec, "bits_per_symbol", 2, 2, 2, ebn0_db=10.0),
     _field(SynthParams, "l_max", L_MAX, L_MAX, L_MAX),
     _field(SynthParams, "n_rx", N_RX, N_RX, N_RX),
@@ -236,10 +235,11 @@ def test_check_real_array_returns_a_float_array_and_leaves_a_float64_array_alone
         assert array is ok
 
 
-#: The settings that became module constants, and the config that held each.
+#: The settings that became module constants, or are derived from one, and
+#: the config that held each.
 REMOVED = [
     *[(GridConfig, name) for name in ("n_symbols", "n_subcarriers", "guard_left",
-                                      "guard_right", "pilot_seed")],
+                                      "guard_right", "pilot_seed", "pilot_symbol_indices")],
     *[(SynthParams, name) for name in ("delay_spread_s", "speed_range_mps", "carrier_hz")],
     *[(NeuralRxConfig, name)
       for name in ("n_rx", "n_symbols", "n_subcarriers", "bits_per_symbol")],

@@ -97,7 +97,7 @@ def test_bit_flips_load_finite_values_or_raise_the_typed_error(tmp_path, fmt):
 
 
 def _non_realization_third(path):
-    # the third entry has no paths to write, so the write fails after two realizations
+    # the third entry is not a realization, so the write is refused before the file opens
     rng = np.random.default_rng(9)
     export_cirs([synth_channel(rng, SynthParams()) for _ in range(2)] + [None], path)
 
@@ -109,8 +109,8 @@ def _uncodable_second_tensor(path):
 
 
 FAILED_WRITES = {
-    "tpcr": (_non_realization_third, AttributeError),
-    "tpwt": (_uncodable_second_tensor, ValueError),
+    "tpcr": (_non_realization_third, ValueError, "entry 2 is a NoneType"),
+    "tpwt": (_uncodable_second_tensor, ValueError, None),
 }
 
 
@@ -120,8 +120,8 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, fmt):
     path = tmp_path / fmt
     load, _ = make(path)
     blob = path.read_bytes()
-    write, error = FAILED_WRITES[fmt]
-    with pytest.raises(error):
+    write, error, match = FAILED_WRITES[fmt]
+    with pytest.raises(error, match=match):
         write(path)
     assert path.read_bytes() == blob
     assert os.listdir(tmp_path) == [fmt]  # no temporary file left behind

@@ -1,12 +1,12 @@
 """Seeded invariant sweep over the quantizer, the link and the neural receiver.
 
 Most tests pin the paper's layout: 2 RX antennas and 2 pilot columns on
-the fixed 14x128 grid, which carries Gray QPSK. This module draws
-pilot layouts from one fixed seed, 1-3 pilot columns given in any order,
-and checks on each one, at the 2 antennas of every link, invariants that
-hold whatever the layout. It also round-trips the quantizer at every bit width,
-runs tiny neural receivers on drawn grids, and checks the gradients of
-the receiver's layer chain at drawn shapes.
+the fixed 14x128 grid, which carries Gray QPSK. This module runs seeded
+(layout, payload, channel) cases that alternate the two pilot layouts,
+1P and 2P, and checks on each one, at the 2 antennas of every link,
+invariants that hold whatever the layout. It also round-trips the
+quantizer at every bit width, runs tiny neural receivers on drawn grids,
+and checks the gradients of the receiver's layer chain at drawn shapes.
 """
 
 import math
@@ -47,26 +47,14 @@ SEED = 20_250_306
 N_COMBOS = 40
 
 
-def _draw_layouts(rng, n):
-    """``n`` pilot layouts, each in the order it was drawn."""
-    layouts = []
-    for _ in range(n):
-        n_pilots = int(rng.integers(1, 4))
-        layouts.append(tuple(int(i) for i in rng.permutation(14)[:n_pilots]))
-    return layouts
-
-
-DRAWS = _draw_layouts(np.random.default_rng(SEED), N_COMBOS)
-COMBOS = [GridConfig(pilot_symbol_indices=pilots) for pilots in DRAWS]
-IDS = [f"{i}-p{'.'.join(map(str, pilots))}" for i, pilots in enumerate(DRAWS)]
+#: Case i runs 1P when i is even and 2P when it is odd.
+COMBOS = [GridConfig(1 + case % 2) for case in range(N_COMBOS)]
+IDS = [f"{case}-{cfg.n_pilot_symbols}p" for case, cfg in enumerate(COMBOS)]
 QPSK = qam(4)
 
 
 def test_the_sweep_covers_every_axis():
-    assert {len(p) for p in DRAWS} == {1, 2, 3}
-    assert any(list(p) != sorted(p) for p in DRAWS)
-    # symbols before the first pilot and after the last, so both extrapolate
-    assert any(1 < len(p) and 0 < min(p) and max(p) < 13 for p in DRAWS)
+    assert {cfg.pilot_symbol_indices for cfg in COMBOS} == {(2,), (2, 12)}
 
 
 def _payload(case, cfg, n_grids=2.5):
@@ -177,7 +165,7 @@ def test_neural_receiver_shape_and_first_loss_at_chance(case):
 
 
 def test_the_neural_sweep_covers_every_pilot_count():
-    assert {len(cfg.pilot_symbol_indices) for cfg in NEURAL} == {1, 2, 3}
+    assert {cfg.pilot_symbol_indices for cfg in NEURAL} == {(2,), (2, 12)}
 
 
 @pytest.mark.parametrize("draw", range(3))

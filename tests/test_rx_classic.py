@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from telempose.grid import (
 )
 from telempose.modem import hard_decide, llr_maxlog
 from telempose.rx_classic import (
+    _interp_weights,
     interpolate,
     lmmse_equalize,
     ls_estimate,
@@ -113,13 +115,10 @@ def test_interpolate_linear_in_time_2p(cfg_2p, rng):
     assert np.allclose(full[:, 13, :], h0 * (1 + eps * 12), atol=1e-12)
 
 
-@pytest.mark.parametrize("pilots", [(12, 2), (9, 1, 4), (5,)])
-def test_interpolate_matches_np_interp_per_element(pilots, rng):
-    # the estimates follow the config's sorted layout, whatever order it was given in
-    cfg = GridConfig(pilot_symbol_indices=pilots)
-    est = rng.standard_normal((2, len(pilots), 117)) + 1j * rng.standard_normal(
-        (2, len(pilots), 117)
-    )
+@pytest.mark.parametrize("n_pilots", [1, 2])
+def test_interpolate_matches_np_interp_per_element(n_pilots, rng):
+    cfg = GridConfig(n_pilots)
+    est = rng.standard_normal((2, n_pilots, 117)) + 1j * rng.standard_normal((2, n_pilots, 117))
     full = interpolate(est, cfg)
     xs = np.asarray(cfg.pilot_symbol_indices, float)
     for k in range(2):
@@ -127,6 +126,26 @@ def test_interpolate_matches_np_interp_per_element(pilots, rng):
             for part in (np.real, np.imag):
                 ref = np.interp(np.arange(14), xs, part(est[k, :, n]))
                 assert np.allclose(part(full[k, :, n]), ref, rtol=0, atol=1e-14)
+
+
+def test_the_interpolation_weights_of_both_layouts(cfg_1p, cfg_2p):
+    assert np.array_equal(_interp_weights(cfg_1p), np.ones((14, 1)))
+    weights = _interp_weights(cfg_2p)
+    assert weights.shape == (14, 2) and not weights.flags.writeable
+    assert np.array_equal(weights[:3], [[1.0, 0.0]] * 3)
+    assert np.array_equal(weights[7], [0.5, 0.5])
+    assert np.array_equal(weights[12:], [[0.0, 1.0]] * 2)
+
+
+@pytest.mark.parametrize(
+    "n_pilots, shape",
+    [(2, (2, 3, 117)), (1, (2, 2, 117)), (2, (2, 117)), (2, (2, 2, 116))],
+    ids=["3-columns-on-2P", "2-columns-on-1P", "2-D", "116-subcarriers"],
+)
+def test_interpolate_names_the_shape_it_needs(n_pilots, shape):
+    expected = f"[n_rx, {n_pilots}, 117], got {list(shape)}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        interpolate(np.ones(shape, complex), GridConfig(n_pilots))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,6 +158,22 @@ def test_invalid_training_settings_change_nothing(tmp_path, cfg_2p, qpsk, bad):
     for name, p in rx.named_params().items():
         assert np.array_equal(p.data, before[name]), name
     assert not (tmp_path / "rx.tpwt").exists()
+
+
+@pytest.mark.parametrize("entry", [None, "lookalike"])
+def test_a_channel_set_entry_that_is_not_a_realization_changes_nothing(cfg_2p, qpsk, entry):
+    ch = _channels(1)[0]
+    if entry == "lookalike":  # the fields of a realization, none of its checks
+        entry = SimpleNamespace(gains=ch.gains, delays=ch.delays, dopplers=ch.dopplers)
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    before = {name: p.data.copy() for name, p in rx.named_params().items()}
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"entry 1 is a {type(entry).__name__}, not a"):
+        train(rx, cfg_2p, qpsk, [ch, entry], TrainConfig(iterations=20, batch=1), rng)
+    assert rng.bit_generator.state == state
+    for name, p in rx.named_params().items():
+        assert np.array_equal(p.data, before[name]), name
 
 
 def test_an_empty_channel_set_is_rejected(cfg_2p, qpsk, rng):
@@ -313,6 +330,16 @@ def test_target_grid_puts_each_data_element_s_bits_on_the_bit_axis(cfg_2p, qpsk,
 def test_target_grid_needs_exactly_one_grid_of_bits(cfg_2p, size):
     with pytest.raises(FramingError, match=f"payload of {size} bits does not fill 1404"):
         bits_to_target_grid(np.zeros(size, np.uint8), cfg_2p, 2)
+
+
+@pytest.mark.parametrize(
+    "bits", [np.full(2808, 0.5), np.full(2808, 7), np.full(2808, -1), np.full(2808, 2, np.uint8)],
+    ids=["half", "seven", "minus-one", "uint8-two"],
+)
+def test_target_grid_takes_only_bits(cfg_2p, bits):
+    # a BCE target of 0.5 or 7 trains towards no bit at all
+    with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+        bits_to_target_grid(bits, cfg_2p, 2)
 
 
 def test_a_symbol_of_other_than_two_bits_is_rejected(cfg_2p):
