@@ -24,13 +24,14 @@ def check_int(name: str, value, lo: int, hi: int | None = None):
 
 
 def check_bits(bits: np.ndarray):
-    """Raise ``ValueError`` unless every entry of ``bits`` is 0 or 1."""
+    """Raise ``ValueError`` unless ``bits`` is bool, integer or real and every entry is 0 or 1."""
     # bool and unsigned values are never negative, so the maximum decides,
     # in about a third of the time of the two comparisons
     if bits.dtype.kind in "bu":
         ok = bits.max(initial=0) <= 1
     else:
-        ok = ((bits == 0) | (bits == 1)).all()
+        # a complex 1+0j equals 1, yet casting it to a bit drops a part
+        ok = bits.dtype.kind in "if" and ((bits == 0) | (bits == 1)).all()
     if not ok:
         raise ValueError("bits must be 0 or 1")
 

@@ -24,16 +24,24 @@ rebuild, not the array, and calls it in backward, one sample at a time,
 for its kernel gradient. The values are the forward output's bit for bit,
 and the LayerNorm → conv pair keeps one activation instead of two.
 (Rebuilding by inverting the affine, as In-Place ABN does, would need
-gamma ≠ 0; rebuilding from xhat needs nothing.) Under ``no_grad`` no
-rebuild is attached. A LayerNorm output that the caller still holds keeps
-its rebuild, and with it xhat, until it is dropped.
+gamma ≠ 0; rebuilding from xhat needs nothing.) An output that no
+gradient flows through has no node and no rebuild. A LayerNorm output
+that the caller still holds keeps its rebuild, and with it xhat, until it
+is dropped.
 
 So a recorded graph holds no conv output, LayerNorm output, ReLU output
 or residual sum: each is freed as soon as the caller drops its tensor.
 Graphs are freed by reference counting alone, since a closure never
 refers to its own node.
-Inside ``with no_grad():`` ops in that thread record nothing, so each
-intermediate array is freed once the next op has read it.
+
+An op records whenever one of its operands takes a gradient; nothing
+switches recording off. Inference does not run the ops at all:
+``Conv2d.infer`` and ``LayerNorm.infer`` apply the same layers to plain
+arrays, in place, with buffers that the caller makes once and passes to
+every layer (``tap_buffer`` and a GEMM scratch). The conv, normalization
+and affine formulas are each written once (``_conv_batch``,
+``_normalize``, ``_affine``) and both paths call them, so the plain-array
+forward equals the recorded one bit for bit.
 
 ``Tensor.backward`` consumes its graph. It runs the closures in reverse
 topological order, then every node drops its closure and parent links,
@@ -47,11 +55,11 @@ array passed to ``_Node.accumulate`` is the parent's to keep. Leaf grads
 (parameters, inputs) stay on their tensors after ``backward``.
 
 The 3x3-only convolution runs, one sample at a time, as three GEMMs over
-row taps of that sample (see ``conv2d``), in forward and in backward, so
-the tap buffer is one sample's whatever the batch. Backward builds the
-row taps of each sample's output gradient once and reads them for both
-the input and the kernel gradient. The kernel gradient adds the samples
-in batch order.
+row taps of that sample (see ``conv2d``), in forward and in backward. One
+tap buffer, its zero border written once, is refilled for each sample, so
+it is one sample's whatever the batch. Backward builds the row taps of
+each sample's output gradient once and reads them for both the input and
+the kernel gradient. The kernel gradient adds the samples in batch order.
 
 ``AdamState`` makes its moments in the first ``adam_step``, after that
 step's ``backward`` has freed its graph, so the first forward and backward
@@ -64,11 +72,9 @@ gradient checks call them on float64 leaves.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import struct
-import threading
 
 import numpy as np
 
@@ -82,23 +88,6 @@ class ShapeError(ValueError):
 
 class CheckpointError(ValueError):
     """Weight file does not match the requesting model."""
-
-
-class _Recording(threading.local):
-    on = True  # per thread, so one thread's no_grad leaves another's training alone
-
-
-_recording = _Recording()
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Run ops in this thread without recording a graph."""
-    previous, _recording.on = _recording.on, False
-    try:
-        yield
-    finally:
-        _recording.on = previous
 
 
 class _Node:
@@ -167,7 +156,7 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.shape}")
         if self._node is None:
-            raise RuntimeError("backward needs a recorded graph; none was built under no_grad")
+            raise RuntimeError("backward needs a graph: nothing upstream takes a gradient")
         topo, visited, stack = [], set(), [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
@@ -197,15 +186,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
-def _grad_node(t: Tensor):
-    """``t``'s node if ops in this thread record and ``t`` takes a gradient."""
-    return t._node if _recording.on else None
-
-
 def _result(data, parents, backward) -> Tensor:
     """Wrap an op's output, recording ``backward`` only if a gradient flows.
 
-    ``parents`` are the operands' ``_grad_node``s, None where none flows.
+    ``parents`` are the operands' nodes, None where none flows.
     """
     out = Tensor(data)
     nodes = tuple(p for p in parents if p is not None)
@@ -218,7 +202,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two equal-shaped tensors (the residual adds)."""
     if a.shape != b.shape:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
-    na, nb = _grad_node(a), _grad_node(b)
+    na, nb = a._node, b._node
 
     def _bw(g):
         # g goes to a; b gets a copy, unless a takes no gradient
@@ -232,7 +216,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
-    nx = _grad_node(x)
+    nx = x._node
     if nx is None:
         return Tensor(data)
     packed = np.packbits(data > 0)  # a recorded ReLU keeps one bit per element
@@ -244,20 +228,30 @@ def relu(x: Tensor) -> Tensor:
     return _result(data, (nx,), _bw)
 
 
-def _tap_rows(x: np.ndarray) -> list:
-    """Copy one [C,H,W] sample into column taps; return one [3C, H*W] span per kernel row.
+def tap_buffer(channels: int, h: int, w: int, dtype=np.float32) -> np.ndarray:
+    """A [3, channels, h+2, w] tap buffer for [channels, h, w] samples, its zero border written.
 
-    Tap j holds the input shifted so that column w reads column w+j-1,
-    with one zero row above and below. Flattened to [3C, (H+2)*W], the
-    span of kernel row i for output row h starts at row h+i, so each
-    kernel row reads one contiguous range of every tap.
+    ``_tap_rows`` fills its interior and never writes the border, so one
+    buffer serves any number of samples and layers of that size.
     """
-    C, H, W = x.shape
-    taps = np.empty((3, C, H + 2, W), dtype=x.dtype)
+    taps = np.empty((3, channels, h + 2, w), dtype=dtype)
     taps[:, :, 0] = 0
     taps[:, :, -1] = 0
     taps[0, :, 1:-1, 0] = 0
     taps[2, :, 1:-1, -1] = 0
+    return taps
+
+
+def _tap_rows(x: np.ndarray, taps: np.ndarray) -> list:
+    """Copy one [C,H,W] sample into column taps; return one [3C, H*W] span per kernel row.
+
+    ``taps`` is a ``tap_buffer(C, H, W)``. Tap j holds the input shifted
+    so that column w reads column w+j-1, with one zero row above and
+    below. Flattened to [3C, (H+2)*W], the span of kernel row i for output
+    row h starts at row h+i, so each kernel row reads one contiguous range
+    of every tap.
+    """
+    C, H, W = x.shape
     taps[0, :, 1:-1, 1:] = x[..., :-1]
     taps[1, :, 1:-1] = x
     taps[2, :, 1:-1, :-1] = x[..., 1:]
@@ -278,6 +272,20 @@ def _conv_taps(spans: list, rows: np.ndarray, out: np.ndarray, part: np.ndarray)
     np.matmul(rows[0], spans[0], out=out)
     for i in (1, 2):
         out += np.matmul(rows[i], spans[i], out=part)
+
+
+def _conv_batch(x, rows, bias, out, taps, part):
+    """3x3 same convolution of [B, C, H, W] ``x`` into ``out`` [B, Co, H*W], plus ``bias``.
+
+    ``rows`` are ``_kernel_rows`` of the kernel, ``bias`` has Co values or
+    is None. ``taps`` is a ``tap_buffer(C, H, W)`` and ``part`` scratch of
+    ``out[0]``'s shape. ``out`` may share ``x``'s memory when C == Co: each
+    sample is copied into the taps before its output is written.
+    """
+    for b in range(x.shape[0]):
+        _conv_taps(_tap_rows(x[b], taps), rows, out[b], part)
+    if bias is not None:
+        out += bias.reshape(1, -1, 1)
 
 
 def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -304,19 +312,16 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     c_out = k.data.shape[0]
     if bias is not None and bias.data.size != c_out:
         raise ShapeError(f"bias {bias.shape} needs {c_out} values, one per output channel")
-    nx, nk = _grad_node(x), _grad_node(k)
-    nb = None if bias is None else _grad_node(bias)
+    nx, nk = x._node, k._node
+    nb = None if bias is None else bias._node
     b_shape = None if nb is None else bias.data.shape
     # only the kernel gradient reads the input, a sample at a time: through
     # its LayerNorm rebuild if it has one, so no second copy is kept
     x_at = None if nk is None else x._rebuild or x.data.__getitem__
     kd = k.data
     data = np.empty((B, c_out, H * W), dtype=np.result_type(x.data, kd))
-    rows, part = _kernel_rows(kd), np.empty_like(data[0])
-    for b in range(B):
-        _conv_taps(_tap_rows(x.data[b]), rows, data[b], part)
-    if bias is not None:
-        data += bias.data.reshape(1, c_out, 1)
+    _conv_batch(x.data, _kernel_rows(kd), None if bias is None else bias.data, data,
+                tap_buffer(c_in, H, W, x.data.dtype), np.empty_like(data[0]))
     data = data.reshape(B, c_out, H, W)
 
     def _bw(g):
@@ -337,8 +342,9 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
             # per kernel row i: [3 c_out, c_in], summed over the samples
             dk = np.zeros((3, 3 * c_out, c_in), dtype=g.dtype)
             prod = np.empty_like(dk[0])
+        taps = tap_buffer(c_out, H, W, g.dtype)  # one sample's at a time
         for b in range(B):
-            spans = _tap_rows(g[b])
+            spans = _tap_rows(g[b], taps)
             if nk is not None:
                 # dk[co, c, i, j] = sum over b, h, w of g[b, co, h+1-i, w+1-j] x[b, c, h, w]:
                 # span 2-i, tap 2-j of g times x transposed, added in batch order
@@ -356,6 +362,30 @@ def conv2d(x: Tensor, k: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(data, (nx, nk, nb), _bw)
 
 
+def _normalize(x, out=None):
+    """Each sample of [B, C, H, W] ``x`` less its mean, over its standard deviation (eps 1e-5).
+
+    The statistics run over (C, H, W) jointly. The result is written into
+    ``out``, which may be ``x``, or into a new array. Returns the result
+    and the per-sample 1/std, [B, 1, 1, 1].
+    """
+    B = x.shape[0]
+    xhat = np.subtract(x, x.mean(axis=(1, 2, 3), keepdims=True), out=out)
+    flat = xhat.reshape(B, 1, -1)
+    var = (flat @ flat.transpose(0, 2, 1)).reshape(B, 1, 1, 1) / flat.shape[2]
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat *= inv
+    return xhat, inv
+
+
+def _affine(xhat, gamma, beta, out=None):
+    """``xhat * gamma + beta``, [C]-shaped gamma and beta broadcast along axis 1 of
+    [B, C, H, W], into ``out`` (which may be ``xhat``) or a new array."""
+    out = np.multiply(xhat, gamma.reshape(1, -1, 1, 1), out=out)
+    out += beta.reshape(1, -1, 1, 1)
+    return out
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each sample of [batch, c, h, w] over (c, h, w) jointly.
 
@@ -368,22 +398,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layer norm of {x.shape} needs [c]-shaped gamma and beta, "
             f"got {gamma.shape} and {beta.shape}"
         )
-    axes = (1, 2, 3)
     B, C = x.data.shape[:2]
-    nx, ngamma, nbeta = _grad_node(x), _grad_node(gamma), _grad_node(beta)
-    xhat = x.data - x.data.mean(axis=axes, keepdims=True)
-    flat = xhat.reshape(B, 1, -1)
-    var = (flat @ flat.transpose(0, 2, 1)).reshape(B, 1, 1, 1) / flat.shape[2]
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat *= inv  # in place: only the normalized values are kept for backward
-    gb = gamma.data.reshape(1, -1, 1, 1)
-    bb = beta.data.reshape(1, -1, 1, 1)
+    nx, ngamma, nbeta = x._node, gamma._node, beta._node
+    xhat, inv = _normalize(x.data)  # only the normalized values are kept for backward
+    gd, bd = gamma.data, beta.data
+    gb = gd.reshape(1, -1, 1, 1)
 
     def affine(s):
         """xhat * gamma + beta for the samples ``s``: the output, or one sample of it again."""
-        part = xhat[s] * gb
-        part += bb
-        return part
+        return _affine(xhat[s], gd, bd)
 
     def _bw(g):
         # per-sample, per-channel sums of g and of g * xhat, as batched dots
@@ -434,7 +457,7 @@ def bce_with_logits(logits: Tensor, targets: Tensor, mask=None) -> Tensor:
     e = np.exp(-np.abs(z))
     elem = np.maximum(z, 0) - z * t + np.log1p(e)
 
-    nz = _grad_node(logits)
+    nz = logits._node
 
     def _bw(g):
         sigmoid = np.where(z >= 0, 1, e) / (1 + e)  # exp(-|z|) never overflows
@@ -465,6 +488,18 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.k, self.b)
 
+    def infer(self, x: np.ndarray, out: np.ndarray, taps: np.ndarray, part: np.ndarray):
+        """This layer on a plain [B, C, H, W] array, into C-contiguous ``out`` [B, Co, H, W].
+
+        ``out`` may be ``x`` when C == Co. ``taps`` is a ``tap_buffer(C, H, W)``
+        and ``part`` scratch of at least [Co, H*W]. Returns ``out``.
+        """
+        B, _, H, W = x.shape
+        c_out = self.k.data.shape[0]
+        _conv_batch(x, _kernel_rows(self.k.data), self.b.data, out.reshape(B, c_out, H * W),
+                    taps, part[:c_out])
+        return out
+
 
 class LayerNorm:
     def __init__(self, n_channels):
@@ -473,6 +508,11 @@ class LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
+
+    def infer(self, x: np.ndarray, out: np.ndarray):
+        """This layer on a plain [B, C, H, W] array, into ``out``, which may be ``x``."""
+        xhat, _ = _normalize(x, out)
+        return _affine(xhat, self.gamma.data, self.beta.data, out=xhat)
 
 
 ADAM_BETA1 = 0.9

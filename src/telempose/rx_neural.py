@@ -129,6 +129,15 @@ class _Block:
         t = nn.relu(self.conv2(self.ln2(t)))
         return nn.add(h, t)
 
+    def infer(self, h, t, taps, part):
+        """``__call__`` on plain arrays, in place: the branch is computed in ``t``, then
+        added to ``h``."""
+        self.conv1.infer(self.ln1.infer(h, t), t, taps, part)
+        np.maximum(t, 0, out=t)
+        self.conv2.infer(self.ln2.infer(t, t), t, taps, part)
+        np.maximum(t, 0, out=t)
+        np.add(h, t, out=h)
+
 
 class NeuralReceiver:
     """Stem conv, n_blocks residual blocks, linear output conv.
@@ -152,19 +161,21 @@ class NeuralReceiver:
     def params(self) -> list:
         return list(self.named_params().values())
 
-    def forward_logits(self, y_batch: np.ndarray, noise_var) -> nn.Tensor:
-        """Batched raw logits, sigmoid(logit) = P(bit = 1).
-
-        ``y_batch`` is [batch, n_rx, n_symbols, n_subcarriers] complex.
-        """
+    def _input_planes(self, y_batch: np.ndarray, noise_var) -> np.ndarray:
         cfg = self.cfg
         if y_batch.shape[1:] != (cfg.n_rx, cfg.n_symbols, cfg.n_subcarriers):
             raise nn.ShapeError(
                 f"received batch {y_batch.shape} does not match receiver grid "
                 f"({cfg.n_rx}, {cfg.n_symbols}, {cfg.n_subcarriers})"
             )
-        x = nn.Tensor(build_input_planes(y_batch, noise_var))
-        h = self.stem(x)
+        return build_input_planes(y_batch, noise_var)
+
+    def forward_logits(self, y_batch: np.ndarray, noise_var) -> nn.Tensor:
+        """Batched raw logits, sigmoid(logit) = P(bit = 1), recorded for training.
+
+        ``y_batch`` is [batch, n_rx, n_symbols, n_subcarriers] complex.
+        """
+        h = self.stem(nn.Tensor(self._input_planes(y_batch, noise_var)))
         for block in self.blocks:
             h = block(h)
         return self.out(h)
@@ -174,11 +185,25 @@ class NeuralReceiver:
 
         ``y`` is [n_rx, n_symbols, n_subcarriers]; the result is
         [n_symbols, n_subcarriers, bits_per_symbol], ready for unpacking.
-        No graph is recorded, so each activation is freed once read.
+        The network runs as a batch of one on plain float32 arrays, with no
+        ``Tensor`` and no graph. One tap buffer, one GEMM scratch and two
+        activations are made per call, and every layer works in them in
+        place, so calls share nothing. The logits equal ``forward_logits``'
+        bit for bit.
         """
-        with nn.no_grad():
-            logits = self.forward_logits(y[None], noise_var)
-        return np.moveaxis(-logits.data[0].astype(float), 0, -1)
+        x = self._input_planes(y[None], noise_var)
+        cfg = self.cfg
+        F, H, W = cfg.filters, cfg.n_symbols, cfg.n_subcarriers
+        taps = nn.tap_buffer(F, H, W)
+        part = np.empty((max(F, cfg.bits_per_symbol), H * W), np.float32)
+        h = self.stem.infer(x, np.empty((1, F, H, W), np.float32),
+                            nn.tap_buffer(cfg.input_channels, H, W), part)
+        t = np.empty_like(h)
+        for block in self.blocks:
+            block.infer(h, t, taps, part)
+        logits = self.out.infer(h, np.empty((1, cfg.bits_per_symbol, H, W), np.float32),
+                                taps, part)
+        return np.moveaxis(-logits[0].astype(float), 0, -1)
 
     def save(self, path):
         nn.save_checkpoint(path, self.named_params(), nn.config_hash(self.cfg.describe()))

@@ -275,8 +275,8 @@ def test_seeded_payloads_pack_to_the_pinned_grids(cfg_1p, cfg_2p, qpsk):
 
 @pytest.mark.parametrize(
     "bits",
-    [[0, 2], [0.7, 1.0], [-1, 0], [2, 0], [0, 256], np.array([0, 255], np.uint8)],
-    ids=["two", "fraction", "minus-one", "leading-two", "wraps-to-zero", "uint8-255"],
+    [[0, 2], [0.7, 1.0], [-1, 0], [2, 0], [0, 256], np.array([0, 255], np.uint8), [1 + 0j, 0j]],
+    ids=["two", "fraction", "minus-one", "leading-two", "wraps-to-zero", "uint8-255", "complex"],
 )
 def test_pack_rejects_a_value_that_is_not_a_bit(cfg_2p, qpsk, bits):
     # the check runs before the uint8 cast, which would wrap or truncate these

@@ -70,8 +70,9 @@ def test_dequantize_length_mismatch():
 @pytest.mark.parametrize("everywhere", [False, True], ids=["one-bit", "every-bit"])
 @pytest.mark.parametrize(
     "value, dtype",
-    [(2, np.uint8), (2, np.int64), (-1, np.int64), (0.5, float), (np.nan, float)],
-    ids=["uint8-two", "int-two", "minus-one", "half", "nan"],
+    [(2, np.uint8), (2, np.int64), (-1, np.int64), (0.5, float), (np.nan, float),
+     (1, complex)],
+    ids=["uint8-two", "int-two", "minus-one", "half", "nan", "complex-one"],
 )
 def test_dequantize_rejects_a_value_that_is_not_a_bit(value, dtype, everywhere):
     # all-2 bits used to decode to 3.0, outside [lo, hi]
@@ -226,8 +227,8 @@ def test_map_symbols_rejects_ragged_input(qpsk):
 
 
 @pytest.mark.parametrize(
-    "bits", [[0, 2], [0.7, 1.0], [-1, 0], [2, 0], np.array([0, 9], np.uint8)],
-    ids=["two", "fraction", "minus-one", "leading-two", "uint8-nine"],
+    "bits", [[0, 2], [0.7, 1.0], [-1, 0], [2, 0], np.array([0, 9], np.uint8), [1 + 0j, 0j]],
+    ids=["two", "fraction", "minus-one", "leading-two", "uint8-nine", "complex"],
 )
 def test_map_symbols_rejects_a_value_that_is_not_a_bit(qpsk, bits):
     # these used to map to a point ([0, 2] and [0.7, 1] both to point 2,
