@@ -1,4 +1,4 @@
-"""The integer, real-number and bit rules of every config field, size, noise argument and payload.
+"""The integer, real-number, finiteness and bit rules of every setting, argument and payload.
 
 It imports nothing from the package, so ``modem`` can use it as well as
 ``grid``: a rule kept in ``grid``, which imports ``modem``, would need an
@@ -58,8 +58,14 @@ def check_positive(name: str, value) -> float:
 
 def check_real_array(name: str, value) -> np.ndarray:
     """``value`` as a float array, scalar or not; ``ValueError``, naming ``name``,
-    for bool, str, bytes, complex or object entries. Finiteness is the caller's rule."""
+    for bool, str, bytes, complex or object entries. Finiteness is :func:`check_finite`'s rule."""
     array = np.asarray(value)
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, got {array.dtype} {value!r:.40}")
     return array.astype(float, copy=False)
+
+
+def check_finite(name: str, array: np.ndarray):
+    """Raise ``ValueError``, naming ``name``, unless every entry of ``array`` is finite."""
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a non-finite value")

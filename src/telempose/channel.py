@@ -26,15 +26,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_int, check_real, check_real_array
+from ._checks import check_finite, check_int, check_real, check_real_array
 from ._reader import Reader, replacing
 from .grid import N_SUBCARRIERS, N_SYMBOLS, SUBCARRIER_SPACING_HZ, GridConfig
 
 SPEED_OF_LIGHT = 299_792_458.0
 N_RX = 2
-#: Most paths a synthetic draw has; :data:`MAX_PATHS` bounds imported files.
+#: Most paths a realization has, drawn or imported.
 L_MAX = 8
-MAX_PATHS = 75
 DELAY_SPREAD_S = 1e-6
 SPEED_RANGE_MPS = (13.6, 18.8)
 CARRIER_HZ = 3.5e9
@@ -52,8 +51,8 @@ class ChannelRealization:
     """One multipath realization.
 
     ``gains`` is [L, N_RX] complex, ``delays`` (seconds) and ``dopplers``
-    (Hz) are [L] real. The constructor stores its own contiguous, read-only
-    copies. Equality and hashing are by identity.
+    (Hz) are [L] real, 1 <= L <= :data:`L_MAX`. The constructor stores its
+    own contiguous, read-only copies. Equality and hashing are by identity.
     """
 
     gains: np.ndarray
@@ -70,18 +69,16 @@ class ChannelRealization:
         if gains.ndim != 2 or gains.shape[1] != N_RX:
             raise ValueError(f"gains must be [paths, {N_RX}], got shape {gains.shape}")
         L = len(gains)
-        if not 1 <= L <= MAX_PATHS:
-            raise ValueError(f"path count {L} outside 1..{MAX_PATHS}")
+        if not 1 <= L <= L_MAX:
+            raise ValueError(f"path count {L} outside 1..{L_MAX}")
         if delays.shape != (L,) or dopplers.shape != (L,):
             raise ValueError(
                 f"{L} path gains but delays {delays.shape} and dopplers {dopplers.shape}"
             )
-        if not np.all(np.isfinite(gains)):
-            raise ValueError("path gains must be finite")
+        check_finite("gains", gains)
         if not np.all(np.isfinite(delays) & (delays >= 0)):
             raise ValueError("path delays must be finite and non-negative")
-        if not np.all(np.isfinite(dopplers)):
-            raise ValueError("path Doppler shifts must be finite")
+        check_finite("dopplers", dopplers)
         for name, values in (("gains", gains), ("delays", delays), ("dopplers", dopplers)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)

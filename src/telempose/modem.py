@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_bits, check_int, check_real_array
+from ._checks import check_bits, check_finite, check_int, check_real_array
 
 #: Features per sensor frame (17 sensors x 12 features each).
 FEATURES_PER_FRAME = 204
@@ -59,18 +59,15 @@ def _levels(x: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
 
 def _real_features(x) -> np.ndarray:
     """``x`` as a finite float array; ``ValueError`` for a non-finite value, which has no
-    level, and for a complex one, whose cast would drop the imaginary part with a warning."""
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        raise ValueError("cannot quantize a complex value")
-    x = x.astype(float, copy=False)
-    if not np.isfinite(x).all():
-        raise ValueError("cannot quantize a non-finite value")
+    level, and for a bool, str, bytes, complex or object one, which is no sensor value."""
+    x = check_real_array("features", x)
+    check_finite("features", x)
     return x
 
 
 def saturation_count(x, cfg: QuantizerConfig) -> int:
-    """Number of inputs outside [-1, 1], which get clamped; rejects what quantize_frame does."""
+    """Number of inputs outside [-1, 1], which get clamped. Any shape is taken, a frame
+    or a stack of them; the values :func:`quantize_frame` rejects raise here too."""
     x = _real_features(x)
     return int(np.count_nonzero((x < -1.0) | (x > 1.0)))
 
@@ -105,7 +102,7 @@ def quantize_frame(x, cfg: QuantizerConfig) -> np.ndarray:
     Each feature becomes the big-endian q-bit index of its level. Finite
     out-of-range features are clamped, never rejected; use
     :func:`saturation_count` to track how often that happens. NaN,
-    infinities and complex values raise ``ValueError``.
+    infinities and bool, str, bytes, complex or object values raise ``ValueError``.
     """
     x = _real_features(x)
     if x.shape != (FEATURES_PER_FRAME,):
@@ -166,8 +163,7 @@ def _demap_inputs(y_eq, noise_var):
     noise_var = check_real_array("noise_var", noise_var)
     if not (np.isfinite(noise_var) & (noise_var > 0)).all():
         raise ValueError("noise_var must be finite and positive")
-    if not np.isfinite(y_eq).all():
-        raise ValueError("y_eq must be finite")
+    check_finite("y_eq", y_eq)
     # only a noise_var that enlarges y_eq needs a broadcast view; a receiver's never does
     shape = np.broadcast(y_eq, noise_var).shape
     if shape != y_eq.shape:

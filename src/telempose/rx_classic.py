@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_real_array
+from ._checks import check_finite, check_real_array
 from .grid import GridConfig, pilot_value_grid
 from .modem import Constellation, llr_maxlog
 
@@ -147,11 +147,6 @@ def _demap(c_hat, post_var, bias, constellation, cfg):
     return llr_grid
 
 
-def _check_finite(name: str, a: np.ndarray):
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} holds a non-finite value")
-
-
 def _check_received(y: np.ndarray, cfg: GridConfig):
     """Raise ``ValueError`` unless ``y`` is a finite [n_rx, n_symbols, n_sc] grid."""
     if y.shape[1:] != (cfg.n_symbols, cfg.n_subcarriers):
@@ -159,7 +154,7 @@ def _check_received(y: np.ndarray, cfg: GridConfig):
             f"received grid {y.shape} does not match the "
             f"{cfg.n_symbols}x{cfg.n_subcarriers} config"
         )
-    _check_finite("received grid", y)
+    check_finite("received grid", y)
 
 
 def receive_classic(
@@ -197,7 +192,7 @@ def receive_perfect_csi(
         raise ValueError(
             f"channel response {h_true.shape} does not match received grid {y.shape}"
         )
-    _check_finite("channel response", h_true)
+    check_finite("channel response", h_true)
     eff = cfg.effective_slice
     c_hat, post_var, bias = lmmse_equalize(y[:, :, eff], h_true[:, :, eff], noise_var)
     return _demap(c_hat, post_var, bias, constellation, cfg)

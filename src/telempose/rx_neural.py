@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from ._checks import check_bits, check_int, check_positive, check_real_array
+from ._checks import check_bits, check_finite, check_int, check_real_array
 from .channel import N_RX, NoiseSpec, apply, check_realizations
 from .grid import (
     DATA, N_SUBCARRIERS, N_SYMBOLS, GridConfig, build_mask, grid_capacity_bits, pack_bits,
@@ -59,18 +59,18 @@ class NeuralRxConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     """Training settings. Every draw's Eb/N0 is uniform over the class attribute
-    ``ebn0_range_db`` = (-5, 16) dB, the neural-receiver protocol of ROADMAP item 9."""
+    ``ebn0_range_db`` = (-5, 16) dB, and Adam steps at the class attribute ``lr`` =
+    1e-3, the neural-receiver protocol of ROADMAP item 9."""
 
     iterations: int = 20_000
     batch: int = 16
-    lr: float = 1e-3
     log_every: int = 100
     ebn0_range_db = (-5.0, 16.0)
+    lr = 1e-3
 
     def __post_init__(self):
         for name in ("iterations", "batch", "log_every"):
             check_int(name, getattr(self, name), 1)
-        object.__setattr__(self, "lr", check_positive("lr", self.lr))
 
 
 class LogEntry(NamedTuple):
@@ -82,12 +82,17 @@ class LogEntry(NamedTuple):
 def build_input_planes(y: np.ndarray, noise_var) -> np.ndarray:
     """Stack [re..., im..., log noise] planes for a batch of received grids.
 
-    ``y`` is [batch, n_rx, n_symbols, n_subcarriers] complex and must be
-    finite in float32; ``noise_var`` is a real scalar or a vector of one
-    value per grid, positive and finite in float32 so that its log plane is
-    finite.
+    ``y`` is [batch, N_RX, N_SYMBOLS, N_SUBCARRIERS] complex (any other
+    shape raises ``nn.ShapeError``) and must be finite in float32;
+    ``noise_var`` is a real scalar or a vector of one value per grid,
+    positive and finite in float32 so that its log plane is finite.
     """
-    batch, n_rx, n_sym, n_sc = y.shape
+    if y.shape[1:] != (N_RX, N_SYMBOLS, N_SUBCARRIERS):
+        raise nn.ShapeError(
+            f"received batch {y.shape} does not match receiver grid "
+            f"({N_RX}, {N_SYMBOLS}, {N_SUBCARRIERS})"
+        )
+    batch = len(y)
     nv = check_real_array("noise_var", noise_var).astype(np.float32)
     if nv.shape not in ((), (1,), (batch,)):
         raise ValueError(
@@ -97,13 +102,12 @@ def build_input_planes(y: np.ndarray, noise_var) -> np.ndarray:
     nv = np.broadcast_to(nv, (batch,))
     if not np.all(np.isfinite(nv) & (nv > 0)):
         raise ValueError(f"noise_var must be positive and finite, got {noise_var}")
-    planes = np.empty((batch, 2 * n_rx + 1, n_sym, n_sc), dtype=np.float32)
+    planes = np.empty((batch, 2 * N_RX + 1, N_SYMBOLS, N_SUBCARRIERS), dtype=np.float32)
     with np.errstate(over="ignore"):  # out-of-range values become inf, rejected below
-        planes[:, :n_rx] = y.real
-        planes[:, n_rx : 2 * n_rx] = y.imag
-    if not np.all(np.isfinite(planes[:, : 2 * n_rx])):
-        raise ValueError("received grid is not finite in float32")
-    planes[:, 2 * n_rx] = np.log(nv)[:, None, None]
+        planes[:, :N_RX] = y.real
+        planes[:, N_RX : 2 * N_RX] = y.imag
+    check_finite("received grid in float32", planes[:, : 2 * N_RX])
+    planes[:, 2 * N_RX] = np.log(nv)[:, None, None]
     return planes
 
 
@@ -161,21 +165,12 @@ class NeuralReceiver:
     def params(self) -> list:
         return list(self.named_params().values())
 
-    def _input_planes(self, y_batch: np.ndarray, noise_var) -> np.ndarray:
-        cfg = self.cfg
-        if y_batch.shape[1:] != (cfg.n_rx, cfg.n_symbols, cfg.n_subcarriers):
-            raise nn.ShapeError(
-                f"received batch {y_batch.shape} does not match receiver grid "
-                f"({cfg.n_rx}, {cfg.n_symbols}, {cfg.n_subcarriers})"
-            )
-        return build_input_planes(y_batch, noise_var)
-
     def forward_logits(self, y_batch: np.ndarray, noise_var) -> nn.Tensor:
         """Batched raw logits, sigmoid(logit) = P(bit = 1), recorded for training.
 
         ``y_batch`` is [batch, n_rx, n_symbols, n_subcarriers] complex.
         """
-        h = self.stem(nn.Tensor(self._input_planes(y_batch, noise_var)))
+        h = self.stem(nn.Tensor(build_input_planes(y_batch, noise_var)))
         for block in self.blocks:
             h = block(h)
         return self.out(h)
@@ -191,7 +186,7 @@ class NeuralReceiver:
         place, so calls share nothing. The logits equal ``forward_logits``'
         bit for bit.
         """
-        x = self._input_planes(y[None], noise_var)
+        x = build_input_planes(y[None], noise_var)
         cfg = self.cfg
         F, H, W = cfg.filters, cfg.n_symbols, cfg.n_subcarriers
         taps = nn.tap_buffer(F, H, W)

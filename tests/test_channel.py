@@ -11,7 +11,6 @@ import pytest
 from telempose import channel
 from telempose.channel import (
     L_MAX,
-    MAX_PATHS,
     N_RX,
     ChannelFileError,
     ChannelRealization,
@@ -92,8 +91,8 @@ def test_freq_response_matches_dft_oracle():
 
 def test_freq_response_matches_per_path_loop(cfg_2p):
     rng = np.random.default_rng(11)
-    # two synthetic draws and a realization at the imported-file path limit
-    L = MAX_PATHS
+    # two synthetic draws and a realization at the path limit
+    L = L_MAX
     most = ChannelRealization(
         rng.standard_normal((L, N_RX)) + 1j * rng.standard_normal((L, N_RX)),
         rng.uniform(0, 1e-6, L), rng.uniform(-200, 200, L),
@@ -178,10 +177,10 @@ def test_synth_power_normalization(rng):
         {"n_rx": 1},
         {"n_rx": 3},
         {"l_max": 3},
-        {"l_max": MAX_PATHS},
+        {"l_max": L_MAX + 1},
     ],
     ids=["float-antennas", "bool-antennas", "float-path-count", "1-antenna", "3-antennas",
-         "3-paths", "75-paths"],
+         "3-paths", "9-paths"],
 )
 def test_synth_params_reject_each_invalid_field(field):
     assert (SynthParams().n_rx, SynthParams().l_max) == (N_RX, L_MAX) == (2, 8)
@@ -382,17 +381,17 @@ def test_realization_validation():
     [
         ([1.0, 1.0], [0.0], [0.0], r"paths, 2\], got shape \(2,\)"),
         (np.empty((0, 2)), [], [], "path count 0"),
-        (np.ones((MAX_PATHS + 1, 2)), np.zeros(MAX_PATHS + 1), np.zeros(MAX_PATHS + 1),
-         f"path count {MAX_PATHS + 1}"),
+        (np.ones((L_MAX + 1, 2)), np.zeros(L_MAX + 1), np.zeros(L_MAX + 1),
+         f"path count {L_MAX + 1} outside 1..{L_MAX}"),
         (np.empty((1, 0)), [0.0], [0.0], r"paths, 2\], got shape \(1, 0\)"),
         (np.ones((1, 1)), [0.0], [0.0], r"paths, 2\], got shape \(1, 1\)"),
         (np.ones((1, 3)), [0.0], [0.0], r"paths, 2\], got shape \(1, 3\)"),
         ([[1.0, 1.0], [1.0, 1.0]], [0.0], [0.0, 0.0], "delays"),
         ([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], [0.0], "dopplers"),
-        ([[1.0, np.nan]], [0.0], [0.0], "gains must be finite"),
+        ([[1.0, np.nan]], [0.0], [0.0], "gains holds a non-finite value"),
         ([[1.0, 1.0]], [-1e-9], [0.0], "non-negative"),
         ([[1.0, 1.0]], [np.nan], [0.0], "non-negative"),
-        ([[1.0, 1.0]], [0.0], [np.inf], "Doppler"),
+        ([[1.0, 1.0]], [0.0], [np.inf], "dopplers holds a non-finite value"),
     ],
     ids=["not-2d", "no-paths", "too-many-paths", "no-antennas", "one-antenna",
          "three-antennas", "delay-count", "doppler-count", "nan-gain", "negative-delay",
@@ -458,9 +457,11 @@ def _tpcr(n_rx, path_counts):
 
 def test_cir_invalid_realization_is_a_file_error(tmp_path):
     path = tmp_path / "bad.cir"
-    path.write_bytes(_tpcr(2, [1, 0]))
-    with pytest.raises(ChannelFileError, match="realization 1: path count 0"):
-        import_cirs(path)
+    # no path, and one path beyond the budget
+    for path_counts in ([1, 0], [1, L_MAX + 1]):
+        path.write_bytes(_tpcr(2, path_counts))
+        with pytest.raises(ChannelFileError, match=f"realization 1: path count {path_counts[1]}"):
+            import_cirs(path)
 
 
 @pytest.mark.parametrize("n_rx", [0, 1, 3])

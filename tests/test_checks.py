@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import telempose
-from telempose._checks import check_int, check_positive, check_real, check_real_array
+from telempose._checks import (
+    check_finite, check_int, check_positive, check_real, check_real_array,
+)
 from telempose.channel import L_MAX, N_RX, NoiseSpec, SynthParams, flat_unit_channel
 from telempose.grid import GridConfig, two_pilot_config, unpack_llrs
 from telempose.modem import QuantizerConfig, hard_decide, llr_maxlog, qam
@@ -53,7 +55,6 @@ SETTINGS = [
 # (name, (config, field), build from one value, values below its bound, a valid value)
 REALS = [
     _field(NoiseSpec, "ebn0_db", (), 2),
-    _field(TrainConfig, "lr", (0, -1e-3), 2),
     _field(AdamState, "lr", (0, -1e-3), 2, params=[]),
 ]
 
@@ -235,6 +236,26 @@ def test_check_real_array_returns_a_float_array_and_leaves_a_float64_array_alone
         assert array is ok
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([0.0, np.nan]), np.array([[np.inf]]), np.array(-np.inf), np.float32(np.inf),
+     np.array([1j, complex(np.nan, 0)]), np.array([complex(0, np.inf)], np.complex64)],
+    ids=["nan", "inf", "-inf-0d", "inf-float32", "complex-nan", "complex-imag-inf"],
+)
+def test_check_finite_rejects_a_non_finite_entry_by_name(bad):
+    with pytest.raises(ValueError, match="^y_eq holds a non-finite value$"):
+        check_finite("y_eq", bad)
+
+
+@pytest.mark.parametrize(
+    "ok", [np.zeros(0), np.array(5e-324), np.array([-1.0, 1e308]), np.array([1j, -2 + 0j]),
+           np.arange(3)],
+    ids=["empty", "subnormal", "large", "complex", "int"],
+)
+def test_check_finite_takes_a_finite_array(ok):
+    assert check_finite("y_eq", ok) is None
+
+
 #: The settings that became module constants, or are derived from one, and
 #: the config that held each.
 REMOVED = [
@@ -244,6 +265,7 @@ REMOVED = [
     *[(NeuralRxConfig, name)
       for name in ("n_rx", "n_symbols", "n_subcarriers", "bits_per_symbol")],
     (TrainConfig, "ebn0_range_db"),
+    (TrainConfig, "lr"),
 ]
 
 

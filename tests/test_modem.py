@@ -167,6 +167,21 @@ def test_complex_features_are_rejected():
         saturation_count([2j, 0.1], cfg)
 
 
+@pytest.mark.parametrize(
+    "frame",
+    [np.full(204, True), np.full(204, "0.5"), np.full(204, b"1"),
+     np.full(204, 0.5, dtype=object), [0.5] * 203 + ["0.5"]],
+    ids=["bool", "str", "bytes", "object", "list-with-a-str"],
+)
+def test_a_frame_that_is_not_real_numbers_is_rejected_by_name(frame):
+    # bool, bytes and object frames were coded (b"1" as 1.0) and str ones parsed
+    cfg = QuantizerConfig(q=8)
+    with pytest.raises(ValueError, match="^features must be real numbers, got "):
+        quantize_frame(frame, cfg)
+    with pytest.raises(ValueError, match="^features must be real numbers, got "):
+        saturation_count(frame, cfg)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_saturation_count_rejects_a_non_finite_feature(bad):
     # a NaN compares false with both ends, so it used to count as in range

@@ -137,11 +137,20 @@ def test_forward_rejects_a_grid_of_another_shape(shape):
 
 
 @pytest.mark.parametrize(
+    "shape", [(3, 1, 14, 128), (3, 3, 14, 128), (3, 2, 7, 128), (2, 14, 128)],
+    ids=["1-antenna", "3-antennas", "7-symbols", "3-d"],
+)
+def test_input_planes_reject_a_batch_of_another_shape(shape):
+    # the planes are read only by a receiver of N_RX antennas on the one grid
+    with pytest.raises(nn.ShapeError, match=r"receiver grid \(2, 14, 128\)"):
+        build_input_planes(np.ones(shape, complex), 0.1)
+
+
+@pytest.mark.parametrize(
     "bad",
     [
-        {"iterations": 0}, {"batch": 0}, {"log_every": 0}, {"lr": 0.0}, {"lr": -1e-3},
-        {"lr": np.nan}, {"lr": np.inf}, {"batch": 2.5}, {"iterations": 1.5},
-        {"log_every": True},
+        {"iterations": 0}, {"batch": 0}, {"log_every": 0}, {"batch": 2.5},
+        {"iterations": 1.5}, {"log_every": True},
     ],
     ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
 )
@@ -201,9 +210,10 @@ def test_five_tiny_training_steps_give_the_pinned_losses(cfg_2p, qpsk):
 
 def test_training_lowers_the_loss_on_a_flat_channel(cfg_2p, qpsk):
     rx = NeuralReceiver(NeuralRxConfig(filters=8, n_blocks=1), np.random.default_rng(2))
-    hyper = TrainConfig(iterations=30, batch=2, lr=1e-2, log_every=10)
+    # at the constant lr = 1e-3; 30 iterations reach only a loss of about 0.53
+    hyper = TrainConfig(iterations=150, batch=2, log_every=50)
     log = train(rx, cfg_2p, qpsk, [flat_unit_channel(2)], hyper, np.random.default_rng(3))
-    assert [e.iteration for e in log] == [10, 20, 30]
+    assert [e.iteration for e in log] == [50, 100, 150]
     assert log[-1].loss < 0.2  # ln 2 ~ 0.693 before training
 
 
