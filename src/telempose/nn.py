@@ -592,23 +592,29 @@ def config_hash(description: str) -> str:
 def save_checkpoint(path, named_params: dict, cfg_hash: str):
     """Write the named weights; a failed write keeps the old file.
 
-    A weight that is NaN or infinite in float32 raises ``CheckpointError``
-    before the file is opened, as ``load_checkpoint`` would reject it.
+    A weight that is NaN or infinite in float32, or a config hash or
+    tensor name over 65535 UTF-8 bytes, raises ``CheckpointError`` before
+    the file is opened, as ``load_checkpoint`` would reject the first.
     """
     with np.errstate(over="ignore"):  # a float64 beyond float32's range becomes inf
         values = {name: p.data.astype("<f4", copy=False) for name, p in named_params.items()}
     for name, v in values.items():
         if not np.isfinite(v).all():
             raise CheckpointError(f"tensor {name!r} holds a non-finite value")
+    hb = cfg_hash.encode()
+    names = {name: name.encode() for name in values}
+    fields = [("config hash", hb)] + [(f"name {n[:20]!r}", nb) for n, nb in names.items()]
+    for field, b in fields:  # each length is written as a u16
+        if len(b) > 0xFFFF:
+            raise CheckpointError(f"{field} is {len(b)} UTF-8 bytes; at most 65535 fit")
     with replacing(path) as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<I", _CKPT_VERSION))
-        hb = cfg_hash.encode()
         f.write(struct.pack("<H", len(hb)))
         f.write(hb)
         f.write(struct.pack("<I", len(named_params)))
         for name, v in values.items():
-            nb = name.encode()
+            nb = names[name]
             f.write(struct.pack("<H", len(nb)))
             f.write(nb)
             f.write(struct.pack("<B", v.ndim))
@@ -620,8 +626,12 @@ def load_checkpoint(path, named_params: dict, cfg_hash: str):
     """Load weights in place; reject any name/shape/config mismatch and
     any NaN or infinite weight.
 
-    Every tensor is read and checked before any is assigned, so a file
-    that is rejected leaves the model unchanged.
+    The file's values are copied into each parameter's own array, so every
+    array keeps its identity and dtype (a float64 array takes the float32
+    values). Every tensor is checked, as a read-only view of the file's
+    bytes, and every target array must be writeable before any value is
+    copied, so a file that is rejected, or a read-only target, leaves the
+    model unchanged.
     """
     with open(path, "rb") as f:
         rd = Reader(f.read(), CheckpointError, "checkpoint")
@@ -643,11 +653,11 @@ def load_checkpoint(path, named_params: dict, cfg_hash: str):
         raise CheckpointError(
             f"checkpoint has {count} tensors, model expects {len(named_params)}"
         )
-    staged = {}
+    views = {}
     for i in range(count):
         (nlen,) = struct.unpack("<H", rd.take(2, f"name length of tensor {i}"))
         name = bytes(rd.take(nlen, f"name of tensor {i}")).decode(errors="replace")
-        if name not in named_params or name in staged:
+        if name not in named_params or name in views:
             raise CheckpointError(f"unexpected or repeated tensor {name!r} in checkpoint")
         (ndim,) = struct.unpack("<B", rd.take(1, f"rank of {name!r}"))
         shape = struct.unpack(f"<{ndim}I", rd.take(4 * ndim, f"shape of {name!r}"))
@@ -659,7 +669,10 @@ def load_checkpoint(path, named_params: dict, cfg_hash: str):
         values = np.frombuffer(rd.take(4 * math.prod(shape), f"data of {name!r}"), "<f4")
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"tensor {name!r} holds a non-finite value")
-        staged[name] = values.reshape(shape).astype(p.data.dtype)
+        views[name] = values.reshape(shape)
     rd.done()
-    for name, values in staged.items():
-        named_params[name].data = values
+    for name in views:
+        if not named_params[name].data.flags.writeable:
+            raise CheckpointError(f"tensor {name!r} is read-only; nothing was loaded")
+    for name, values in views.items():
+        np.copyto(named_params[name].data, values)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from telempose import nn
+from telempose._reader import replacing
 from telempose.channel import (
     ChannelFileError,
     SynthParams,
@@ -103,7 +104,7 @@ def _non_realization_third(path):
 
 
 def _uncodable_second_tensor(path):
-    # the second name cannot be encoded, so the write fails after the first tensor
+    # the second name cannot be encoded, so the write is refused before the file opens
     model = _small_model(3)
     nn.save_checkpoint(path, {"conv.k": model["conv.k"], "\ud800": model["conv.b"]}, CKPT_HASH)
 
@@ -126,3 +127,14 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, fmt):
     assert path.read_bytes() == blob
     assert os.listdir(tmp_path) == [fmt]  # no temporary file left behind
     load()
+
+
+def test_a_write_that_fails_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "file"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError, match="midway"):
+        with replacing(path) as f:
+            f.write(b"new")
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["file"]

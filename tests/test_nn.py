@@ -619,6 +619,60 @@ def test_checkpoint_rejects_a_non_finite_weight(tmp_path, bad):
     assert np.array_equal(fresh.k.data, before)
 
 
+@pytest.mark.parametrize("read_only", ["k", "b"])
+def test_a_read_only_target_is_rejected_and_no_weight_changes(tmp_path, read_only):
+    layer = Conv2d(5, 2, np.random.default_rng(3))
+    layer.b.data += 0.5
+    h = nn.config_hash("cfg")
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(path, {"k": layer.k, "b": layer.b}, h)
+    fresh = Conv2d(5, 2, np.random.default_rng(4))
+    named = {"k": fresh.k, "b": fresh.b}
+    named[read_only].data.flags.writeable = False
+    before = {name: p.data.copy() for name, p in named.items()}
+    with pytest.raises(CheckpointError, match=f"'{read_only}' is read-only"):
+        load_checkpoint(path, named, h)
+    for name, p in named.items():
+        assert np.array_equal(p.data, before[name]), name
+
+
+def test_float64_leaves_load_the_float32_values(tmp_path):
+    layer = Conv2d(5, 2, np.random.default_rng(3))
+    layer.b.data += 0.1
+    h = nn.config_hash("cfg")
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(path, {"k": layer.k, "b": layer.b}, h)
+    fresh = Conv2d(5, 2, np.random.default_rng(4))
+    for t in (fresh.k, fresh.b):
+        t.data = t.data.astype(np.float64)
+    load_checkpoint(path, {"k": fresh.k, "b": fresh.b}, h)
+    for loaded, saved in [(fresh.k, layer.k), (fresh.b, layer.b)]:
+        assert loaded.data.dtype == np.float64
+        assert np.array_equal(loaded.data, saved.data.astype(np.float64))
+
+
+#: 65536 UTF-8 bytes in 32768 characters: one byte over the format's u16 length
+TOO_LONG = "\u00e9" * 32768
+
+
+@pytest.mark.parametrize(
+    "cfg_hash, name, field",
+    [(TOO_LONG, "k", "config hash"), ("cfg", TOO_LONG, "name")],
+    ids=["config-hash", "tensor-name"],
+)
+def test_save_checkpoint_rejects_an_overlong_hash_or_name_and_keeps_the_old_file(
+    tmp_path, cfg_hash, name, field
+):
+    layer = Conv2d(5, 2, np.random.default_rng(3))
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(path, {"k": layer.k, "b": layer.b}, "cfg")
+    blob = path.read_bytes()
+    with pytest.raises(CheckpointError, match=f"{field} .*is 65536 UTF-8 bytes"):
+        save_checkpoint(path, {name: layer.k, "b": layer.b}, cfg_hash)
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == ["weights.ckpt"]
+
+
 @pytest.mark.parametrize(
     "bad, dtype",
     [(np.nan, np.float32), (np.inf, np.float32), (-np.inf, np.float32), (1e39, np.float64)],

@@ -75,6 +75,34 @@ def test_save_load_round_trip_gives_identical_llrs(tmp_path, rng):
     assert np.array_equal(fresh.receive(y, 0.3), expected)
 
 
+def test_load_copies_into_every_parameter_array_and_keeps_its_dtype(tmp_path):
+    rx = NeuralReceiver(TINY, np.random.default_rng(0))
+    rx.out.b.data += 0.25
+    path = tmp_path / "rx.tpwt"
+    rx.save(path)
+    fresh = NeuralReceiver(TINY, np.random.default_rng(1))
+    arrays = {name: p.data for name, p in fresh.named_params().items()}
+    fresh.load(path)
+    for name, p in fresh.named_params().items():
+        assert p.data is arrays[name], name
+        assert p.data.dtype == np.float32, name
+        assert np.array_equal(p.data, rx.named_params()[name].data), name
+
+
+def test_a_paper_config_load_holds_no_second_copy_of_the_weights(tmp_path):
+    rx = NeuralReceiver(NeuralRxConfig(), np.random.default_rng(0))
+    path = tmp_path / "rx.tpwt"
+    rx.save(path)
+    tracemalloc.start()
+    try:
+        rx.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the file's bytes (4.54 MiB) and little else: a second copy of the weights makes it 2x
+    assert peak < 1.5 * path.stat().st_size, (peak, path.stat().st_size)
+
+
 #: The paper network's checkpoint names in optimizer order; saved
 #: checkpoints and the benchmark's training step depend on both.
 PAPER_PARAM_NAMES = ["stem.k", "stem.b"] + [
