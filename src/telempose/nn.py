@@ -43,16 +43,20 @@ and affine formulas are each written once (``_conv_batch``,
 ``_normalize``, ``_affine``) and both paths call them, so the plain-array
 forward equals the recorded one bit for bit.
 
-``Tensor.backward`` consumes its graph. It runs the closures in reverse
-topological order, then every node drops its closure and parent links,
-so the captured arrays are freed when ``backward`` returns rather than
-when the caller drops the output. A second ``backward`` through a
-consumed node raises ``RuntimeError``. Gradients are handed over, not copied: each non-leaf
-node's ``grad`` is taken off the node before its closure runs, so the
-closure owns that array. It may write it in place (ReLU and LayerNorm do)
-and hands it, or an array it made itself, to at most one parent. Every
-array passed to ``_Node.accumulate`` is the parent's to keep. Leaf grads
-(parameters, inputs) stay on their tensors after ``backward``.
+``Tensor.backward`` consumes its graph as it runs it. It sorts the whole
+graph first, so a second ``backward`` through a consumed node raises
+``RuntimeError`` before any closure runs. Then, in reverse topological
+order, each node drops its closure and parent links just before the
+closure runs, so the arrays that closure captured (a conv's input or
+rebuild, a LayerNorm's xhat, a ReLU's mask) are freed before the next
+closure runs: the graph shrinks as backward goes, and holds only what
+the closures still to run read. Gradients are handed over, not copied:
+each non-leaf node's ``grad`` is taken off the node before its closure
+runs, so the closure owns that array. It may write it in place (ReLU
+and LayerNorm do) and hands it, or an array it made itself, to at most
+one parent. Every array passed to ``_Node.accumulate`` is the parent's
+to keep. Leaf grads (parameters, inputs) stay on their tensors after
+``backward``.
 
 The 3x3-only convolution runs, one sample at a time, as three GEMMs over
 row taps of that sample (see ``conv2d``), in forward and in backward. One
@@ -95,8 +99,8 @@ class _Node:
 
     A leaf's node has no closure and no parents. An op's node holds the
     closure that sends its gradient to the parent nodes, and those nodes.
-    ``parents`` is None once ``backward`` has run the graph: the node is
-    consumed.
+    ``parents`` is None once ``backward`` has run the node's closure: the
+    node is consumed.
     """
 
     __slots__ = ("grad", "dtype", "backward", "parents")
@@ -149,9 +153,12 @@ class Tensor:
     def backward(self):
         """Populate ``grad`` on every upstream leaf tensor that requires it.
 
-        Consumes the graph: every closure and its node's parent links are
-        dropped before it returns, and a second ``backward`` through a
-        consumed node raises ``RuntimeError``.
+        Consumes the graph as it goes: each node drops its closure and
+        parent links just before the closure runs, so the arrays the
+        closure captured are freed before the next one runs. The whole
+        graph is sorted before any closure runs, so a second ``backward``
+        through a consumed node raises ``RuntimeError`` and changes no
+        gradient.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.shape}")
@@ -174,13 +181,8 @@ class Tensor:
         for node in reversed(topo):
             if node.backward is not None:
                 g, node.grad = node.grad, None
-                node.backward(g)
-        # Dropped after the walk, not as it goes: freeing the newest arrays
-        # mid-walk lets the allocator trim the heap top, and each conv
-        # backward then faults in its tap buffer afresh.
-        for node in topo:
-            if node.backward is not None:
-                node.backward = node.parents = None
+                bw, node.backward, node.parents = node.backward, None, None
+                bw(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -592,15 +594,20 @@ def config_hash(description: str) -> str:
 def save_checkpoint(path, named_params: dict, cfg_hash: str):
     """Write the named weights; a failed write keeps the old file.
 
-    A weight that is NaN or infinite in float32, or a config hash or
-    tensor name over 65535 UTF-8 bytes, raises ``CheckpointError`` before
-    the file is opened, as ``load_checkpoint`` would reject the first.
+    A weight that is NaN or infinite in float32, a tensor dimension over
+    4294967295, or a config hash or tensor name over 65535 UTF-8 bytes,
+    raises ``CheckpointError`` before the file is opened, as
+    ``load_checkpoint`` would reject the first.
     """
     with np.errstate(over="ignore"):  # a float64 beyond float32's range becomes inf
         values = {name: p.data.astype("<f4", copy=False) for name, p in named_params.items()}
     for name, v in values.items():
         if not np.isfinite(v).all():
             raise CheckpointError(f"tensor {name!r} holds a non-finite value")
+        if max(v.shape, default=0) > 0xFFFFFFFF:  # each dimension is written as a u32
+            raise CheckpointError(
+                f"tensor {name!r} has shape {v.shape}; a dimension over 4294967295 does not fit"
+            )
     hb = cfg_hash.encode()
     names = {name: name.encode() for name in values}
     fields = [("config hash", hb)] + [(f"name {n[:20]!r}", nb) for n, nb in names.items()]

@@ -129,8 +129,10 @@ class _Block:
         self.conv2 = nn.Conv2d(filters, filters, rng)
 
     def __call__(self, h):
-        t = nn.relu(self.conv1(self.ln1(h)))
-        t = nn.relu(self.conv2(self.ln2(t)))
+        # t is rebound at each step, so the first ReLU output is freed once
+        # ln2 has read it, before conv2 runs
+        t = self.ln2(nn.relu(self.conv1(self.ln1(h))))
+        t = nn.relu(self.conv2(t))
         return nn.add(h, t)
 
     def infer(self, h, t, taps, part):
@@ -241,7 +243,9 @@ def train(
     Every iteration draws fresh payload bits, a channel realization from
     the training set, and an Eb/N0 uniform in dB across
     ``TrainConfig.ebn0_range_db``; the masked binary cross entropy over
-    data elements is followed by one Adam step. A log record is written
+    data elements is followed by one Adam step. The previous step's
+    gradients are dropped before each forward, so they do not live
+    through it. A log record is written
     every ``hyper.log_every`` iterations and at the last one; with a
     ``checkpoint_path``, the weights are saved alongside each record, so
     the file and the last record describe the same step. Returns the
@@ -277,12 +281,12 @@ def train(
             targets[s] = bits_to_target_grid(bits, grid_cfg, B)
             noise_vars[s] = spec.noise_variance
 
+        nn.zero_grads(params)
         logits = receiver.forward_logits(y_batch, noise_vars)
         loss = nn.bce_with_logits(logits, nn.Tensor(targets), mask=mask)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise TrainingDiverged(f"non-finite loss at iteration {it}")
-        nn.zero_grads(params)
         loss.backward()
         nn.adam_step(params, state)
         hard = logits.data > 0

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -694,6 +695,19 @@ def test_save_checkpoint_rejects_a_non_finite_weight_and_keeps_the_old_file(
     assert [p.name for p in tmp_path.iterdir()] == ["weights.ckpt"]
 
 
+def test_save_checkpoint_rejects_a_dimension_over_u32_and_keeps_the_old_file(tmp_path):
+    # a zero-size array can have a dimension the format's u32 cannot hold
+    layer = Conv2d(5, 2, np.random.default_rng(3))
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(path, {"k": layer.k, "b": layer.b}, "cfg")
+    blob = path.read_bytes()
+    huge = Tensor(np.empty((2**32, 0), np.float32))
+    with pytest.raises(CheckpointError, match=r"'huge' has shape \(4294967296, 0\)"):
+        save_checkpoint(path, {"k": layer.k, "huge": huge}, "cfg")
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == ["weights.ckpt"]
+
+
 def test_backward_keeps_leaf_grads_and_drops_the_others(rng):
     x = t64(rng, (2, 3, 4, 5))
     k = t64(rng, (3, 3, 3, 3), scale=0.5)
@@ -789,6 +803,28 @@ def test_backward_through_a_node_another_backward_consumed_raises(rng):
     bce_with_logits(h, t).backward()
     with pytest.raises(RuntimeError, match="consumed"):
         bce_with_logits(nn.add(h, x), t).backward()
+
+
+def test_backward_frees_what_a_closure_read_before_the_next_closure_runs(rng):
+    # the relu output reaches the conv's kernel-gradient closure as its
+    # array (it has no LayerNorm rebuild), and once the caller drops it,
+    # that closure is its only holder
+    x, k = t64(rng, (2, 3, 4, 5)), t64(rng, (3, 3, 3, 3))
+    h = relu(x)
+    loss = bce_with_logits(conv2d(h, k), _binary(rng, (2, 3, 4, 5)))
+    held, relu_node = weakref.ref(h.data), h._node
+    del h
+    assert held() is not None
+    relu_bw, seen = relu_node.backward, []
+
+    def spy(g):
+        seen.append(held() is None)
+        relu_bw(g)
+
+    relu_node.backward = spy
+    loss.backward()
+    assert seen == [True]
+    assert x.grad is not None and k.grad is not None
 
 
 def test_grad_is_set_only_on_a_tensor_that_takes_one(rng):

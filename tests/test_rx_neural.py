@@ -474,6 +474,36 @@ def test_training_peak_memory_does_not_grow_after_the_first_step(cfg_2p, qpsk):
     assert three < 1.1 * one, (one, three)
 
 
+def test_training_drops_the_last_step_s_gradients_before_the_next_forward(cfg_2p, qpsk):
+    rx = NeuralReceiver(TINY, np.random.default_rng(2))
+    forward, seen = rx.forward_logits, []
+
+    def spy(*args):
+        seen.append([p.grad is None for p in rx.params()])
+        return forward(*args)
+
+    rx.forward_logits = spy
+    train(rx, cfg_2p, qpsk, _channels(), TrainConfig(iterations=2, batch=2),
+          np.random.default_rng(3))
+    assert len(seen) == 2 and all(seen[1]), seen
+
+
+def test_a_two_step_paper_batch_4_run_peaks_below_16_5_activations(cfg_2p, qpsk):
+    # An activation is one [4, 128, 14, 128] float32 array, 3.5 MiB. The
+    # peak counts the gradients and Adam's moments (about 3.9 activations),
+    # the block outputs and LayerNorm xhats the graph keeps, and what one
+    # op adds on top. It read 17.57 activations when backward freed the
+    # graph only at its end, the gradients lived through the next forward
+    # and a block held its first ReLU output while its second conv ran.
+    rx = NeuralReceiver(NeuralRxConfig(), np.random.default_rng(0))
+    hyper = TrainConfig(iterations=2, batch=4, log_every=1)
+    rng = np.random.default_rng(0)
+    peak = _peak_bytes(
+        lambda: train(rx, cfg_2p, qpsk, [flat_unit_channel(2)], hyper, rng))
+    activation = 4 * 128 * 14 * 128 * 4
+    assert peak < 16.5 * activation, peak / activation
+
+
 def test_a_recorded_block_keeps_only_what_its_backward_reads():
     # per block: two LayerNorm xhats, two packed ReLU masks (one bit per
     # element, a 32nd each) and the output; each conv reads its input back
@@ -491,6 +521,23 @@ def test_a_recorded_block_keeps_only_what_its_backward_reads():
         tracemalloc.stop()
     assert out.requires_grad
     assert kept <= 3.5 * h.data.nbytes, kept / h.data.nbytes
+
+
+def test_a_recorded_block_frees_its_first_relu_output_before_its_second_conv():
+    # the second conv holds its input, its output, one sample's taps and
+    # the graph kept so far; the first ReLU output, which only ln2 reads,
+    # is gone by then (it read 8.04 inputs while it was held)
+    block = _Block(16, np.random.default_rng(0))
+    h = nn.Tensor(np.random.default_rng(1).standard_normal((2, 16, 14, 32)).astype(np.float32),
+                  requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        block(h)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * h.data.nbytes, peak / h.data.nbytes
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
